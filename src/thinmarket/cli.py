@@ -20,8 +20,8 @@ import numpy as np
 from .analysis import compare, incompleteness_effect
 from .best_response import best_response
 from .competitive import competitive_equilibrium
-from .errors import ScenarioError
-from .model import certainty_equivalent, derive_exposures, validate_model
+from .errors import InvalidModelError, ScenarioError
+from .model import ValidationResult, certainty_equivalent, derive_exposures
 from .nash import KIND_UNSUPPORTED, solve
 from .oracles import McConfig, grid_best_response_share, iterate_best_responses, mc_certainty_equivalent
 from .scenario import (
@@ -61,10 +61,11 @@ def _emit(doc: dict, out_path) -> None:
 
 def _analyze_model(model):
     """Shared pipeline: returns (exit_code, report_dict)."""
-    verdict = validate_model(model)
-    if not verdict.ok:
-        return EXIT_INVALID, build_report(model, verdict)
-    exposures = derive_exposures(model)
+    try:
+        exposures = derive_exposures(model)  # validates the model once
+    except InvalidModelError as exc:
+        return EXIT_INVALID, build_report(model, ValidationResult(exc.violations))
+    verdict = ValidationResult()
     comp = competitive_equilibrium(exposures)
     nash = solve(exposures)
     if nash.kind == KIND_UNSUPPORTED:
@@ -151,10 +152,11 @@ def cmd_sweep(args) -> int:
     rows = []
     for value in grid:
         point = _set_trader_param(model, index, field, component, value)
-        if not validate_model(point).ok:
+        try:
+            exposures = derive_exposures(point)
+        except InvalidModelError:
             rows.append([_fmt(value), "validation_failed"] + blank)
             continue
-        exposures = derive_exposures(point)
         nash = solve(exposures)
         if nash.kind == KIND_UNSUPPORTED:
             rows.append([_fmt(value), nash.kind] + blank)
@@ -200,12 +202,12 @@ def cmd_validate(args) -> int:
     except (ScenarioError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    verdict = validate_model(model)
-    if not verdict.ok:
-        for violation in verdict.violations:
+    try:
+        exposures = derive_exposures(model)
+    except InvalidModelError as exc:
+        for violation in exc.violations:
             print(f"invalid: {violation}", file=sys.stderr)
         return EXIT_INVALID
-    exposures = derive_exposures(model)
 
     checks: list[tuple[str, bool, str]] = []
 

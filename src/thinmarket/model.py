@@ -90,6 +90,16 @@ class MarketModel:
         object.__setattr__(self, "traders", traders)
         if self.total_endowment_var is not None:
             object.__setattr__(self, "total_endowment_var", float(self.total_endowment_var))
+        # Per-trader inputs as read-only arrays, built once per instance.
+        scalars = (
+            [t.delta for t in traders],
+            [t.endowment_mean for t in traders],
+            [t.endowment_var for t in traders],
+        )
+        object.__setattr__(self, "_scalars", _frozen_array(scalars))
+        object.__setattr__(
+            self, "_cov_rows", _frozen_array([t.cov_endowment_securities for t in traders])
+        )
 
     @property
     def n_traders(self) -> int:
@@ -101,12 +111,20 @@ class MarketModel:
 
     @property
     def deltas(self) -> np.ndarray:
-        return np.array([t.delta for t in self.traders])
+        return self._scalars[0]
 
     @property
     def cov_matrix_rows(self) -> np.ndarray:
         """Stacked Cov(E_i, S) rows, shape (n_traders, n_securities)."""
-        return np.array([t.cov_endowment_securities for t in self.traders])
+        return self._cov_rows
+
+    @property
+    def endowment_means(self) -> np.ndarray:
+        return self._scalars[1]
+
+    @property
+    def endowment_vars(self) -> np.ndarray:
+        return self._scalars[2]
 
 
 @dataclass(frozen=True)
@@ -146,14 +164,19 @@ def validate_model(model: MarketModel) -> ValidationResult:
 
     if model.n_traders < 2:
         violations.append("at least two traders are required")
-    for idx, tr in enumerate(model.traders):
-        if not np.isfinite(tr.delta) or tr.delta <= 0.0:
+    deltas, variances = model.deltas, model.endowment_vars
+    bad_delta = ~((deltas > 0.0) & (deltas < np.inf))
+    bad_cov = ~np.isfinite(model.cov_matrix_rows).all(axis=1)
+    bad_mean = ~np.isfinite(model.endowment_means)
+    bad_var = ~((variances >= 0.0) & (variances < np.inf))
+    for idx in (bad_delta | bad_cov | bad_mean | bad_var).nonzero()[0].tolist():
+        if bad_delta[idx]:
             violations.append(f"traders[{idx}]: risk tolerance must be strictly positive")
-        if not np.all(np.isfinite(tr.cov_endowment_securities)):
+        if bad_cov[idx]:
             violations.append(f"traders[{idx}]: cov_endowment_securities has non-finite entries")
-        if not np.isfinite(tr.endowment_mean):
+        if bad_mean[idx]:
             violations.append(f"traders[{idx}]: endowment_mean must be finite")
-        if not np.isfinite(tr.endowment_var) or tr.endowment_var < 0.0:
+        if bad_var[idx]:
             violations.append(f"traders[{idx}]: endowment_var must be nonnegative")
 
     if model.total_endowment_var is not None and not violations:
@@ -246,9 +269,9 @@ def derive_exposures(model: MarketModel) -> ExposureProfile:
     delta_total = float(deltas.sum())
     lam = deltas / delta_total
     beta = None if trivial else market_cov / agg_var
-    u = np.array(
-        [certainty_equivalent(t.endowment_mean, t.endowment_var, t.delta) for t in model.traders]
-    )
+    # certainty_equivalent over all traders at once; validation guarantees its
+    # preconditions (finite positive deltas, finite nonnegative variances)
+    u = model.endowment_means - model.endowment_vars / (2.0 * deltas)
 
     return ExposureProfile(
         model=model,

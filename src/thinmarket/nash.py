@@ -9,6 +9,11 @@ a single monotone scalar equation in the total elasticity and bisects it.
 Configurations with two or more betas above one where the extreme condition
 fails are reported as an unsupported regime rather than guessed: uniqueness is
 not established there.
+
+Every solution is verified against the closed-form best response of each
+trader to the others.  The verification is O(N): the others' aggregate
+elasticity comes from prefix and suffix sums, and the best-response branches
+are evaluated as arrays, with the verdicts of a trader-by-trader check.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .best_response import Elasticity, best_response
+from .best_response import Elasticity
 from .competitive import EquilibriumOutcome, clearing_outcome
 from .errors import BracketError, ConsistencyError
 from .model import ExposureProfile, _frozen_array
@@ -75,11 +80,7 @@ def check_extreme_condition(exposures: ExposureProfile) -> int | None:
     plus = np.maximum(delta * (1.0 + beta), 0.0)
     total_plus = float(plus.sum())
 
-    hits = [
-        k
-        for k in range(exposures.n_traders)
-        if beta[k] >= 1.0 + (total_plus - plus[k]) / delta[k]
-    ]
+    hits = (beta >= 1.0 + (total_plus - plus) / delta).nonzero()[0].tolist()
     if len(hits) > 1:
         raise ConsistencyError(f"extreme condition held for several traders: {hits}")
 
@@ -100,16 +101,9 @@ def solve_extreme(exposures: ExposureProfile, k: int) -> NashSolution:
     else submits delta_i (1 + beta_i)_+; prices are exactly zero, trader k
     absorbs the whole market exposure and all others end market-neutral."""
     n = exposures.n_traders
-    thetas = []
-    for i in range(n):
-        if i == k:
-            thetas.append(Elasticity.infinite())
-        else:
-            thetas.append(
-                Elasticity.from_float(
-                    max(exposures.delta[i] * (1.0 + exposures.beta[i]), 0.0)
-                )
-            )
+    values = np.maximum(exposures.delta * (1.0 + exposures.beta), 0.0)
+    values[k] = math.inf
+    thetas = [Elasticity.from_float(v) for v in values.tolist()]
     shares = np.zeros(n)
     shares[k] = 1.0
     outcome = clearing_outcome(exposures, shares, np.zeros(exposures.n_securities))
@@ -168,7 +162,7 @@ def solve_bilateral(exposures: ExposureProfile) -> NashSolution:
     if exposures.is_trivial:
         raise ValueError("bilateral solver requires a non-trivial instance")
     beta = exposures.beta
-    active = [i for i in range(exposures.n_traders) if beta[i] > -1.0]
+    active = (beta > -1.0).nonzero()[0].tolist()
     if len(active) != 2:
         raise ValueError(f"bilateral solver needs exactly two active traders, found {len(active)}")
     i0, i1 = active
@@ -210,6 +204,11 @@ def phi(x: float, delta_i: float, beta_i: float) -> float:
     return delta_i * (1.0 + beta_i) * x / (half + math.sqrt(disc))
 
 
+# Below this many followers a Python loop over phi beats numpy's per-call
+# overhead on tiny arrays.
+_ARRAY_MIN_FOLLOWERS = 20
+
+
 class GeneralSystem:
     """Scalar reduction of the coupled equilibrium system.
 
@@ -222,20 +221,47 @@ class GeneralSystem:
     def __init__(self, exposures: ExposureProfile):
         beta = exposures.beta
         self.leader = int(np.argmax(beta))
-        self.followers = [
-            i
-            for i in range(exposures.n_traders)
-            if i != self.leader and -1.0 < beta[i] <= 1.0
-        ]
-        self.passive = [
-            i for i in range(exposures.n_traders) if i != self.leader and beta[i] <= -1.0
-        ]
-        self._pairs = [(float(exposures.delta[i]), float(beta[i])) for i in self.followers]
+        follower = (beta > -1.0) & (beta <= 1.0)
+        passive = beta <= -1.0
+        follower[self.leader] = passive[self.leader] = False
+        self.followers = follower.nonzero()[0].tolist()
+        self.passive = passive.nonzero()[0].tolist()
+        delta_f, beta_f = exposures.delta[follower], beta[follower]
+        if len(self.followers) < _ARRAY_MIN_FOLLOWERS:
+            self._pairs = list(zip(delta_f.tolist(), beta_f.tolist()))
+        else:
+            self._pairs = None
+            self._delta = delta_f
+            self._scale = delta_f * (1.0 + beta_f)
+            self._kink = (beta_f == 1.0).nonzero()[0]
         self.delta0 = float(exposures.delta[self.leader])
         self.beta0 = float(beta[self.leader])
 
+    def follower_thetas(self, x: float) -> list[float]:
+        """phi(x, delta_i, beta_i) of every follower, in order.
+
+        From _ARRAY_MIN_FOLLOWERS on they are evaluated as arrays, with
+        exactly the floating-point operations of phi on each entry, so the
+        values are the same bits either way.  For betas in (-1, 1] the
+        computed discriminant is below zero only by a few ulps of half^2, far
+        inside phi's tolerance, so the array form clamps it without a check.
+        """
+        if self._pairs is not None:
+            return [phi(x, d, b) for d, b in self._pairs]
+        if x <= 0.0:
+            return [0.0] * len(self.followers)
+        half = self._delta + 0.5 * x
+        scaled = self._scale * x
+        disc = half * half - scaled
+        theta = scaled / (half + np.sqrt(np.maximum(disc, 0.0)))
+        if self._kink.size:
+            theta[self._kink] = np.minimum(x, 2.0 * self._delta[self._kink])
+        return theta.tolist()
+
     def sigma(self, x: float) -> float:
-        return sum(phi(x, d, b) for d, b in self._pairs)
+        # Python's sum adds left to right whichever path produced the list,
+        # so F, and with it every bisection iterate, has the same bits.
+        return sum(self.follower_thetas(x))
 
     def F(self, x: float) -> float:
         s = self.sigma(x)
@@ -278,7 +304,7 @@ def solve_general(exposures: ExposureProfile) -> NashSolution:
     """
     if exposures.is_trivial:
         raise ValueError("general solver requires a non-trivial instance")
-    high = [i for i in range(exposures.n_traders) if exposures.beta[i] > 1.0]
+    high = (exposures.beta > 1.0).nonzero()[0].tolist()
     if len(high) >= 2:
         betas = ", ".join(f"beta[{i}]={exposures.beta[i]:g}" for i in high)
         return NashSolution(
@@ -299,8 +325,7 @@ def solve_general(exposures: ExposureProfile) -> NashSolution:
     system = GeneralSystem(exposures)
     total = _bisect_total_elasticity(system, exposures.delta_total)
     thetas = np.zeros(exposures.n_traders)
-    for i, (d, b) in zip(system.followers, system._pairs):
-        thetas[i] = phi(total, d, b)
+    thetas[system.followers] = system.follower_thetas(total)
     thetas[system.leader] = system.leader_theta(total)
     return _finite_solution(exposures, thetas, KIND_GENERAL)
 
@@ -326,33 +351,65 @@ def _trivial_solution(exposures: ExposureProfile) -> NashSolution:
     )
 
 
-def rest_elasticity(elasticities, i: int) -> Elasticity:
-    """Aggregate elasticity of everyone except trader i."""
-    total = 0.0
-    for j, theta in enumerate(elasticities):
-        if j == i:
-            continue
-        if theta.is_infinite:
-            return Elasticity.infinite()
-        total += theta.as_float
-    return Elasticity.from_float(total)
+# Elasticity kinds as small integer codes for the array verification.
+_ZERO, _FINITE, _INFINITE = 0, 1, 2
+_KIND_CODES = {"zero": _ZERO, "finite": _FINITE, "infinite": _INFINITE}
 
 
 def fixed_point_deviation(exposures: ExposureProfile, elasticities) -> float:
     """Worst-case relative deviation of each elasticity from the best response
-    to the others; infinite on any branch mismatch."""
-    worst = 0.0
-    for i in range(exposures.n_traders):
-        br = best_response(exposures, i, rest_elasticity(elasticities, i))
-        theta_i = elasticities[i]
-        if br.theta.kind != theta_i.kind:
-            return math.inf
-        if theta_i.is_finite:
-            dev = abs(br.theta.value - theta_i.value) / max(
-                abs(br.theta.value), abs(theta_i.value)
+    to the others; infinite on any branch mismatch.
+
+    Runs in O(N): each trader's rest elasticity is an exclusive prefix sum
+    plus a suffix sum of the others' elasticities (not the total minus the own
+    one, which cancels when one trader holds almost all of theta), and the
+    branches of the closed-form best response are evaluated as arrays.  The
+    verdicts are those of calling best_response trader by trader in index
+    order: the first trader whose best response is undefined raises
+    ValueError, unless an earlier trader's branch mismatches, which gives inf.
+    """
+    if exposures.is_trivial:
+        raise ValueError("best response is undefined on a trivial instance (flat response)")
+    kind = np.array([_KIND_CODES[t.kind] for t in elasticities], dtype=np.int8)
+    theta = np.array([t.value for t in elasticities])
+    infinite = kind == _INFINITE
+    n_infinite = np.count_nonzero(infinite)
+    finite_part = np.where(infinite, 0.0, theta) if n_infinite else theta
+    rest = np.zeros(theta.size)
+    rest[1:] = np.add.accumulate(finite_part[:-1])
+    rest[:-1] += np.add.accumulate(finite_part[:0:-1])[::-1]
+    if n_infinite:  # the rest is infinite where anyone else's theta is
+        rest[n_infinite - infinite > 0] = math.inf
+
+    # best_response's branches as arrays: zero for beta <= -1, infinite for
+    # beta >= 1 + rest/delta (never against an infinite rest), the interior
+    # closed form otherwise, which is delta (1 + beta) against an infinite
+    # rest; against a zero rest the response is undefined unless beta > 1.
+    beta, delta = exposures.beta, exposures.delta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        escalate = beta >= 1.0 + rest / delta
+        br = delta * rest * (1.0 + beta) / (rest + delta * (1.0 - beta))
+    rest_inf = np.isinf(rest)
+    if np.count_nonzero(rest_inf):
+        br = np.where(rest_inf, delta * (1.0 + beta), br)
+    passive = beta <= -1.0
+    interior = ~(passive | escalate)
+    undefined = (rest == 0.0) & (beta <= 1.0)
+    bad_value = interior & ~((br > 0.0) & (br < math.inf))
+    mismatch = ((kind == _ZERO) != passive) | ((kind == _INFINITE) != escalate)
+    stop = undefined | bad_value | mismatch
+    if np.count_nonzero(stop):
+        first = int(np.argmax(stop))
+        if undefined[first]:
+            raise ValueError(
+                "theta_rest = 0 is only meaningful against beta_i > 1; "
+                "the response problem is undefined otherwise"
             )
-            worst = max(worst, dev)
-    return worst
+        if bad_value[first]:
+            raise ValueError("finite elasticity must be a strictly positive real")
+        return math.inf
+    br, theta = br[interior], theta[interior]
+    return max((np.abs(br - theta) / np.maximum(br, np.abs(theta))).tolist(), default=0.0)
 
 
 def _extreme_boundary_margin(exposures: ExposureProfile) -> float:

@@ -1,9 +1,16 @@
 import math
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import thinmarket.nash as nash
 from thinmarket import (
+    ConsistencyError,
+    Elasticity,
     GeneralSystem,
     KIND_BILATERAL,
     KIND_EXTREME,
@@ -12,6 +19,7 @@ from thinmarket import (
     KIND_UNSUPPORTED,
     MarketModel,
     TraderProfile,
+    best_response,
     check_extreme_condition,
     competitive_equilibrium,
     derive_exposures,
@@ -19,6 +27,7 @@ from thinmarket import (
     phi,
     solve,
     solve_bilateral,
+    solve_extreme,
     solve_general,
 )
 from conftest import (
@@ -318,3 +327,261 @@ class TestScalarEquation:
             limit = 0.5 * len(active) + 0.5 * float(np.sum(ex.beta[active]))
             assert limit > 1.0
             assert system.F(1e-9 * ex.delta_total) == pytest.approx(limit, rel=1e-6)
+
+
+# Reference verification: a trader-by-trader loop over the scalar best
+# response, O(N^2); fixed_point_deviation must give its verdicts.
+def _reference_rest(elasticities, i):
+    total = 0.0
+    for j, theta in enumerate(elasticities):
+        if j == i:
+            continue
+        if theta.is_infinite:
+            return Elasticity.infinite()
+        total += theta.as_float
+    return Elasticity.from_float(total)
+
+
+def _reference_deviation(exposures, elasticities):
+    worst = 0.0
+    for i in range(exposures.n_traders):
+        br = best_response(exposures, i, _reference_rest(elasticities, i))
+        theta_i = elasticities[i]
+        if br.theta.kind != theta_i.kind:
+            return math.inf
+        if theta_i.is_finite:
+            dev = abs(br.theta.value - theta_i.value) / max(
+                abs(br.theta.value), abs(theta_i.value)
+            )
+            worst = max(worst, dev)
+    return worst
+
+
+def _verdict(fn, exposures, elasticities):
+    try:
+        return fn(exposures, elasticities)
+    except (ValueError, ConsistencyError) as exc:
+        return type(exc)
+
+
+def _rest_conditioning(exposures, elasticities):
+    """Largest |d log br / d log rest| = |g| / |rest + g|, g = delta (1 - beta),
+    of an interior best response against a finite rest.  Near the extreme
+    boundary it is large: there an ulp of the rest sum moves the deviation by
+    more than an ulp."""
+    worst = 0.0
+    for i in range(exposures.n_traders):
+        rest = _reference_rest(elasticities, i)
+        if rest.is_finite:
+            gap = float(exposures.delta[i] * (1.0 - exposures.beta[i]))
+            worst = max(worst, abs(gap) / max(abs(rest.value + gap), 1e-300))
+    return worst
+
+
+def assert_same_verdict(exposures, elasticities):
+    """Same exception type, the same inf/finite verdict, and deviations within
+    1e-14 plus what the rest sums' rounding (at most 2 n ulps between the two
+    summation orders) can move them by."""
+    want = _verdict(_reference_deviation, exposures, elasticities)
+    got = _verdict(fixed_point_deviation, exposures, elasticities)
+    if isinstance(want, type):
+        assert got is want
+    elif math.isinf(want):
+        assert got == math.inf
+    else:
+        assert not isinstance(got, type) and math.isfinite(got)
+        n = len(elasticities)
+        kappa = _rest_conditioning(exposures, elasticities)
+        assert abs(got - want) <= 1e-14 + 2 * n * np.finfo(float).eps * kappa
+
+
+def _candidates(exposures, elasticities):
+    """A solution and perturbations of it that hit every branch and verdict."""
+    thetas = list(elasticities)
+    out = [thetas, [Elasticity.finite(d) for d in exposures.delta], [Elasticity.zero()] * len(thetas)]
+    for j, theta in enumerate(thetas):
+        bumped = list(thetas)
+        if theta.is_finite:
+            bumped[j] = Elasticity.finite(theta.value * (1.0 + 1e-6))
+            out.append(bumped)
+            bumped = list(thetas)
+            bumped[j] = Elasticity.infinite()
+        elif theta.is_zero:
+            bumped[j] = Elasticity.finite(1.0)
+        else:
+            bumped[j] = Elasticity.finite(1e6)
+        out.append(bumped)
+    return out
+
+
+def _solved(exposures):
+    try:
+        sol = solve(exposures)
+    except (ValueError, ConsistencyError):
+        return None
+    return None if sol.kind in (KIND_TRIVIAL, KIND_UNSUPPORTED) else sol
+
+
+class TestVerificationParity:
+    def test_random_instances_of_every_kind(self, rng):
+        kinds = set()
+        for trial in range(150):
+            n = int(rng.integers(2, 7))
+            betas = (constrained_betas if trial % 2 else unconstrained_betas)(rng, n)
+            ex = _exposures(rng, betas, random_deltas(rng, n), n_securities=1 + trial % 3)
+            sol = _solved(ex)
+            if sol is None:
+                continue
+            kinds.add(sol.kind)
+            for candidate in _candidates(ex, sol.elasticities):
+                assert_same_verdict(ex, candidate)
+        for _ in range(30):
+            ex = derive_exposures(bilateral_model(rng, n_securities=2))
+            for candidate in _candidates(ex, solve(ex).elasticities):
+                assert_same_verdict(ex, candidate)
+        assert {KIND_EXTREME, KIND_BILATERAL, KIND_GENERAL} <= kinds
+
+    def test_passive_and_lone_active_traders(self, rng):
+        # zero elasticities from passive traders, and a rest of exactly zero
+        for betas in ([1.5, 0.8, -1.3], [2.5, -1.5], [2.5, -0.5, -1.0], [3.0, -1.0, -1.0]):
+            ex = _exposures(rng, betas, random_deltas(rng, len(betas)))
+            sol = _solved(ex)
+            assert sol is not None
+            for candidate in _candidates(ex, sol.elasticities):
+                assert_same_verdict(ex, candidate)
+
+    @given(
+        follower_deltas=st.lists(st.integers(1, 16), min_size=1, max_size=4),
+        follower_betas=st.lists(st.integers(-15, 16), min_size=4, max_size=4),
+        leader_exponent=st.integers(-2, 2),
+        offset=st.sampled_from([-1, 0, 1]),
+        passive_delta=st.integers(1, 16),
+        order=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rational_instances_snapped_to_the_extreme_boundary(
+        self, follower_deltas, follower_betas, leader_exponent, offset, passive_delta, order
+    ):
+        # Dyadic rationals throughout, so every derived beta and every rest
+        # sum is exact in floating point and the leader sits exactly on the
+        # extreme boundary delta_0 (beta_0 - 1) = sum_i delta_i (1 + beta_i)
+        # (offset 0) or one step of 1/64 to either side of it.
+        deltas = [Fraction(d, 4) for d in follower_deltas]
+        betas = [Fraction(b, 16) for b in follower_betas[: len(deltas)]]
+        delta0 = Fraction(2) ** leader_exponent
+        spread = sum(d * (1 + b) for d, b in zip(deltas, betas))
+        beta0 = 1 + spread / delta0 + Fraction(offset, 64)
+        passive_beta = 1 - beta0 - sum(betas)
+        if passive_beta > -1:
+            return
+        traders = [(delta0, beta0)] + list(zip(deltas, betas)) + [(Fraction(passive_delta, 4), passive_beta)]
+        order.shuffle(traders)
+        model = model_from_betas(
+            np.random.default_rng(0),
+            [float(b) for _, b in traders],
+            [float(d) for d, _ in traders],
+            market_variance=1.0,
+        )
+        ex = derive_exposures(model)
+        assert list(ex.beta) == [float(b) for _, b in traders]
+        leader = int(np.argmax(ex.beta))
+        candidates = _candidates(ex, solve_extreme(ex, leader).elasticities)
+        sol = _solved(ex)
+        if sol is not None:
+            candidates += _candidates(ex, sol.elasticities)
+        for candidate in candidates:
+            assert_same_verdict(ex, candidate)
+
+
+class TestVerificationStrength:
+    def test_rejects_perturbed_solutions(self, rng):
+        checked = 0
+        for _ in range(40):
+            n = int(rng.integers(3, 7))
+            ex = _exposures(rng, constrained_betas(rng, n), random_deltas(rng, n))
+            sol = _solved(ex)
+            if sol is None or sol.kind == KIND_EXTREME:
+                continue
+            thetas = list(sol.elasticities)
+            assert fixed_point_deviation(ex, thetas) < 1e-8
+            for j, theta in enumerate(thetas):
+                changed = list(thetas)
+                if theta.is_finite:
+                    changed[j] = Elasticity.finite(theta.value * (1.0 + 1e-6))
+                    assert fixed_point_deviation(ex, changed) > 1e-8
+                    changed[j] = Elasticity.infinite()
+                else:
+                    changed[j] = Elasticity.finite(1.0)
+                assert fixed_point_deviation(ex, changed) == math.inf
+                checked += 1
+        assert checked > 50
+
+
+def _closed_form(x, delta, beta):
+    """phi as written in the docstring, evaluated in its product form."""
+    if x <= 0.0:
+        return 0.0
+    if beta == 1.0:
+        return min(x, 2.0 * delta)
+    half = delta + 0.5 * x
+    disc = max(half * half - delta * (1.0 + beta) * x, 0.0)
+    return delta * (1.0 + beta) * x / (half + math.sqrt(disc))
+
+
+class TestArrayScalarEquation:
+    XS = [-1.0, 0.0] + list(np.geomspace(1e-6, 1e6, 61))
+
+    def _systems(self, rng):
+        systems = []
+        for n in (3, 5, 30, 200):
+            for _ in range(3):
+                betas = constrained_betas(rng, n, low=-1.3, high=0.95)
+                ex = _exposures(rng, betas, random_deltas(rng, n))
+                if check_extreme_condition(ex) is None:
+                    systems.append((ex, GeneralSystem(ex)))
+        # followers with beta exactly one (the kinked branch), in a short and
+        # a long follower list
+        for n_ones in (2, 24):
+            betas = [1.5] + [1.0] * n_ones + [-0.5] * (2 * n_ones + 1)
+            deltas = [4.0 * n_ones] + list(random_deltas(rng, len(betas) - 1))
+            ex = _exposures(rng, betas, deltas, market_variance=1.0)
+            assert np.count_nonzero(ex.beta == 1.0) == n_ones
+            systems.append((ex, GeneralSystem(ex)))
+        return systems
+
+    @pytest.mark.parametrize("array_min", [None, 0])
+    def test_sigma_equals_sum_of_scalar_phi(self, rng, monkeypatch, array_min):
+        threshold = nash._ARRAY_MIN_FOLLOWERS
+        if array_min is not None:  # the array form on every follower count
+            monkeypatch.setattr(nash, "_ARRAY_MIN_FOLLOWERS", array_min)
+        systems = self._systems(rng)
+        counts = [len(system.followers) for _, system in systems]
+        assert min(counts) < threshold <= max(counts)
+        for ex, system in systems:
+            pairs = [(float(ex.delta[i]), float(ex.beta[i])) for i in system.followers]
+            for x in self.XS:
+                x = float(x)
+                scalar = [phi(x, d, b) for d, b in pairs]
+                assert system.follower_thetas(x) == scalar
+                assert scalar == [_closed_form(x, d, b) for d, b in pairs]
+                assert system.sigma(x) == sum(scalar)
+
+    def test_negative_discriminant_still_raises(self):
+        with pytest.raises(ValueError, match="discriminant"):
+            phi(1.0, 1.0, 3.0)
+        assert phi(2.0, 1.0, 1.0) == 2.0  # the kink is exact, not rounded
+
+
+def test_scaling_guard_large_general_solve():
+    # an O(N^2) step anywhere in solve() takes tens of minutes at this size
+    rng = np.random.default_rng(7)
+    n = 100_000
+    betas = constrained_betas(rng, n, low=-1.25, high=0.95)
+    ex = derive_exposures(model_from_betas(rng, betas, random_deltas(rng, n), n_securities=5))
+    start = time.perf_counter()
+    sol = solve(ex)
+    elapsed = time.perf_counter() - start
+    assert sol.kind == KIND_GENERAL
+    budget = 10.0
+    assert elapsed < budget, f"solve() at N={n}: runtime {elapsed:.1f}s exceeded {budget}s"
+    print(f"scaling guard (solve at N={n}): PASS ({elapsed:.1f}s)")
