@@ -182,6 +182,41 @@ def solve_bilateral(exposures: ExposureProfile) -> NashSolution:
     return _finite_solution(exposures, thetas, KIND_BILATERAL)
 
 
+class _FollowerPhi:
+    """phi(x, delta_i, beta_i) over arrays of traders, with what depends only
+    on (delta_i, beta_i) computed once.
+
+    Each entry takes exactly the floating-point operations of the scalar
+    product form, so a value does not depend on how many are evaluated
+    together.  For beta_i <= 1 the discriminant is at least (delta_i - x/2)^2
+    and rounds below zero by a few ulps of half^2 at most, so only betas above
+    one can fail the discriminant check.
+    """
+
+    def __init__(self, delta: np.ndarray, beta: np.ndarray):
+        self.delta, self.beta = delta, beta
+        self.scale = delta * (1.0 + beta)
+        self.kink = (beta == 1.0).nonzero()[0]  # where the discriminant cancels
+        self.above = (beta > 1.0).nonzero()[0]
+
+    def __call__(self, x: float) -> np.ndarray:
+        if x <= 0.0:
+            return np.zeros(self.delta.size)
+        half = self.delta + 0.5 * x
+        scaled = self.scale * x
+        disc = half * half - scaled
+        if self.above.size:
+            h = half[self.above]
+            low = disc[self.above] < -1e-14 * h * h
+            if np.count_nonzero(low):
+                beta_i = self.beta[self.above[low.argmax()]]
+                raise ValueError(f"negative discriminant for beta={beta_i}; outside (-1, 1]")
+        theta = scaled / (half + np.sqrt(np.maximum(disc, 0.0)))
+        if self.kink.size:
+            theta[self.kink] = np.minimum(x, 2.0 * self.delta[self.kink])
+        return theta
+
+
 def phi(x: float, delta_i: float, beta_i: float) -> float:
     """Follower elasticity delta_i + x/2 - sqrt((delta_i + x/2)^2 -
     delta_i (1 + beta_i) x) given total elasticity x, for -1 < beta_i <= 1.
@@ -191,22 +226,8 @@ def phi(x: float, delta_i: float, beta_i: float) -> float:
     cancellation for large x; the kinked exact form min(x, 2 delta_i) is used
     at beta_i = 1 where the discriminant itself cancels.
     """
-    if x <= 0.0:
-        return 0.0
-    if beta_i == 1.0:
-        return min(x, 2.0 * delta_i)
-    half = delta_i + 0.5 * x
-    disc = half * half - delta_i * (1.0 + beta_i) * x
-    if disc < 0.0:
-        if disc < -1e-14 * half * half:
-            raise ValueError(f"negative discriminant for beta={beta_i}; outside (-1, 1]")
-        disc = 0.0
-    return delta_i * (1.0 + beta_i) * x / (half + math.sqrt(disc))
-
-
-# Below this many followers a Python loop over phi beats numpy's per-call
-# overhead on tiny arrays.
-_ARRAY_MIN_FOLLOWERS = 20
+    one = _FollowerPhi(np.array([float(delta_i)]), np.array([float(beta_i)]))
+    return float(one(x)[0])
 
 
 class GeneralSystem:
@@ -226,42 +247,18 @@ class GeneralSystem:
         follower[self.leader] = passive[self.leader] = False
         self.followers = follower.nonzero()[0].tolist()
         self.passive = passive.nonzero()[0].tolist()
-        delta_f, beta_f = exposures.delta[follower], beta[follower]
-        if len(self.followers) < _ARRAY_MIN_FOLLOWERS:
-            self._pairs = list(zip(delta_f.tolist(), beta_f.tolist()))
-        else:
-            self._pairs = None
-            self._delta = delta_f
-            self._scale = delta_f * (1.0 + beta_f)
-            self._kink = (beta_f == 1.0).nonzero()[0]
+        self._phi = _FollowerPhi(exposures.delta[follower], beta[follower])
         self.delta0 = float(exposures.delta[self.leader])
         self.beta0 = float(beta[self.leader])
 
-    def follower_thetas(self, x: float) -> list[float]:
-        """phi(x, delta_i, beta_i) of every follower, in order.
-
-        From _ARRAY_MIN_FOLLOWERS on they are evaluated as arrays, with
-        exactly the floating-point operations of phi on each entry, so the
-        values are the same bits either way.  For betas in (-1, 1] the
-        computed discriminant is below zero only by a few ulps of half^2, far
-        inside phi's tolerance, so the array form clamps it without a check.
-        """
-        if self._pairs is not None:
-            return [phi(x, d, b) for d, b in self._pairs]
-        if x <= 0.0:
-            return [0.0] * len(self.followers)
-        half = self._delta + 0.5 * x
-        scaled = self._scale * x
-        disc = half * half - scaled
-        theta = scaled / (half + np.sqrt(np.maximum(disc, 0.0)))
-        if self._kink.size:
-            theta[self._kink] = np.minimum(x, 2.0 * self._delta[self._kink])
-        return theta.tolist()
+    def follower_thetas(self, x: float) -> np.ndarray:
+        """phi(x, delta_i, beta_i) of every follower, in order."""
+        return self._phi(x)
 
     def sigma(self, x: float) -> float:
-        # Python's sum adds left to right whichever path produced the list,
-        # so F, and with it every bisection iterate, has the same bits.
-        return sum(self.follower_thetas(x))
+        # Python's sum adds left to right, as a sum over scalar phi calls
+        # does, so F and every bisection iterate keep their bits.
+        return sum(self.follower_thetas(x).tolist())
 
     def F(self, x: float) -> float:
         s = self.sigma(x)
