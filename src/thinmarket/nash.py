@@ -256,8 +256,8 @@ class GeneralSystem:
         return self._phi(x)
 
     def sigma(self, x: float) -> float:
-        # Python's sum adds left to right, as a sum over scalar phi calls
-        # does, so F and every bisection iterate keep their bits.
+        # Python's sum adds left to right (numpy's adds pairwise); that order
+        # fixes F's bits, and with them every bisection iterate.
         return sum(self.follower_thetas(x).tolist())
 
     def F(self, x: float) -> float:

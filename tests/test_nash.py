@@ -516,9 +516,9 @@ class TestVerificationStrength:
         assert checked > 50
 
 
-# The scalar product form that phi had before it was evaluated over arrays.
-# Every bisection iterate, and with it every general solution, keeps its bits
-# only as long as the array form reproduces this one exactly.
+# phi's product form in Python floats.  The array form must reproduce it bit
+# for bit: F's bits, and with them every bisection iterate and every general
+# solution, depend on it.
 def _scalar_phi_reference(x, delta, beta):
     if x <= 0.0:
         return 0.0
