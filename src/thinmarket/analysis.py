@@ -138,29 +138,24 @@ class IncompletenessReport:
     competitive_sq_gain_gap: np.ndarray
 
 
-def incompleteness_effect(model: MarketModel) -> IncompletenessReport:
+def incompleteness_effect(exposures: ExposureProfile, du: np.ndarray) -> IncompletenessReport:
     """Compare the given (incomplete) market against its complete counterpart.
 
-    The counterpart keeps every beta_i, lambda_i and delta_i and replaces the
+    du is the incomplete market's compare() result on these exposures.  The
+    counterpart keeps every beta_i, lambda_i and delta_i and replaces the
     spanned variance <a_I, C a_I> with Var(E_I); it is materialised as an
     explicit one-security model and solved through the ordinary pipeline.
     Requires total_endowment_var and an essentially bilateral, non-trivial
     instance (exactly two traders with beta > -1).
     """
+    model = exposures.model
     if model.total_endowment_var is None:
         raise ValueError("total_endowment_var is required for the incompleteness comparison")
-    exposures = derive_exposures(model)
     if exposures.is_trivial:
         raise ValueError("incompleteness comparison is undefined on a trivial instance")
-    total = float(model.total_endowment_var)
-    agg = exposures.aggregate_market_variance
-    if agg > total * (1.0 + 1e-9) + 1e-12:
-        raise ValueError("total_endowment_var is below the variance spanned by the securities")
-    active = [i for i in range(exposures.n_traders) if exposures.beta[i] > -1.0]
-    if len(active) != 2:
+    if np.count_nonzero(exposures.beta > -1.0) != 2:
         raise ValueError("incompleteness comparison needs exactly two active traders")
-
-    du = compare(exposures, competitive_equilibrium(exposures), solve(exposures)).du
+    total = float(model.total_endowment_var)
 
     # Complete counterpart: single security with variance Var(E_I) and hedge
     # weights equal to the betas, so the projected geometry is preserved.
@@ -176,11 +171,10 @@ def incompleteness_effect(model: MarketModel) -> IncompletenessReport:
     du_o = compare(exposures_o, competitive_equilibrium(exposures_o), solve(exposures_o)).du
 
     lam, beta = exposures.lam, exposures.beta
-    endow_var = np.array([tr.endowment_var for tr in model.traders])
     qhat = competitive_equilibrium(exposures).allocations
     cov = model.securities_cov
     sq_gain = np.einsum("ij,jk,ik->i", qhat, cov, qhat)
-    sq_gain_o = lam**2 * total - 2.0 * lam * beta * total + endow_var
+    sq_gain_o = lam**2 * total - 2.0 * lam * beta * total + model.endowment_vars
 
     return IncompletenessReport(
         du=_frozen_array(du),

@@ -3,7 +3,8 @@ run the validation oracles.
 
 Exit codes are a stable contract: 0 success, 1 I/O or parse error, 2 model
 validation failure, 3 unsupported equilibrium regime (a diagnostic report is
-still written), 4 a validation check failed.
+still written), 4 a validation check failed, 5 the equilibrium could not be
+solved or verified (one `error:` line on stderr, no report).
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import numpy as np
 from .analysis import compare, incompleteness_effect
 from .best_response import best_response
 from .competitive import competitive_equilibrium
-from .errors import InvalidModelError, ScenarioError
+from .errors import BracketError, ConsistencyError, InvalidModelError, ScenarioError
 from .model import ValidationResult, certainty_equivalent, derive_exposures
-from .nash import KIND_UNSUPPORTED, solve
+from .nash import KIND_UNSUPPORTED, RESIDUAL_TOL, solve
 from .oracles import McConfig, grid_best_response_share, iterate_best_responses, mc_certainty_equivalent
 from .scenario import (
     INF_TOKEN,
@@ -37,13 +38,18 @@ EXIT_IO = 1
 EXIT_INVALID = 2
 EXIT_UNSUPPORTED = 3
 EXIT_CHECK_FAILED = 4
+EXIT_SOLVE_FAILED = 5
+
+# What solve and compare raise on an instance they cannot solve or verify:
+# ValueError for boundary rejections, the others for failed internal checks.
+_SOLVE_ERRORS = (ValueError, ConsistencyError, BracketError)
 
 _PARAM_RE = re.compile(r"^(\d+):(delta|cov_es\[(\d+)\])$")
 
 _DEFAULT_TOLS = {
     "grid-k": 1e-6,
     "iteration": 1e-7,
-    "nash-residual": 1e-8,
+    "nash-residual": RESIDUAL_TOL,
     "mc-sigma": 3.0,
 }
 
@@ -75,7 +81,7 @@ def _analyze_model(model):
     inc = None
     if model.total_endowment_var is not None:
         try:
-            inc = incompleteness_effect(model)
+            inc = incompleteness_effect(exposures, comparison.du)
         except ValueError:
             inc = None  # not applicable (trivial or not essentially bilateral)
     doc = build_report(
@@ -96,7 +102,11 @@ def cmd_analyze(args) -> int:
     except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    code, doc = _analyze_model(model)
+    try:
+        code, doc = _analyze_model(model)
+    except _SOLVE_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVE_FAILED
     _emit(doc, args.out)
     return code
 
@@ -157,11 +167,15 @@ def cmd_sweep(args) -> int:
         except InvalidModelError:
             rows.append([_fmt(value), "validation_failed"] + blank)
             continue
-        nash = solve(exposures)
-        if nash.kind == KIND_UNSUPPORTED:
-            rows.append([_fmt(value), nash.kind] + blank)
+        try:
+            nash = solve(exposures)
+            if nash.kind == KIND_UNSUPPORTED:
+                rows.append([_fmt(value), nash.kind] + blank)
+                continue
+            comparison = compare(exposures, competitive_equilibrium(exposures), nash)
+        except _SOLVE_ERRORS:
+            rows.append([_fmt(value), "solve_failed"] + blank)
             continue
-        comparison = compare(exposures, competitive_equilibrium(exposures), nash)
         thetas = [
             INF_TOKEN if t.is_infinite else _fmt(t.as_float) for t in nash.elasticities
         ]
@@ -232,7 +246,11 @@ def cmd_validate(args) -> int:
     if exposures.is_trivial:
         print("note: flat response (a_I = 0); response-function oracles skipped")
     else:
-        nash = solve(exposures)
+        try:
+            nash = solve(exposures)
+        except _SOLVE_ERRORS as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_SOLVE_FAILED
         if nash.kind == KIND_UNSUPPORTED:
             print(f"unsupported regime: {nash.detail}", file=sys.stderr)
             return EXIT_UNSUPPORTED

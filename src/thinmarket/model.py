@@ -10,10 +10,9 @@ utilities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import InvalidModelError
 
@@ -185,7 +184,7 @@ def validate_model(model: MarketModel) -> ValidationResult:
             violations.append("total_endowment_var must be nonnegative")
         else:
             cov_total = model.cov_matrix_rows.sum(axis=0)
-            a_total = cho_solve(cho_factor(0.5 * (cov + cov.T), lower=True), cov_total)
+            a_total = np.linalg.solve(0.5 * (cov + cov.T), cov_total)
             spanned = float(a_total @ cov_total)
             if spanned > total + TOTAL_VAR_SLACK * max(1.0, total, spanned):
                 violations.append(
@@ -218,7 +217,6 @@ class ExposureProfile:
     cov_total: np.ndarray
     market_cov: np.ndarray
     own_var: np.ndarray
-    cho: tuple = field(repr=False, default=None)
 
     @property
     def n_traders(self) -> int:
@@ -229,29 +227,24 @@ class ExposureProfile:
         return self.model.n_securities
 
     def solve_cov(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve C x = rhs through the cached positive-definite factorization."""
-        return cho_solve(self.cho, np.asarray(rhs, dtype=float))
+        """Solve C x = rhs against the symmetrized securities covariance."""
+        cov = self.model.securities_cov
+        return np.linalg.solve(0.5 * (cov + cov.T), np.asarray(rhs, dtype=float))
 
 
 def derive_exposures(model: MarketModel) -> ExposureProfile:
     """Derive hedge portfolios, betas, relative tolerances and aggregates.
 
     Validates the model first and raises InvalidModelError when it is
-    ill-posed.  Linear solves go through a Cholesky factorization of the
-    securities covariance (never an explicit inverse).
+    ill-posed.  Linear solves use np.linalg.solve on the symmetrized
+    securities covariance, which validation found positive definite.
     """
     verdict = validate_model(model)
     if not verdict.ok:
         raise InvalidModelError(verdict.violations)
 
-    cov = 0.5 * (model.securities_cov + model.securities_cov.T)
-    try:
-        cho = cho_factor(cov, lower=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by validation
-        raise InvalidModelError((f"positive-definite factorization failed: {exc}",))
-
-    cov_rows = model.cov_matrix_rows
-    a = cho_solve(cho, cov_rows.T).T
+    cov, cov_rows = model.securities_cov, model.cov_matrix_rows
+    a = np.linalg.solve(0.5 * (cov + cov.T), cov_rows.T).T
     a_total = a.sum(axis=0)
     cov_total = cov_rows.sum(axis=0)  # equals C a_I exactly, by linearity
 
@@ -287,7 +280,6 @@ def derive_exposures(model: MarketModel) -> ExposureProfile:
         cov_total=_frozen_array(cov_total),
         market_cov=_frozen_array(market_cov),
         own_var=_frozen_array(own_var),
-        cho=cho,
     )
 
 

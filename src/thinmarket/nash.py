@@ -65,22 +65,41 @@ class NashSolution:
     detail: str | None = None
 
 
+def _exclusive_sums(values: np.ndarray) -> np.ndarray:
+    """sum_{j != i} values[j] for every i, as a prefix plus a suffix sum (the
+    total minus values[i] cancels when one entry holds almost all of it)."""
+    rest = np.zeros(values.size)
+    rest[1:] = np.add.accumulate(values[:-1])
+    rest[:-1] += np.add.accumulate(values[:0:-1])[::-1]
+    return rest
+
+
+def _extreme_thresholds(exposures: ExposureProfile) -> tuple[np.ndarray, np.ndarray]:
+    """The terms delta_i (1 + beta_i)_+ and the thresholds 1 + rest_i / delta_i,
+    rest_i the exclusive sum of the others' terms."""
+    plus = np.maximum(exposures.delta * (1.0 + exposures.beta), 0.0)
+    return plus, 1.0 + _exclusive_sums(plus) / exposures.delta
+
+
 def check_extreme_condition(exposures: ExposureProfile) -> int | None:
     """Index of the unique trader who behaves risk-neutrally at equilibrium,
     or None when the equilibrium is non-extreme.
 
-    The per-trader threshold test and its aggregate reformulation
-    (sum delta_i (1 + beta_i)_+ <= 2 max delta_i beta_i) are both evaluated;
-    a disagreement beyond rounding noise is an internal error.
+    Trader k is extreme when beta_k >= 1 + rest_k / delta_k with rest_k =
+    sum_{j != k} delta_j (1 + beta_j)_+ summed exclusively; a tie is extreme.
+    The best-response check runs the same arithmetic on solve_extreme's
+    output, so an instance classified extreme always verifies.  The aggregate
+    reformulation (sum delta_i (1 + beta_i)_+ <= 2 max delta_i beta_i) is a
+    cross-check; a disagreement beyond rounding noise is an internal error.
     """
     if exposures.is_trivial:
         raise ValueError("extreme classification is undefined on a trivial instance")
     delta = exposures.delta
     beta = exposures.beta
-    plus = np.maximum(delta * (1.0 + beta), 0.0)
+    plus, thresholds = _extreme_thresholds(exposures)
     total_plus = float(plus.sum())
 
-    hits = (beta >= 1.0 + (total_plus - plus) / delta).nonzero()[0].tolist()
+    hits = (beta >= thresholds).nonzero()[0].tolist()
     if len(hits) > 1:
         raise ConsistencyError(f"extreme condition held for several traders: {hits}")
 
@@ -139,7 +158,7 @@ _BOUNDARY_GUARD = 1e12
 def _finite_solution(exposures: ExposureProfile, thetas: np.ndarray, kind: str) -> NashSolution:
     thetas = np.asarray(thetas, dtype=float)
     total = float(thetas.sum())
-    if not math.isfinite(total) or total > _BOUNDARY_GUARD * exposures.delta_total:
+    if not 0.0 < total <= _BOUNDARY_GUARD * exposures.delta_total:
         raise ValueError(
             "instance lies within floating-point noise of the extreme-equilibrium "
             "boundary; the non-extreme elasticities are too large to compute reliably"
@@ -165,20 +184,19 @@ def solve_bilateral(exposures: ExposureProfile) -> NashSolution:
     active = (beta > -1.0).nonzero()[0].tolist()
     if len(active) != 2:
         raise ValueError(f"bilateral solver needs exactly two active traders, found {len(active)}")
+    if check_extreme_condition(exposures) is not None:
+        raise ValueError("extreme condition holds for this pair; route to solve_extreme")
     i0, i1 = active
     lam0, lam1 = float(exposures.lam[i0]), float(exposures.lam[i1])
     b0, b1 = float(beta[i0]), float(beta[i1])
-    if abs(lam0 * b0 - lam1 * b1) >= lam0 + lam1:
-        raise ValueError("extreme condition holds for this pair; route to solve_extreme")
     beta_sum = b0 + b1
     lam_sum = lam0 + lam1
+    gap = lam0 * b0 - lam1 * b1
     thetas = np.zeros(exposures.n_traders)
-    thetas[i0] = (
-        exposures.delta[i0] * 2.0 * lam1 * beta_sum / (lam_sum + (lam1 * b1 - lam0 * b0))
-    )
-    thetas[i1] = (
-        exposures.delta[i1] * 2.0 * lam0 * beta_sum / (lam_sum + (lam0 * b0 - lam1 * b1))
-    )
+    # a denominator can round to zero on the boundary; _finite_solution rejects it
+    with np.errstate(divide="ignore"):
+        thetas[i0] = exposures.delta[i0] * 2.0 * lam1 * beta_sum / (lam_sum - gap)
+        thetas[i1] = exposures.delta[i1] * 2.0 * lam0 * beta_sum / (lam_sum + gap)
     return _finite_solution(exposures, thetas, KIND_BILATERAL)
 
 
@@ -357,13 +375,12 @@ def fixed_point_deviation(exposures: ExposureProfile, elasticities) -> float:
     """Worst-case relative deviation of each elasticity from the best response
     to the others; infinite on any branch mismatch.
 
-    Runs in O(N): each trader's rest elasticity is an exclusive prefix sum
-    plus a suffix sum of the others' elasticities (not the total minus the own
-    one, which cancels when one trader holds almost all of theta), and the
-    branches of the closed-form best response are evaluated as arrays.  The
-    verdicts are those of calling best_response trader by trader in index
-    order: the first trader whose best response is undefined raises
-    ValueError, unless an earlier trader's branch mismatches, which gives inf.
+    Runs in O(N): each trader's rest elasticity is an exclusive sum of the
+    others' elasticities, and the branches of the closed-form best response
+    are evaluated as arrays.  The verdicts are those of calling best_response
+    trader by trader in index order: the first trader whose best response is
+    undefined raises ValueError, unless an earlier trader's branch
+    mismatches, which gives inf.
     """
     if exposures.is_trivial:
         raise ValueError("best response is undefined on a trivial instance (flat response)")
@@ -371,10 +388,7 @@ def fixed_point_deviation(exposures: ExposureProfile, elasticities) -> float:
     theta = np.array([t.value for t in elasticities])
     infinite = kind == _INFINITE
     n_infinite = np.count_nonzero(infinite)
-    finite_part = np.where(infinite, 0.0, theta) if n_infinite else theta
-    rest = np.zeros(theta.size)
-    rest[1:] = np.add.accumulate(finite_part[:-1])
-    rest[:-1] += np.add.accumulate(finite_part[:0:-1])[::-1]
+    rest = _exclusive_sums(np.where(infinite, 0.0, theta) if n_infinite else theta)
     if n_infinite:  # the rest is infinite where anyone else's theta is
         rest[n_infinite - infinite > 0] = math.inf
 
@@ -416,10 +430,8 @@ def _extreme_boundary_margin(exposures: ExposureProfile) -> float:
     to tolerance by any route, since the non-extreme equilibrium has a pole
     there.
     """
-    delta, beta = exposures.delta, exposures.beta
-    plus = np.maximum(delta * (1.0 + beta), 0.0)
-    total_plus = float(plus.sum())
-    thresholds = 1.0 + (total_plus - plus) / delta
+    beta = exposures.beta
+    _, thresholds = _extreme_thresholds(exposures)
     scale = max(1.0, float(np.max(np.abs(beta))), float(np.max(np.abs(thresholds))))
     return float(np.min(np.abs(beta - thresholds))) / scale
 

@@ -22,6 +22,11 @@ def _pipeline(model):
     return ex, comp, nash, compare(ex, comp, nash)
 
 
+def _incompleteness(model):
+    ex, _, _, report = _pipeline(model)
+    return incompleteness_effect(ex, report.du)
+
+
 class TestCompare:
     def test_zero_du_when_beta_equals_lambda(self, rng):
         deltas = random_deltas(rng, 2)
@@ -152,7 +157,7 @@ class TestIncompleteness:
     def test_securitised_endowments_no_gap(self, rng):
         model = model_from_betas(rng, [1.2, -0.2], [1.0, 1.0], market_variance=0.7)
         model = replace(model, total_endowment_var=0.7)
-        report = incompleteness_effect(model)
+        report = _incompleteness(model)
         assert np.allclose(report.du_gap, 0.0, atol=1e-12)
         assert report.aggregate_gap == pytest.approx(0.0, abs=1e-12)
 
@@ -161,13 +166,13 @@ class TestIncompleteness:
             rng, [1.2, -0.2], [1.0, 1.0], n_securities=1, market_variance=0.5
         )
         model = replace(model, total_endowment_var=1.0)
-        report = incompleteness_effect(model)
+        report = _incompleteness(model)
         assert np.allclose(report.du_complete, 2.0 * report.du, rtol=1e-10)
 
     def test_gap_sign_matches_du_sign(self, rng):
         for _ in range(25):
             model = bilateral_model(rng, n_securities=2, with_total_var=True)
-            report = incompleteness_effect(model)
+            report = _incompleteness(model)
             for du_i, gap_i in zip(report.du, report.du_gap):
                 if abs(du_i) > 1e-12:
                     assert np.sign(gap_i) == np.sign(du_i)
@@ -177,8 +182,8 @@ class TestIncompleteness:
     def test_preconditions(self, rng):
         model = bilateral_model(rng)
         with pytest.raises(ValueError):
-            incompleteness_effect(model)  # total_endowment_var missing
+            _incompleteness(model)  # total_endowment_var missing
         crowded = model_from_betas(rng, [0.4, 0.4, 0.2], [1.0, 1.0, 1.0])
         crowded = replace(crowded, total_endowment_var=5.0)
         with pytest.raises(ValueError):
-            incompleteness_effect(crowded)  # three active traders
+            _incompleteness(crowded)  # three active traders

@@ -1,10 +1,21 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from thinmarket import load_scenario, save_scenario, scenario_to_dict
 from thinmarket.cli import main
+
+
+# One ulp inside the extreme boundary: the non-extreme elasticities are too
+# large to compute, so solve rejects the instance.
+HAIRLINE = float(np.nextafter(1.5, 0.0))
 
 
 def write_json(path, doc):
@@ -47,6 +58,25 @@ class TestAnalyze:
         assert doc["nash"]["elasticities"][0] == "inf"
         assert doc["nash"]["theta_total"] == "inf"
         assert doc["nash"]["prices"] == [0.0]
+
+    def test_readme_scenario_on_the_boundary_is_extreme(self, tmp_path):
+        # delta_0 = 4: delta_0 (beta_0 - 1) = delta_1 (1 + beta_1) exactly
+        doc = bilateral_scenario(beta0=1.2, deltas=(4.0, 1.0), total=3.0)
+        scen = write_json(tmp_path / "s.json", doc)
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--scenario", scen, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["nash"]["kind"] == "extreme"
+        assert "incompleteness" in report
+
+    def test_unsolvable_instance_exit_five(self, tmp_path, capsys):
+        scen = write_json(tmp_path / "s.json", bilateral_scenario(beta0=HAIRLINE))
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--scenario", scen, "--out", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "boundary" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
 
     def test_malformed_matrix_exit_one(self, tmp_path, capsys):
         doc = bilateral_scenario()
@@ -217,6 +247,35 @@ class TestSweep:
         assert rows[0]["theta_0"] == ""
         assert rows[1]["kind"] == "bilateral_closed_form"
 
+    def test_unsolvable_points_carry_kind(self, tmp_path):
+        scen = write_json(tmp_path / "s.json", bilateral_scenario(beta0=HAIRLINE))
+        csv_path = tmp_path / "sweep.csv"
+        assert (
+            main(
+                ["sweep", "--scenario", scen, "--param", "0:delta", "--grid=0.5,1.0,2.0", "--out", str(csv_path)]
+            )
+            == 0
+        )
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["kind"] for row in rows] == ["bilateral_closed_form", "solve_failed", "extreme"]
+        assert rows[1]["theta_0"] == ""
+
+    def test_readme_scenario_sweep_through_the_boundary(self, tmp_path):
+        doc = bilateral_scenario(beta0=1.2, deltas=(4.0, 1.0), total=3.0)
+        scen = write_json(tmp_path / "s.json", doc)
+        csv_path = tmp_path / "sweep.csv"
+        assert (
+            main(
+                ["sweep", "--scenario", scen, "--param", "0:delta", "--grid=3.5,4.0,4.5", "--out", str(csv_path)]
+            )
+            == 0
+        )
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["kind"] for row in rows] == ["bilateral_closed_form", "extreme", "extreme"]
+        assert rows[1]["value"] == "4" and rows[1]["theta_0"] == "inf"
+
     def test_unsupported_points_carry_kind(self, tmp_path):
         # sweeping trader 3's exposure drives the market into and out of the
         # two-high-beta configuration that no result covers
@@ -341,6 +400,11 @@ class TestValidate:
         scen = write_json(tmp_path / "s.json", doc)
         assert main(["validate", "--scenario", scen, "--samples", "1000"]) == 2
 
+    def test_unsolvable_scenario_exit_five(self, tmp_path, capsys):
+        scen = write_json(tmp_path / "s.json", bilateral_scenario(beta0=HAIRLINE))
+        assert main(["validate", "--scenario", scen, "--samples", "1000"]) == 5
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_unsupported_scenario_exit_three(self, tmp_path, capsys):
         doc = {
             "schema_version": "1",
@@ -354,3 +418,24 @@ class TestValidate:
         }
         scen = write_json(tmp_path / "s.json", doc)
         assert main(["validate", "--scenario", scen, "--samples", "1000"]) == 3
+
+
+def test_analyze_imports_no_scipy(tmp_path):
+    # numpy is the only runtime dependency: a CLI process never loads scipy.
+    scen = write_json(tmp_path / "s.json", bilateral_scenario(total=3.0))
+    child = textwrap.dedent(
+        """
+        import sys
+        from thinmarket.cli import main
+        assert main(["analyze", "--scenario", sys.argv[1], "--out", sys.argv[2]]) == 0
+        loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+        assert not loaded, loaded
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", child, scen, str(tmp_path / "r.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

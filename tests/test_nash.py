@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thinmarket import (
+    BracketError,
     ConsistencyError,
     Elasticity,
     GeneralSystem,
@@ -490,6 +491,48 @@ class TestVerificationParity:
             candidates += _candidates(ex, sol.elasticities)
         for candidate in candidates:
             assert_same_verdict(ex, candidate)
+
+    @given(
+        follower_deltas=st.lists(st.integers(1, 16), min_size=1, max_size=4),
+        follower_betas=st.lists(st.integers(-15, 16), min_size=4, max_size=4),
+        leader_half=st.integers(1, 11),
+        offset=st.sampled_from([0, 2**-40, -(2**-40), 2**-52, -(2**-52)]),
+        passive_delta=st.integers(1, 16),
+        order=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_classified_extreme_instances_verify(
+        self, follower_deltas, follower_betas, leader_half, offset, passive_delta, order
+    ):
+        # As above, but the leader's delta_0 is not a power of two, so the
+        # boundary beta_0 = 1 + sum_i delta_i (1 + beta_i) / delta_0 and the
+        # threshold computed from the derived betas both round; offsets of an
+        # ulp or a few thousand put beta_0 on either side of it.
+        deltas = [Fraction(d, 4) for d in follower_deltas]
+        betas = [Fraction(b, 16) for b in follower_betas[: len(deltas)]]
+        delta0 = Fraction(2 * leader_half + 1, 4)
+        spread = sum(d * (1 + b) for d, b in zip(deltas, betas))
+        beta0 = 1 + spread / delta0 + Fraction(offset)
+        passive_beta = 1 - beta0 - sum(betas)
+        assume(passive_beta <= -1)
+        traders = [(delta0, beta0)] + list(zip(deltas, betas)) + [(Fraction(passive_delta, 4), passive_beta)]
+        order.shuffle(traders)
+        model = model_from_betas(
+            np.random.default_rng(0),
+            [float(b) for _, b in traders],
+            [float(d) for d, _ in traders],
+            market_variance=1.0,
+        )
+        ex = derive_exposures(model)
+        k = check_extreme_condition(ex)
+        if k is not None:
+            assert fixed_point_deviation(ex, solve_extreme(ex, k).elasticities) == 0.0
+        try:
+            solve(ex)
+        except BracketError:
+            pass  # within rounding of the boundary F(x) = 1 has no finite root
+        except ValueError as exc:
+            assert "route to solve_extreme" not in str(exc)
 
 
 class TestVerificationStrength:
