@@ -18,13 +18,8 @@ from .best_response import (
     best_response,
     one_sided_equilibrium,
     response_value,
-    response_value_at_share,
 )
-from .competitive import (
-    EquilibriumOutcome,
-    aggregate_demand,
-    competitive_equilibrium,
-)
+from .competitive import EquilibriumOutcome, competitive_equilibrium
 from .errors import BracketError, ConsistencyError, InvalidModelError, ScenarioError
 from .model import (
     ExposureProfile,
@@ -41,24 +36,8 @@ from .nash import (
     KIND_GENERAL,
     KIND_TRIVIAL,
     KIND_UNSUPPORTED,
-    GeneralSystem,
     NashSolution,
-    check_extreme_condition,
-    fixed_point_deviation,
-    nash_residuals,
-    phi,
     solve,
-    solve_bilateral,
-    solve_extreme,
-    solve_general,
-)
-from .oracles import (
-    IterationTrace,
-    McConfig,
-    McEstimate,
-    grid_best_response_share,
-    iterate_best_responses,
-    mc_certainty_equivalent,
 )
 from .scenario import load_scenario, save_scenario, scenario_from_dict, scenario_to_dict
 
@@ -75,48 +54,32 @@ __all__ = [
     "Elasticity",
     "EquilibriumOutcome",
     "ExposureProfile",
-    "GeneralSystem",
     "IncompletenessReport",
     "InvalidModelError",
-    "IterationTrace",
     "KIND_BILATERAL",
     "KIND_EXTREME",
     "KIND_GENERAL",
     "KIND_TRIVIAL",
     "KIND_UNSUPPORTED",
     "MarketModel",
-    "McConfig",
-    "McEstimate",
     "NashSolution",
     "OneSidedResult",
     "ScenarioError",
     "TraderProfile",
     "ValidationResult",
-    "aggregate_demand",
     "best_response",
     "certainty_equivalent",
-    "check_extreme_condition",
     "compare",
     "competitive_equilibrium",
     "derive_exposures",
-    "fixed_point_deviation",
-    "grid_best_response_share",
     "incompleteness_effect",
-    "iterate_best_responses",
     "load_scenario",
-    "mc_certainty_equivalent",
-    "nash_residuals",
     "one_sided_equilibrium",
-    "phi",
     "response_value",
-    "response_value_at_share",
     "risk_neutral_limit_du",
     "save_scenario",
     "scenario_from_dict",
     "scenario_to_dict",
     "solve",
-    "solve_bilateral",
-    "solve_extreme",
-    "solve_general",
     "validate_model",
 ]

@@ -107,7 +107,11 @@ def cmd_analyze(args) -> int:
     except _SOLVE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVE_FAILED
-    _emit(doc, args.out)
+    try:
+        _emit(doc, args.out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     return code
 
 
@@ -188,7 +192,11 @@ def cmd_sweep(args) -> int:
             + [_fmt(comparison.inefficiency)]
         )
 
-    out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
+    try:
+        out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
@@ -213,6 +221,9 @@ def cmd_validate(args) -> int:
     try:
         model = load_scenario(args.scenario)
         tols = _parse_tol_overrides(args.tol_override)
+        mc_configs = [
+            McConfig(sample_count=args.samples, seed=args.seed + i) for i in range(model.n_traders)
+        ]
     except (ScenarioError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -232,7 +243,7 @@ def cmd_validate(args) -> int:
             trader.endowment_mean,
             trader.endowment_var,
             trader.delta,
-            McConfig(sample_count=args.samples, seed=args.seed + i),
+            mc_configs[i],
         )
         if est.standard_error == 0.0:
             ok = abs(est.value - exact) < 1e-12 and not est.unreliable

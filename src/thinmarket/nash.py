@@ -1,14 +1,17 @@
 """Noncompetitive (Nash) equilibrium: classification and solvers.
 
-Dispatch order mirrors the theory: the trivial case a_I = 0 first, then the
-extreme regime (one trader submits infinite elasticity, prices are zero), then
-the bilateral closed form when exactly two traders are active, and otherwise
-the general constructive solver, which reduces the coupled quadratic system to
-a single monotone scalar equation in the total elasticity and bisects it.
+`solve` is the one entry point, and it decides the regime once, in the order
+of the theory: the trivial case a_I = 0 first, then the extreme regime (one
+trader submits infinite elasticity, prices are zero), then the bilateral
+closed form when exactly two traders are active, then the unsupported regime,
+and otherwise the general constructive solver, which reduces the coupled
+quadratic system to a single monotone scalar equation in the total elasticity
+and bisects it.  The per-regime solvers trust that dispatch and do not check
+their regime again.
 
 Configurations with two or more betas above one where the extreme condition
-fails are reported as an unsupported regime rather than guessed: uniqueness is
-not established there.
+fails (and more than two traders are active) are reported as an unsupported
+regime rather than guessed: uniqueness is not established there.
 
 Every solution is verified against the closed-form best response of each
 trader to the others.  The verification is O(N): the others' aggregate
@@ -42,7 +45,6 @@ FIXED_POINT_RTOL = 1e-8
 # Bisection of the scalar equilibrium equation.
 _KEY_FTOL = 1e-12
 _KEY_XTOL = 1e-12
-_MAX_DOUBLINGS = 60
 _MAX_BISECTIONS = 500
 
 
@@ -153,16 +155,17 @@ def nash_residuals(exposures: ExposureProfile, thetas: np.ndarray) -> np.ndarray
 # within floating-point noise of the extreme boundary (an almost-pole of the
 # closed forms); they cannot be computed to meaningful relative precision.
 _BOUNDARY_GUARD = 1e12
+_BOUNDARY_MESSAGE = (
+    "instance lies within floating-point noise of the extreme-equilibrium "
+    "boundary; the non-extreme elasticities are too large to compute reliably"
+)
 
 
 def _finite_solution(exposures: ExposureProfile, thetas: np.ndarray, kind: str) -> NashSolution:
     thetas = np.asarray(thetas, dtype=float)
     total = float(thetas.sum())
     if not 0.0 < total <= _BOUNDARY_GUARD * exposures.delta_total:
-        raise ValueError(
-            "instance lies within floating-point noise of the extreme-equilibrium "
-            "boundary; the non-extreme elasticities are too large to compute reliably"
-        )
+        raise ValueError(_BOUNDARY_MESSAGE)
     shares = thetas / total
     prices = -exposures.cov_total / total
     return NashSolution(
@@ -177,16 +180,14 @@ def _finite_solution(exposures: ExposureProfile, thetas: np.ndarray, kind: str) 
 
 def solve_bilateral(exposures: ExposureProfile) -> NashSolution:
     """Closed form when exactly two traders have beta > -1 (all others are
-    passive and submit zero elasticity)."""
-    if exposures.is_trivial:
-        raise ValueError("bilateral solver requires a non-trivial instance")
+    passive and submit zero elasticity).
+
+    Precondition: solve assigned the bilateral regime, i.e. the instance is
+    non-trivial, exactly two traders are active and the extreme condition
+    fails.
+    """
     beta = exposures.beta
-    active = (beta > -1.0).nonzero()[0].tolist()
-    if len(active) != 2:
-        raise ValueError(f"bilateral solver needs exactly two active traders, found {len(active)}")
-    if check_extreme_condition(exposures) is not None:
-        raise ValueError("extreme condition holds for this pair; route to solve_extreme")
-    i0, i1 = active
+    i0, i1 = (beta > -1.0).nonzero()[0]
     lam0, lam1 = float(exposures.lam[i0]), float(exposures.lam[i1])
     b0, b1 = float(beta[i0]), float(beta[i1])
     beta_sum = b0 + b1
@@ -291,12 +292,11 @@ def _bisect_total_elasticity(system: GeneralSystem, delta_total: float) -> float
     if not system.F(lo) > 1.0:
         raise BracketError(f"F({lo:g}) <= 1 at the lower bracket end; precondition violated")
     hi = delta_total
-    doublings = 0
     while system.F(hi) >= 1.0:
+        if hi > _BOUNDARY_GUARD * delta_total:
+            # the root lies beyond what _finite_solution accepts
+            raise ValueError(_BOUNDARY_MESSAGE)
         hi *= 2.0
-        doublings += 1
-        if doublings > _MAX_DOUBLINGS:
-            raise BracketError("F never crossed 1 while doubling the upper bracket end")
     for _ in range(_MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
         fm = system.F(mid)
@@ -311,32 +311,11 @@ def _bisect_total_elasticity(system: GeneralSystem, delta_total: float) -> float
 
 def solve_general(exposures: ExposureProfile) -> NashSolution:
     """Constructive solver for the non-extreme equilibrium with any number of
-    traders, assuming at most one beta exceeds one.
+    traders.
 
-    Returns an unsupported-regime result (not an exception) when two or more
-    betas exceed one while the extreme condition fails, since uniqueness is
-    only conjectured there.
+    Precondition: solve assigned the general regime, i.e. the instance is
+    non-trivial, the extreme condition fails and at most one beta exceeds one.
     """
-    if exposures.is_trivial:
-        raise ValueError("general solver requires a non-trivial instance")
-    high = (exposures.beta > 1.0).nonzero()[0].tolist()
-    if len(high) >= 2:
-        betas = ", ".join(f"beta[{i}]={exposures.beta[i]:g}" for i in high)
-        return NashSolution(
-            kind=KIND_UNSUPPORTED,
-            elasticities=None,
-            theta_total=None,
-            k_shares=None,
-            outcome=None,
-            residuals=None,
-            detail=(
-                f"{len(high)} traders have beta > 1 ({betas}) and the extreme "
-                "condition fails: existence/uniqueness is not established"
-            ),
-        )
-    if check_extreme_condition(exposures) is not None:
-        raise ValueError("extreme condition holds; route to solve_extreme")
-
     system = GeneralSystem(exposures)
     total = _bisect_total_elasticity(system, exposures.delta_total)
     thetas = np.zeros(exposures.n_traders)
@@ -363,6 +342,25 @@ def _trivial_solution(exposures: ExposureProfile) -> NashSolution:
         outcome=outcome,
         residuals=None,
         detail="a_I = 0: every elasticity vector clears at zero prices with q_i = -a_i",
+    )
+
+
+def _unsupported_solution(exposures: ExposureProfile) -> NashSolution:
+    # Two or more betas above one without the extreme condition: uniqueness
+    # is only conjectured there, so report the regime instead of a guess.
+    high = (exposures.beta > 1.0).nonzero()[0]
+    betas = ", ".join(f"beta[{i}]={exposures.beta[i]:g}" for i in high.tolist())
+    return NashSolution(
+        kind=KIND_UNSUPPORTED,
+        elasticities=None,
+        theta_total=None,
+        k_shares=None,
+        outcome=None,
+        residuals=None,
+        detail=(
+            f"{high.size} traders have beta > 1 ({betas}) and the extreme "
+            "condition fails: existence/uniqueness is not established"
+        ),
     )
 
 
@@ -439,24 +437,25 @@ def _extreme_boundary_margin(exposures: ExposureProfile) -> float:
 def solve(exposures: ExposureProfile) -> NashSolution:
     """Classify and solve the unique linear Nash equilibrium.
 
-    Every solved (non-trivial, supported) solution is verified coordinatewise
-    against the closed-form best response before being returned.  Instances
-    whose betas sit within floating-point noise of the extreme boundary are
-    rejected with ValueError when that verification cannot be met.
+    The regime is decided here and only here: trivial, extreme, bilateral
+    (exactly two traders with beta > -1), unsupported (two or more betas
+    above one) or general, in that order.  Every solved (non-trivial,
+    supported) solution is verified coordinatewise against the closed-form
+    best response before being returned.  Instances whose betas sit within
+    floating-point noise of the extreme boundary are rejected with ValueError
+    when that verification cannot be met.
     """
     if exposures.is_trivial:
         return _trivial_solution(exposures)
     k = check_extreme_condition(exposures)
     if k is not None:
         solution = solve_extreme(exposures, k)
+    elif np.count_nonzero(exposures.beta > -1.0) == 2:
+        solution = solve_bilateral(exposures)
+    elif np.count_nonzero(exposures.beta > 1.0) >= 2:
+        return _unsupported_solution(exposures)
     else:
-        active = int(np.sum(exposures.beta > -1.0))
-        if active == 2:
-            solution = solve_bilateral(exposures)
-        else:
-            solution = solve_general(exposures)
-    if solution.kind == KIND_UNSUPPORTED:
-        return solution
+        solution = solve_general(exposures)
 
     failure = None
     if solution.residuals is not None:

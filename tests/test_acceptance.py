@@ -9,27 +9,27 @@ import numpy as np
 import pytest
 
 from thinmarket import (
-    GeneralSystem,
     KIND_BILATERAL,
     KIND_EXTREME,
     KIND_GENERAL,
     KIND_UNSUPPORTED,
-    McConfig,
     best_response,
     certainty_equivalent,
-    check_extreme_condition,
     compare,
     competitive_equilibrium,
     derive_exposures,
-    fixed_point_deviation,
-    grid_best_response_share,
-    mc_certainty_equivalent,
-    phi,
     risk_neutral_limit_du,
     solve,
+)
+from thinmarket.nash import (
+    GeneralSystem,
+    check_extreme_condition,
+    fixed_point_deviation,
+    phi,
     solve_bilateral,
     solve_general,
 )
+from thinmarket.oracles import McConfig, grid_best_response_share, mc_certainty_equivalent
 from thinmarket.cli import main
 from conftest import (
     bilateral_model,

@@ -10,13 +10,13 @@ from thinmarket import (
     Elasticity,
     best_response,
     derive_exposures,
-    grid_best_response_share,
     one_sided_equilibrium,
     response_value,
-    response_value_at_share,
     MarketModel,
     TraderProfile,
 )
+from thinmarket.best_response import response_value_at_share
+from thinmarket.oracles import grid_best_response_share
 from conftest import model_from_betas, random_deltas
 
 

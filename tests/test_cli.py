@@ -23,6 +23,12 @@ def write_json(path, doc):
     return str(path)
 
 
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def bilateral_scenario(beta0=1.2, deltas=(1.0, 1.0), total=None):
     doc = {
         "schema_version": "1",
@@ -87,6 +93,12 @@ class TestAnalyze:
 
     def test_missing_file_exit_one(self, tmp_path, capsys):
         assert main(["analyze", "--scenario", str(tmp_path / "nope.json")]) == 1
+
+    def test_unwritable_out_exit_one(self, tmp_path, capsys):
+        scen = write_json(tmp_path / "s.json", bilateral_scenario())
+        out = tmp_path / "no_such_dir" / "r.json"
+        assert main(["analyze", "--scenario", scen, "--out", str(out)]) == 1
+        assert_one_error_line(capsys)
 
     def test_invalid_model_exit_two(self, tmp_path):
         doc = bilateral_scenario()
@@ -348,6 +360,12 @@ class TestSweep:
         assert main(["sweep", "--scenario", scen, "--param", "0.delta", "--grid", "1", "--out", "x"]) == 1
         assert main(["sweep", "--scenario", scen, "--param", "9:delta", "--grid", "1", "--out", "x"]) == 1
 
+    def test_unwritable_out_exit_one(self, tmp_path, capsys):
+        scen = write_json(tmp_path / "s.json", bilateral_scenario())
+        out = tmp_path / "no_such_dir" / "s.csv"
+        assert main(["sweep", "--scenario", scen, "--param", "0:delta", "--grid", "1", "--out", str(out)]) == 1
+        assert_one_error_line(capsys)
+
 
 class TestValidate:
     def test_supported_scenario_passes(self, tmp_path, capsys):
@@ -404,6 +422,11 @@ class TestValidate:
         scen = write_json(tmp_path / "s.json", bilateral_scenario(beta0=HAIRLINE))
         assert main(["validate", "--scenario", scen, "--samples", "1000"]) == 5
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_zero_samples_exit_one(self, tmp_path, capsys):
+        scen = write_json(tmp_path / "s.json", bilateral_scenario())
+        assert main(["validate", "--scenario", scen, "--samples", "0"]) == 1
+        assert_one_error_line(capsys)
 
     def test_unsupported_scenario_exit_three(self, tmp_path, capsys):
         doc = {

@@ -3,12 +3,12 @@ import pytest
 
 from thinmarket import (
     Elasticity,
-    aggregate_demand,
     competitive_equilibrium,
     derive_exposures,
     MarketModel,
     TraderProfile,
 )
+from thinmarket.competitive import aggregate_demand
 from conftest import model_from_betas, random_deltas, constrained_betas
 
 

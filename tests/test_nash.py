@@ -8,10 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thinmarket import (
-    BracketError,
     ConsistencyError,
     Elasticity,
-    GeneralSystem,
     KIND_BILATERAL,
     KIND_EXTREME,
     KIND_GENERAL,
@@ -20,12 +18,16 @@ from thinmarket import (
     MarketModel,
     TraderProfile,
     best_response,
-    check_extreme_condition,
     competitive_equilibrium,
     derive_exposures,
+    solve,
+)
+import thinmarket.nash
+from thinmarket.nash import (
+    GeneralSystem,
+    check_extreme_condition,
     fixed_point_deviation,
     phi,
-    solve,
     solve_bilateral,
     solve_extreme,
     solve_general,
@@ -155,9 +157,6 @@ class TestSolveBilateral:
         ex = _exposures(rng, [0.3, 0.3, 0.4], [1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
             solve_bilateral(ex)  # three active traders
-        ex_far = _exposures(rng, [1.8, -0.8], [1.0, 1.0])
-        with pytest.raises(ValueError):
-            solve_bilateral(ex_far)  # extreme condition holds
 
     def test_hairline_boundary_rejected(self, rng):
         # one ulp inside the extreme boundary: the equilibrium elasticity is an
@@ -211,11 +210,25 @@ class TestSolveGeneral:
         assert sol.kind == KIND_UNSUPPORTED
         assert sol.outcome is None and sol.elasticities is None
         assert "beta > 1" in sol.detail
+        # two betas above one but only two active traders: the bilateral
+        # closed form applies, and the dispatch tries it first
+        ex = _exposures(rng, [2.0, 2.0, -3.0], [1.0, 1.0, 1.0])
+        sol = solve(ex)
+        assert sol.kind == KIND_BILATERAL
+        assert fixed_point_deviation(ex, sol.elasticities) < 1e-8
 
-    def test_rejects_extreme_instances(self, rng):
-        ex = _exposures(rng, [1.8, -0.8], [1.0, 1.0])
-        with pytest.raises(ValueError):
-            solve_general(ex)
+    def test_root_beyond_the_boundary_guard_is_a_boundary_rejection(self):
+        # an ulp above -1.5 puts this instance on the non-extreme side of
+        # the boundary, where F(x) = 1 has its root beyond 1e12 delta_I
+        ex = _exposures(
+            np.random.default_rng(0),
+            [3.0625, -1.5 + 2**-52, 0.375, -0.9375],
+            [1.75, 1.75, 2.5, 2.75],
+            market_variance=1.0,
+        )
+        assert check_extreme_condition(ex) is None
+        with pytest.raises(ValueError, match="boundary"):
+            solve(ex)
 
     def test_argmax_tie_is_order_invariant(self, rng):
         betas = np.array([0.8, 0.8, -0.6])
@@ -244,6 +257,31 @@ class TestDispatch:
         assert np.all(sol.outcome.prices == 0.0)
         assert np.allclose(sol.outcome.allocations, -derive_exposures(model).a)
         assert not sol.outcome.beta_defined
+
+    def test_classifies_once_per_solve(self, rng, monkeypatch):
+        calls = []
+        classify = thinmarket.nash.check_extreme_condition
+
+        def counted(exposures):
+            calls.append(exposures)
+            return classify(exposures)
+
+        monkeypatch.setattr(thinmarket.nash, "check_extreme_condition", counted)
+        trivial = MarketModel(
+            np.array([[1.0]]),
+            (TraderProfile(1.0, np.array([1.0])), TraderProfile(2.0, np.array([-1.0]))),
+        )
+        cases = [
+            (derive_exposures(trivial), KIND_TRIVIAL, 0),
+            (_exposures(rng, [2.5, -0.5, -1.0], [1.0, 1.0, 1.0]), KIND_EXTREME, 1),
+            (_exposures(rng, [1.2, -0.2], [1.0, 1.0]), KIND_BILATERAL, 1),
+            (_exposures(rng, [2.0, 2.0, 0.0, -3.0], [1.0] * 4), KIND_UNSUPPORTED, 1),
+            (_exposures(rng, [1.2, 0.2, -0.4], [1.0, 1.0, 1.0]), KIND_GENERAL, 1),
+        ]
+        for ex, kind, expected in cases:
+            calls.clear()
+            assert solve(ex).kind == kind
+            assert len(calls) == expected, kind
 
     def test_fixed_point_on_random_instances(self, rng):
         kinds = set()
@@ -529,10 +567,8 @@ class TestVerificationParity:
             assert fixed_point_deviation(ex, solve_extreme(ex, k).elasticities) == 0.0
         try:
             solve(ex)
-        except BracketError:
-            pass  # within rounding of the boundary F(x) = 1 has no finite root
         except ValueError as exc:
-            assert "route to solve_extreme" not in str(exc)
+            assert "boundary" in str(exc)
 
 
 class TestVerificationStrength:

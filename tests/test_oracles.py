@@ -7,16 +7,14 @@ from thinmarket import (
     Elasticity,
     KIND_BILATERAL,
     KIND_GENERAL,
-    McConfig,
     certainty_equivalent,
     derive_exposures,
-    fixed_point_deviation,
-    iterate_best_responses,
-    mc_certainty_equivalent,
     solve,
     MarketModel,
     TraderProfile,
 )
+from thinmarket.nash import fixed_point_deviation
+from thinmarket.oracles import McConfig, iterate_best_responses, mc_certainty_equivalent
 from conftest import bilateral_model, constrained_betas, model_from_betas, random_deltas
 
 
