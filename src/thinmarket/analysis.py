@@ -138,10 +138,13 @@ class IncompletenessReport:
     competitive_sq_gain_gap: np.ndarray
 
 
-def incompleteness_effect(exposures: ExposureProfile, du: np.ndarray) -> IncompletenessReport:
+def incompleteness_effect(
+    exposures: ExposureProfile, du: np.ndarray, competitive_allocations: np.ndarray
+) -> IncompletenessReport:
     """Compare the given (incomplete) market against its complete counterpart.
 
-    du is the incomplete market's compare() result on these exposures.  The
+    du is the incomplete market's compare() result on these exposures and
+    competitive_allocations its competitive equilibrium allocations.  The
     counterpart keeps every beta_i, lambda_i and delta_i and replaces the
     spanned variance <a_I, C a_I> with Var(E_I); it is materialised as an
     explicit one-security model and solved through the ordinary pipeline.
@@ -171,7 +174,7 @@ def incompleteness_effect(exposures: ExposureProfile, du: np.ndarray) -> Incompl
     du_o = compare(exposures_o, competitive_equilibrium(exposures_o), solve(exposures_o)).du
 
     lam, beta = exposures.lam, exposures.beta
-    qhat = competitive_equilibrium(exposures).allocations
+    qhat = competitive_allocations
     cov = model.securities_cov
     sq_gain = np.einsum("ij,jk,ik->i", qhat, cov, qhat)
     sq_gain_o = lam**2 * total - 2.0 * lam * beta * total + model.endowment_vars

@@ -81,7 +81,7 @@ def _analyze_model(model):
     inc = None
     if model.total_endowment_var is not None:
         try:
-            inc = incompleteness_effect(exposures, comparison.du)
+            inc = incompleteness_effect(exposures, comparison.du, comp.allocations)
         except ValueError:
             inc = None  # not applicable (trivial or not essentially bilateral)
     doc = build_report(
@@ -163,35 +163,7 @@ def cmd_sweep(args) -> int:
         + ["inefficiency"]
     )
     blank = [""] * (len(header) - 2)
-    rows = []
-    for value in grid:
-        point = _set_trader_param(model, index, field, component, value)
-        try:
-            exposures = derive_exposures(point)
-        except InvalidModelError:
-            rows.append([_fmt(value), "validation_failed"] + blank)
-            continue
-        try:
-            nash = solve(exposures)
-            if nash.kind == KIND_UNSUPPORTED:
-                rows.append([_fmt(value), nash.kind] + blank)
-                continue
-            comparison = compare(exposures, competitive_equilibrium(exposures), nash)
-        except _SOLVE_ERRORS:
-            rows.append([_fmt(value), "solve_failed"] + blank)
-            continue
-        thetas = [
-            INF_TOKEN if t.is_infinite else _fmt(t.as_float) for t in nash.elasticities
-        ]
-        rows.append(
-            [_fmt(value), nash.kind]
-            + thetas
-            + [_fmt(s) for s in nash.k_shares]
-            + [_fmt(p) for p in nash.outcome.prices]
-            + [_fmt(d) for d in comparison.du]
-            + [_fmt(comparison.inefficiency)]
-        )
-
+    # open the output first, so an unwritable path fails before any solve
     try:
         out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     except OSError as exc:
@@ -200,7 +172,30 @@ def cmd_sweep(args) -> int:
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        for value in grid:
+            point = _set_trader_param(model, index, field, component, value)
+            try:
+                exposures = derive_exposures(point)
+            except InvalidModelError:
+                writer.writerow([_fmt(value), "validation_failed"] + blank)
+                continue
+            try:
+                nash = solve(exposures)
+                if nash.kind == KIND_UNSUPPORTED:
+                    writer.writerow([_fmt(value), nash.kind] + blank)
+                    continue
+                comparison = compare(exposures, competitive_equilibrium(exposures), nash)
+            except _SOLVE_ERRORS:
+                writer.writerow([_fmt(value), "solve_failed"] + blank)
+                continue
+            writer.writerow(
+                [_fmt(value), nash.kind]
+                + [INF_TOKEN if math.isinf(t) else _fmt(t) for t in nash.thetas.tolist()]
+                + [_fmt(s) for s in nash.k_shares]
+                + [_fmt(p) for p in nash.outcome.prices]
+                + [_fmt(d) for d in comparison.du]
+                + [_fmt(comparison.inefficiency)]
+            )
     finally:
         if args.out:
             out.close()

@@ -6,8 +6,8 @@ trader submits infinite elasticity, prices are zero), then the bilateral
 closed form when exactly two traders are active, then the unsupported regime,
 and otherwise the general constructive solver, which reduces the coupled
 quadratic system to a single monotone scalar equation in the total elasticity
-and bisects it.  The per-regime solvers trust that dispatch and do not check
-their regime again.
+and solves it by Brent's method on a bisection bracket.  The per-regime
+solvers trust that dispatch and do not check their regime again.
 
 Configurations with two or more betas above one where the extreme condition
 fails (and more than two traders are active) are reported as an unsupported
@@ -42,16 +42,18 @@ KIND_UNSUPPORTED = "unsupported_regime"
 RESIDUAL_TOL = 1e-8
 FIXED_POINT_RTOL = 1e-8
 
-# Bisection of the scalar equilibrium equation.
+# Root-finding on the scalar equilibrium equation.
 _KEY_FTOL = 1e-12
 _KEY_XTOL = 1e-12
-_MAX_BISECTIONS = 500
+_MAX_ITERATIONS = 500
 
 
 @dataclass(frozen=True)
 class NashSolution:
     """Solved (or classified) noncompetitive equilibrium.
 
+    thetas holds the submitted elasticities as a read-only float array: each
+    entry is 0.0, a finite positive value, or +inf, the three Elasticity kinds.
     k_shares are theta_i / theta_total with the conventions 1 at infinity and
     0 elsewhere in the extreme regime; residuals are left-minus-right of the
     coupled equilibrium equations for diagnostic reporting.  For the
@@ -59,12 +61,19 @@ class NashSolution:
     """
 
     kind: str
-    elasticities: tuple[Elasticity, ...] | None
+    thetas: np.ndarray | None
     theta_total: Elasticity | None
     k_shares: np.ndarray | None
     outcome: EquilibriumOutcome | None
     residuals: np.ndarray | None
     detail: str | None = None
+
+    @property
+    def elasticities(self) -> tuple[Elasticity, ...] | None:
+        """thetas as a tuple of Elasticity values, built on each read."""
+        if self.thetas is None:
+            return None
+        return tuple(Elasticity.from_float(t) for t in self.thetas.tolist())
 
 
 def _exclusive_sums(values: np.ndarray) -> np.ndarray:
@@ -122,15 +131,14 @@ def solve_extreme(exposures: ExposureProfile, k: int) -> NashSolution:
     else submits delta_i (1 + beta_i)_+; prices are exactly zero, trader k
     absorbs the whole market exposure and all others end market-neutral."""
     n = exposures.n_traders
-    values = np.maximum(exposures.delta * (1.0 + exposures.beta), 0.0)
-    values[k] = math.inf
-    thetas = [Elasticity.from_float(v) for v in values.tolist()]
+    thetas = np.maximum(exposures.delta * (1.0 + exposures.beta), 0.0)
+    thetas[k] = math.inf
     shares = np.zeros(n)
     shares[k] = 1.0
     outcome = clearing_outcome(exposures, shares, np.zeros(exposures.n_securities))
     return NashSolution(
         kind=KIND_EXTREME,
-        elasticities=tuple(thetas),
+        thetas=_frozen_array(thetas),
         theta_total=Elasticity.infinite(),
         k_shares=_frozen_array(shares),
         outcome=outcome,
@@ -170,7 +178,7 @@ def _finite_solution(exposures: ExposureProfile, thetas: np.ndarray, kind: str) 
     prices = -exposures.cov_total / total
     return NashSolution(
         kind=kind,
-        elasticities=tuple(Elasticity.from_float(t) for t in thetas),
+        thetas=_frozen_array(thetas),
         theta_total=Elasticity.finite(total),
         k_shares=_frozen_array(shares),
         outcome=clearing_outcome(exposures, shares, prices),
@@ -275,9 +283,11 @@ class GeneralSystem:
         return self._phi(x)
 
     def sigma(self, x: float) -> float:
-        # Python's sum adds left to right (numpy's adds pairwise); that order
-        # fixes F's bits, and with them every bisection iterate.
-        return sum(self.follower_thetas(x).tolist())
+        # A running sum adds left to right (numpy's sum adds pairwise, and
+        # Python's sum compensates from 3.12 on); that order fixes F's bits,
+        # and with them the root and the general solution.
+        thetas = self.follower_thetas(x)
+        return float(np.add.accumulate(thetas)[-1]) if thetas.size else 0.0
 
     def F(self, x: float) -> float:
         s = self.sigma(x)
@@ -287,26 +297,67 @@ class GeneralSystem:
         return (1.0 + self.beta0) * self.delta0 * x / (2.0 * self.delta0 + self.sigma(x))
 
 
-def _bisect_total_elasticity(system: GeneralSystem, delta_total: float) -> float:
+def _root_total_elasticity(system: GeneralSystem, delta_total: float) -> float:
+    """Root of F(x) = 1 by Brent's method (1973) on a bisection bracket.
+
+    The bracket is [1e-12 delta_I, hi], hi doubled from delta_I until F(hi) < 1.
+    Inside it, inverse quadratic or secant steps are taken while they shrink
+    the bracket fast enough, and bisection steps otherwise; the bisection
+    fallback covers F's kink at followers with beta = 1 and its flatness near
+    the extreme boundary.  F - 1 > 0 marks the left side of the bracket and
+    F - 1 <= 0 the right.  Returns b once |F(b) - 1| < _KEY_FTOL and the
+    bracket [b, c] is narrower than _KEY_XTOL (1 + b).
+    """
     lo = 1e-12 * delta_total
-    if not system.F(lo) > 1.0:
+    f_lo = system.F(lo) - 1.0
+    if not f_lo > 0.0:
         raise BracketError(f"F({lo:g}) <= 1 at the lower bracket end; precondition violated")
     hi = delta_total
-    while system.F(hi) >= 1.0:
+    f_hi = system.F(hi) - 1.0
+    while f_hi >= 0.0:
         if hi > _BOUNDARY_GUARD * delta_total:
             # the root lies beyond what _finite_solution accepts
             raise ValueError(_BOUNDARY_MESSAGE)
         hi *= 2.0
-    for _ in range(_MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        fm = system.F(mid)
-        if abs(fm - 1.0) < _KEY_FTOL and (hi - lo) < _KEY_XTOL * (1.0 + mid):
-            return mid
-        if fm > 1.0:
-            lo = mid
+        f_hi = system.F(hi) - 1.0
+
+    # b is the best estimate, c the bracket end across the root from b, a the
+    # previous b; step and prev_step are the last two steps taken.
+    a, fa, b, fb = lo, f_lo, hi, f_hi
+    c, fc = a, fa
+    step = prev_step = b - a
+    for _ in range(_MAX_ITERATIONS):
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            step = prev_step = b - a
+        if abs(fc) < abs(fb):
+            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
+        tol = 0.5 * _KEY_XTOL * (1.0 + b)
+        half = 0.5 * (c - b)
+        if abs(fb) < _KEY_FTOL and abs(half) < tol:
+            return b
+        if abs(prev_step) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * half * s, 1.0 - s
+            else:  # inverse quadratic
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * half * q - abs(tol * q), abs(prev_step * q)):
+                prev_step, step = step, p / q
+            else:
+                prev_step = step = half
         else:
-            hi = mid
-    raise ConsistencyError("bisection failed to reach tolerance")
+            prev_step = step = half
+        a, fa = b, fb
+        # move at least tol towards c, but never past the bracket's midpoint
+        b += step if abs(step) >= tol else math.copysign(min(tol, abs(half)), half)
+        fb = system.F(b) - 1.0
+    raise ConsistencyError("root-finder failed to reach tolerance")
 
 
 def solve_general(exposures: ExposureProfile) -> NashSolution:
@@ -317,7 +368,7 @@ def solve_general(exposures: ExposureProfile) -> NashSolution:
     non-trivial, the extreme condition fails and at most one beta exceeds one.
     """
     system = GeneralSystem(exposures)
-    total = _bisect_total_elasticity(system, exposures.delta_total)
+    total = _root_total_elasticity(system, exposures.delta_total)
     thetas = np.zeros(exposures.n_traders)
     thetas[system.followers] = system.follower_thetas(total)
     thetas[system.leader] = system.leader_theta(total)
@@ -327,7 +378,6 @@ def solve_general(exposures: ExposureProfile) -> NashSolution:
 def _trivial_solution(exposures: ExposureProfile) -> NashSolution:
     # Any elasticity vector is an equilibrium here; report the true tolerances
     # as the representative and the common prices/allocations.
-    thetas = tuple(Elasticity.finite(d) for d in exposures.delta)
     outcome = clearing_outcome(
         exposures,
         np.zeros(exposures.n_traders),
@@ -336,7 +386,7 @@ def _trivial_solution(exposures: ExposureProfile) -> NashSolution:
     )
     return NashSolution(
         kind=KIND_TRIVIAL,
-        elasticities=thetas,
+        thetas=_frozen_array(exposures.delta),
         theta_total=Elasticity.finite(exposures.delta_total),
         k_shares=_frozen_array(exposures.lam),
         outcome=outcome,
@@ -352,7 +402,7 @@ def _unsupported_solution(exposures: ExposureProfile) -> NashSolution:
     betas = ", ".join(f"beta[{i}]={exposures.beta[i]:g}" for i in high.tolist())
     return NashSolution(
         kind=KIND_UNSUPPORTED,
-        elasticities=None,
+        thetas=None,
         theta_total=None,
         k_shares=None,
         outcome=None,
@@ -364,27 +414,25 @@ def _unsupported_solution(exposures: ExposureProfile) -> NashSolution:
     )
 
 
-# Elasticity kinds as small integer codes for the array verification.
-_ZERO, _FINITE, _INFINITE = 0, 1, 2
-_KIND_CODES = {"zero": _ZERO, "finite": _FINITE, "infinite": _INFINITE}
-
-
-def fixed_point_deviation(exposures: ExposureProfile, elasticities) -> float:
+def fixed_point_deviation(exposures: ExposureProfile, thetas) -> float:
     """Worst-case relative deviation of each elasticity from the best response
     to the others; infinite on any branch mismatch.
 
-    Runs in O(N): each trader's rest elasticity is an exclusive sum of the
-    others' elasticities, and the branches of the closed-form best response
-    are evaluated as arrays.  The verdicts are those of calling best_response
-    trader by trader in index order: the first trader whose best response is
-    undefined raises ValueError, unless an earlier trader's branch
+    thetas is a float array with 0.0 for a zero elasticity and +inf for an
+    infinite one; NaN, negative and -inf entries are no elasticity and raise
+    ValueError.  Runs in O(N): each trader's rest elasticity is an exclusive
+    sum of the others' elasticities, and the branches of the closed-form best
+    response are evaluated as arrays.  The verdicts are those of calling
+    best_response trader by trader in index order: the first trader whose best
+    response is undefined raises ValueError, unless an earlier trader's branch
     mismatches, which gives inf.
     """
+    theta = np.asarray(thetas, dtype=float)
+    if not np.all(theta >= 0.0):
+        raise ValueError("finite elasticity must be a strictly positive real")
     if exposures.is_trivial:
         raise ValueError("best response is undefined on a trivial instance (flat response)")
-    kind = np.array([_KIND_CODES[t.kind] for t in elasticities], dtype=np.int8)
-    theta = np.array([t.value for t in elasticities])
-    infinite = kind == _INFINITE
+    infinite = np.isinf(theta)
     n_infinite = np.count_nonzero(infinite)
     rest = _exclusive_sums(np.where(infinite, 0.0, theta) if n_infinite else theta)
     if n_infinite:  # the rest is infinite where anyone else's theta is
@@ -405,7 +453,7 @@ def fixed_point_deviation(exposures: ExposureProfile, elasticities) -> float:
     interior = ~(passive | escalate)
     undefined = (rest == 0.0) & (beta <= 1.0)
     bad_value = interior & ~((br > 0.0) & (br < math.inf))
-    mismatch = ((kind == _ZERO) != passive) | ((kind == _INFINITE) != escalate)
+    mismatch = ((theta == 0.0) != passive) | (infinite != escalate)
     stop = undefined | bad_value | mismatch
     if np.count_nonzero(stop):
         first = int(np.argmax(stop))
@@ -463,7 +511,7 @@ def solve(exposures: ExposureProfile) -> NashSolution:
         if worst_residual > RESIDUAL_TOL:
             failure = f"equilibrium residuals exceed tolerance: {worst_residual:g}"
     if failure is None:
-        deviation = fixed_point_deviation(exposures, solution.elasticities)
+        deviation = fixed_point_deviation(exposures, solution.thetas)
         if deviation > FIXED_POINT_RTOL:
             failure = f"best-response verification failed: deviation {deviation:g}"
     if failure is not None:

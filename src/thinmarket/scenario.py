@@ -9,11 +9,11 @@ appear as bare numerals: an infinite elasticity is the quoted token "inf".
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
 
-from .best_response import Elasticity
 from .errors import ScenarioError
 from .model import MarketModel, TraderProfile, ValidationResult
 
@@ -138,8 +138,8 @@ def save_scenario(model: MarketModel, path) -> None:
         fh.write(document_json(scenario_to_dict(model)))
 
 
-def elasticity_token(theta: Elasticity):
-    return INF_TOKEN if theta.is_infinite else float(theta.as_float)
+def elasticity_token(theta: float):
+    return INF_TOKEN if math.isinf(theta) else theta
 
 
 def _floats(values) -> list[float]:
@@ -177,9 +177,9 @@ def build_report(
         doc["competitive"] = _outcome_block(competitive)
     if nash is not None:
         block: dict[str, Any] = {"kind": nash.kind}
-        if nash.elasticities is not None:
-            block["elasticities"] = [elasticity_token(t) for t in nash.elasticities]
-            block["theta_total"] = elasticity_token(nash.theta_total)
+        if nash.thetas is not None:
+            block["elasticities"] = [elasticity_token(t) for t in nash.thetas.tolist()]
+            block["theta_total"] = elasticity_token(nash.theta_total.as_float)
             block["k_shares"] = _floats(nash.k_shares)
         if nash.outcome is not None:
             block.update(_outcome_block(nash.outcome))

@@ -82,7 +82,7 @@ def test_criterion_02_fixed_point_verification():
         sol = solve(ex)
         kinds.add(sol.kind)
         assert sol.kind != KIND_UNSUPPORTED
-        assert fixed_point_deviation(ex, sol.elasticities) < 1e-8
+        assert fixed_point_deviation(ex, sol.thetas) < 1e-8
         assert np.allclose(sol.outcome.allocations.sum(axis=0), 0.0, atol=1e-10)
         assert abs(float(sol.outcome.premium.sum())) < 1e-10
     assert {KIND_EXTREME, KIND_BILATERAL, KIND_GENERAL} <= kinds

@@ -23,8 +23,8 @@ def _pipeline(model):
 
 
 def _incompleteness(model):
-    ex, _, _, report = _pipeline(model)
-    return incompleteness_effect(ex, report.du)
+    ex, comp, _, report = _pipeline(model)
+    return incompleteness_effect(ex, report.du, comp.allocations)
 
 
 class TestCompare:

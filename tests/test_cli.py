@@ -9,8 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import thinmarket.analysis
+import thinmarket.cli
 from thinmarket import load_scenario, save_scenario, scenario_to_dict
 from thinmarket.cli import main
+from conftest import constrained_betas, model_from_betas, random_deltas
 
 
 # One ulp inside the extreme boundary: the non-extreme elasticities are too
@@ -74,6 +77,22 @@ class TestAnalyze:
         report = json.loads(out.read_text())
         assert report["nash"]["kind"] == "extreme"
         assert "incompleteness" in report
+
+    def test_readme_scenario_computes_the_competitive_equilibrium_twice(self, tmp_path, monkeypatch):
+        # once for the market and once for its complete counterpart: the
+        # incompleteness comparison reuses the market's allocations
+        calls = []
+        for module in (thinmarket.cli, thinmarket.analysis):
+            def counted(*args, _original=module.competitive_equilibrium):
+                calls.append(args)
+                return _original(*args)
+
+            monkeypatch.setattr(module, "competitive_equilibrium", counted)
+        scen = write_json(tmp_path / "s.json", bilateral_scenario(total=3.0))
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--scenario", scen, "--out", str(out)]) == 0
+        assert "incompleteness" in json.loads(out.read_text())
+        assert len(calls) == 2
 
     def test_unsolvable_instance_exit_five(self, tmp_path, capsys):
         scen = write_json(tmp_path / "s.json", bilateral_scenario(beta0=HAIRLINE))
@@ -360,11 +379,21 @@ class TestSweep:
         assert main(["sweep", "--scenario", scen, "--param", "0.delta", "--grid", "1", "--out", "x"]) == 1
         assert main(["sweep", "--scenario", scen, "--param", "9:delta", "--grid", "1", "--out", "x"]) == 1
 
-    def test_unwritable_out_exit_one(self, tmp_path, capsys):
+    def test_unwritable_out_exit_one(self, tmp_path, capsys, monkeypatch):
+        # the output is opened before the grid is solved
+        solves = []
+        solve = thinmarket.cli.solve
+
+        def counted(exposures):
+            solves.append(exposures)
+            return solve(exposures)
+
+        monkeypatch.setattr(thinmarket.cli, "solve", counted)
         scen = write_json(tmp_path / "s.json", bilateral_scenario())
         out = tmp_path / "no_such_dir" / "s.csv"
         assert main(["sweep", "--scenario", scen, "--param", "0:delta", "--grid", "1", "--out", str(out)]) == 1
         assert_one_error_line(capsys)
+        assert len(solves) == 0
 
 
 class TestValidate:
@@ -444,21 +473,30 @@ class TestValidate:
 
 
 def test_analyze_imports_no_scipy(tmp_path):
-    # numpy is the only runtime dependency: a CLI process never loads scipy.
-    scen = write_json(tmp_path / "s.json", bilateral_scenario(total=3.0))
+    # numpy is the only runtime dependency: a CLI process never loads scipy,
+    # on the bilateral closed form or on the general root-finding path.
+    bilateral = write_json(tmp_path / "bilateral.json", bilateral_scenario(total=3.0))
+    rng = np.random.default_rng(3)
+    model = model_from_betas(rng, constrained_betas(rng, 10), random_deltas(rng, 10), n_securities=5)
+    general = tmp_path / "general.json"
+    save_scenario(model, general)
     child = textwrap.dedent(
         """
         import sys
         from thinmarket.cli import main
-        assert main(["analyze", "--scenario", sys.argv[1], "--out", sys.argv[2]]) == 0
-        loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
-        assert not loaded, loaded
+        for scenario, report in zip(sys.argv[1::2], sys.argv[2::2]):
+            assert main(["analyze", "--scenario", scenario, "--out", report]) == 0
+            loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+            assert not loaded, (scenario, loaded)
         """
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    reports = [tmp_path / "bilateral_report.json", tmp_path / "general_report.json"]
     proc = subprocess.run(
-        [sys.executable, "-c", child, scen, str(tmp_path / "r.json")],
+        [sys.executable, "-c", child, bilateral, str(reports[0]), str(general), str(reports[1])],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    kinds = [json.loads(path.read_text())["nash"]["kind"] for path in reports]
+    assert kinds == ["bilateral_closed_form", "general_non_extreme"]

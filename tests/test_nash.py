@@ -97,7 +97,7 @@ class TestSolveExtreme:
         assert sol.kind == KIND_EXTREME
         assert sol.elasticities[0].is_infinite
         assert sol.elasticities[1].is_zero
-        assert fixed_point_deviation(ex, sol.elasticities) == 0.0
+        assert fixed_point_deviation(ex, sol.thetas) == 0.0
 
 
 class TestSolveBilateral:
@@ -215,7 +215,7 @@ class TestSolveGeneral:
         ex = _exposures(rng, [2.0, 2.0, -3.0], [1.0, 1.0, 1.0])
         sol = solve(ex)
         assert sol.kind == KIND_BILATERAL
-        assert fixed_point_deviation(ex, sol.elasticities) < 1e-8
+        assert fixed_point_deviation(ex, sol.thetas) < 1e-8
 
     def test_root_beyond_the_boundary_guard_is_a_boundary_rejection(self):
         # an ulp above -1.5 puts this instance on the non-extreme side of
@@ -291,7 +291,7 @@ class TestDispatch:
             sol = solve(ex)
             kinds.add(sol.kind)
             if sol.kind in (KIND_BILATERAL, KIND_GENERAL, KIND_EXTREME):
-                assert fixed_point_deviation(ex, sol.elasticities) < 1e-8
+                assert fixed_point_deviation(ex, sol.thetas) < 1e-8
                 assert abs(sol.k_shares.sum() - 1.0) < 1e-10
                 if sol.residuals is not None:
                     assert np.max(np.abs(sol.residuals)) < 1e-8
@@ -368,7 +368,8 @@ class TestScalarEquation:
 
 
 # Reference verification: a trader-by-trader loop over the scalar best
-# response, O(N^2); fixed_point_deviation must give its verdicts.
+# response on Elasticity values, O(N^2); fixed_point_deviation must give its
+# verdicts on the same elasticities as a float array.
 def _reference_rest(elasticities, i):
     total = 0.0
     for j, theta in enumerate(elasticities):
@@ -380,7 +381,8 @@ def _reference_rest(elasticities, i):
     return Elasticity.from_float(total)
 
 
-def _reference_deviation(exposures, elasticities):
+def _reference_deviation(exposures, thetas):
+    elasticities = [Elasticity.from_float(t) for t in thetas]
     worst = 0.0
     for i in range(exposures.n_traders):
         br = best_response(exposures, i, _reference_rest(elasticities, i))
@@ -395,18 +397,19 @@ def _reference_deviation(exposures, elasticities):
     return worst
 
 
-def _verdict(fn, exposures, elasticities):
+def _verdict(fn, exposures, thetas):
     try:
-        return fn(exposures, elasticities)
+        return fn(exposures, thetas)
     except (ValueError, ConsistencyError) as exc:
         return type(exc)
 
 
-def _rest_conditioning(exposures, elasticities):
+def _rest_conditioning(exposures, thetas):
     """Largest |d log br / d log rest| = |g| / |rest + g|, g = delta (1 - beta),
     of an interior best response against a finite rest.  Near the extreme
     boundary it is large: there an ulp of the rest sum moves the deviation by
     more than an ulp."""
+    elasticities = [Elasticity.from_float(t) for t in thetas]
     worst = 0.0
     for i in range(exposures.n_traders):
         rest = _reference_rest(elasticities, i)
@@ -416,38 +419,37 @@ def _rest_conditioning(exposures, elasticities):
     return worst
 
 
-def assert_same_verdict(exposures, elasticities):
+def assert_same_verdict(exposures, thetas):
     """Same exception type, the same inf/finite verdict, and deviations within
     1e-14 plus what the rest sums' rounding (at most 2 n ulps between the two
     summation orders) can move them by."""
-    want = _verdict(_reference_deviation, exposures, elasticities)
-    got = _verdict(fixed_point_deviation, exposures, elasticities)
+    want = _verdict(_reference_deviation, exposures, thetas)
+    got = _verdict(fixed_point_deviation, exposures, thetas)
     if isinstance(want, type):
         assert got is want
     elif math.isinf(want):
         assert got == math.inf
     else:
         assert not isinstance(got, type) and math.isfinite(got)
-        n = len(elasticities)
-        kappa = _rest_conditioning(exposures, elasticities)
+        n = len(thetas)
+        kappa = _rest_conditioning(exposures, thetas)
         assert abs(got - want) <= 1e-14 + 2 * n * np.finfo(float).eps * kappa
 
 
-def _candidates(exposures, elasticities):
+def _candidates(exposures, thetas):
     """A solution and perturbations of it that hit every branch and verdict."""
-    thetas = list(elasticities)
-    out = [thetas, [Elasticity.finite(d) for d in exposures.delta], [Elasticity.zero()] * len(thetas)]
-    for j, theta in enumerate(thetas):
-        bumped = list(thetas)
-        if theta.is_finite:
-            bumped[j] = Elasticity.finite(theta.value * (1.0 + 1e-6))
+    out = [np.array(thetas), np.array(exposures.delta), np.zeros(len(thetas))]
+    for j, theta in enumerate(thetas.tolist()):
+        bumped = np.array(thetas)
+        if 0.0 < theta < math.inf:
+            bumped[j] = theta * (1.0 + 1e-6)
             out.append(bumped)
-            bumped = list(thetas)
-            bumped[j] = Elasticity.infinite()
-        elif theta.is_zero:
-            bumped[j] = Elasticity.finite(1.0)
+            bumped = np.array(thetas)
+            bumped[j] = math.inf
+        elif theta == 0.0:
+            bumped[j] = 1.0
         else:
-            bumped[j] = Elasticity.finite(1e6)
+            bumped[j] = 1e6
         out.append(bumped)
     return out
 
@@ -471,11 +473,11 @@ class TestVerificationParity:
             if sol is None:
                 continue
             kinds.add(sol.kind)
-            for candidate in _candidates(ex, sol.elasticities):
+            for candidate in _candidates(ex, sol.thetas):
                 assert_same_verdict(ex, candidate)
         for _ in range(30):
             ex = derive_exposures(bilateral_model(rng, n_securities=2))
-            for candidate in _candidates(ex, solve(ex).elasticities):
+            for candidate in _candidates(ex, solve(ex).thetas):
                 assert_same_verdict(ex, candidate)
         assert {KIND_EXTREME, KIND_BILATERAL, KIND_GENERAL} <= kinds
 
@@ -485,7 +487,7 @@ class TestVerificationParity:
             ex = _exposures(rng, betas, random_deltas(rng, len(betas)))
             sol = _solved(ex)
             assert sol is not None
-            for candidate in _candidates(ex, sol.elasticities):
+            for candidate in _candidates(ex, sol.thetas):
                 assert_same_verdict(ex, candidate)
 
     @given(
@@ -523,10 +525,10 @@ class TestVerificationParity:
         ex = derive_exposures(model)
         assert list(ex.beta) == [float(b) for _, b in traders]
         leader = int(np.argmax(ex.beta))
-        candidates = _candidates(ex, solve_extreme(ex, leader).elasticities)
+        candidates = _candidates(ex, solve_extreme(ex, leader).thetas)
         sol = _solved(ex)
         if sol is not None:
-            candidates += _candidates(ex, sol.elasticities)
+            candidates += _candidates(ex, sol.thetas)
         for candidate in candidates:
             assert_same_verdict(ex, candidate)
 
@@ -564,7 +566,7 @@ class TestVerificationParity:
         ex = derive_exposures(model)
         k = check_extreme_condition(ex)
         if k is not None:
-            assert fixed_point_deviation(ex, solve_extreme(ex, k).elasticities) == 0.0
+            assert fixed_point_deviation(ex, solve_extreme(ex, k).thetas) == 0.0
         try:
             solve(ex)
         except ValueError as exc:
@@ -580,23 +582,38 @@ class TestVerificationStrength:
             sol = _solved(ex)
             if sol is None or sol.kind == KIND_EXTREME:
                 continue
-            thetas = list(sol.elasticities)
+            thetas = sol.thetas
             assert fixed_point_deviation(ex, thetas) < 1e-8
-            for j, theta in enumerate(thetas):
-                changed = list(thetas)
-                if theta.is_finite:
-                    changed[j] = Elasticity.finite(theta.value * (1.0 + 1e-6))
+            for j, theta in enumerate(thetas.tolist()):
+                changed = np.array(thetas)
+                if 0.0 < theta < math.inf:
+                    changed[j] = theta * (1.0 + 1e-6)
                     assert fixed_point_deviation(ex, changed) > 1e-8
-                    changed[j] = Elasticity.infinite()
+                    changed[j] = math.inf
                 else:
-                    changed[j] = Elasticity.finite(1.0)
+                    changed[j] = 1.0
                 assert fixed_point_deviation(ex, changed) == math.inf
                 checked += 1
         assert checked > 50
 
 
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, -math.inf])
+    def test_rejects_entries_that_are_no_elasticity(self, rng, bad):
+        # a float array can hold values no Elasticity can; they are an input
+        # error, never a verdict (a NaN deviation would drop out of the max)
+        for betas, kind in (([1.2, 0.2, -0.4], KIND_GENERAL), ([2.5, -0.5, -1.0], KIND_EXTREME)):
+            ex = _exposures(rng, betas, [1.0, 1.0, 1.0])
+            sol = solve(ex)
+            assert sol.kind == kind
+            for j in range(sol.thetas.size):
+                changed = np.array(sol.thetas)
+                changed[j] = bad
+                with pytest.raises(ValueError, match="finite elasticity must be a strictly positive real"):
+                    fixed_point_deviation(ex, changed)
+
+
 # phi's product form in Python floats.  The array form must reproduce it bit
-# for bit: F's bits, and with them every bisection iterate and every general
+# for bit: F's bits, and with them the root of F(x) = 1 and every general
 # solution, depend on it.
 def _scalar_phi_reference(x, delta, beta):
     if x <= 0.0:
@@ -606,6 +623,13 @@ def _scalar_phi_reference(x, delta, beta):
     half = delta + 0.5 * x
     disc = max(half * half - delta * (1.0 + beta) * x, 0.0)
     return delta * (1.0 + beta) * x / (half + math.sqrt(disc))
+
+
+def _left_to_right_sum(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 class TestArrayScalarEquation:
@@ -638,7 +662,7 @@ class TestArrayScalarEquation:
                 scalar = [phi(x, d, b) for d, b in pairs]
                 assert values == scalar
                 assert scalar == [_scalar_phi_reference(x, d, b) for d, b in pairs]
-                assert system.sigma(x) == sum(scalar)
+                assert system.sigma(x) == _left_to_right_sum(scalar)
 
     def test_phi_matches_the_subtractive_form(self, rng):
         # the defining form delta + x/2 - sqrt(disc) cancels for large x, so
@@ -665,6 +689,63 @@ class TestArrayScalarEquation:
         # beta above one fails only where the discriminant is negative
         assert phi(0.1, 1.0, 3.0) == _scalar_phi_reference(0.1, 1.0, 3.0)
         assert phi(2.0, 1.0, 1.0) == 2.0  # the kink is exact, not rounded
+
+
+# Independent reference for the root of F(x) = 1: plain bisection down to
+# adjacent floats.
+def _bisection_root(system, delta_total):
+    lo, hi = 0.0, delta_total
+    while system.F(hi) > 1.0:
+        hi *= 2.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if system.F(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+class TestRootFinder:
+    def test_large_solve_evaluates_F_at_most_20_times(self, monkeypatch):
+        calls = []
+        F = GeneralSystem.F
+
+        def counted(system, x):
+            calls.append(x)
+            return F(system, x)
+
+        monkeypatch.setattr(thinmarket.nash.GeneralSystem, "F", counted)
+        n = 2000
+        for seed in (1, 2, 3):
+            rng = np.random.default_rng(seed)
+            betas = constrained_betas(rng, n, low=-1.25, high=0.95)
+            ex = _exposures(rng, betas, random_deltas(rng, n), n_securities=5)
+            calls.clear()
+            assert solve(ex).kind == KIND_GENERAL
+            assert len(calls) <= 20, len(calls)
+
+    def test_root_matches_an_independent_bisection(self, rng):
+        instances = []
+        while len(instances) < 60:
+            n = int(rng.integers(3, 7))
+            ex = _exposures(rng, constrained_betas(rng, n), random_deltas(rng, n))
+            if check_extreme_condition(ex) is None and np.count_nonzero(ex.beta > -1.0) > 2:
+                instances.append(ex)
+        # followers with beta exactly one, where F has a kink
+        for n_ones in (1, 2, 3, 1, 2, 3):
+            betas = [1.5] + [1.0] * n_ones + [-0.5] * (2 * n_ones + 1)
+            deltas = [4.0 * n_ones] + list(random_deltas(rng, len(betas) - 1))
+            ex = _exposures(rng, betas, deltas, market_variance=1.0)
+            assert np.count_nonzero(ex.beta == 1.0) == n_ones
+            assert check_extreme_condition(ex) is None
+            instances.append(ex)
+        for ex in instances:
+            system = GeneralSystem(ex)
+            root = thinmarket.nash._root_total_elasticity(system, ex.delta_total)
+            assert abs(root - _bisection_root(system, ex.delta_total)) <= 1e-11 * root
+            assert abs(system.F(root) - 1.0) < 1e-12
 
 
 def test_scaling_guard_large_general_solve():

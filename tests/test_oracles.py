@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from thinmarket import (
-    Elasticity,
     KIND_BILATERAL,
     KIND_GENERAL,
     certainty_equivalent,
@@ -120,9 +119,7 @@ class TestIterateBestResponses:
                     1.0, abs(want.as_float)
                 )
             # a converged trace always passes the coordinatewise check
-            cleaned = tuple(
-                Elasticity.zero() if t.as_float < 1e-9 else t for t in final
-            )
+            cleaned = np.array([0.0 if t.as_float < 1e-9 else t.as_float for t in final])
             assert fixed_point_deviation(ex, cleaned) < 1e-6
         assert checked == 500
         assert converged >= 490
