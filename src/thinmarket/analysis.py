@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .competitive import EquilibriumOutcome, competitive_equilibrium
+from .competitive import EquilibriumOutcome, _quadratic_forms, competitive_equilibrium
 from .errors import ConsistencyError
 from .model import ExposureProfile, MarketModel, derive_exposures, _frozen_array
 from .nash import (
@@ -31,7 +31,11 @@ class ComparisonReport:
     """Per-trader utility difference du (Nash minus competitive), its
     decomposition into random-payoff gains and premiums, the aggregate
     inefficiency sum(du), and the bilateral factor L when the market has
-    exactly two traders."""
+    exactly two traders.
+
+    Over a grid, every field has the leading grid axis and failed marks the
+    points whose closed forms disagree with du (where compare raises on one
+    market); L is then NaN at the trivial points."""
 
     du: np.ndarray
     inefficiency: float
@@ -40,6 +44,7 @@ class ComparisonReport:
     payoff_gain_competitive: np.ndarray
     payoff_gain_nash: np.ndarray
     L: float | None = None
+    failed: np.ndarray | None = None
 
 
 def _payoff_gains(exposures: ExposureProfile, outcome: EquilibriumOutcome) -> np.ndarray:
@@ -47,14 +52,59 @@ def _payoff_gains(exposures: ExposureProfile, outcome: EquilibriumOutcome) -> np
     # <a_i, C a_i>/(2 delta_i) - <z_i, C z_i>/(2 delta_i) with z_i = q_i + a_i
     # the retained market exposure.
     z = outcome.allocations + exposures.a
-    cov = exposures.model.securities_cov
-    retained = np.einsum("ij,jk,ik->i", z, cov, z)
+    retained = _quadratic_forms(z, exposures.model.securities_cov)
     return (exposures.own_var - retained) / (2.0 * exposures.delta)
 
 
-def _bilateral_l_factor(exposures: ExposureProfile) -> float:
+def _bilateral_l_factor(exposures: ExposureProfile):
     lam, beta = exposures.lam, exposures.beta
-    return float((beta[0] + lam[0]) * (beta[1] + lam[1]) / (8.0 * lam[0] * lam[1]))
+    factor = (beta[..., 0] + lam[..., 0]) * (beta[..., 1] + lam[..., 1]) / (
+        8.0 * lam[..., 0] * lam[..., 1]
+    )
+    return float(factor) if factor.ndim == 0 else np.where(exposures.is_trivial, np.nan, factor)
+
+
+# Verdicts of the closed-form cross-checks: 0 where they agree with du.
+_CROSSCHECK_FAILURES = (
+    None,
+    "extreme utility-gain closed form disagrees with direct du",
+    "extreme inefficiency closed form disagrees with direct sum",
+    "bilateral utility-gain closed form disagrees with direct du",
+)
+
+
+def _crosscheck(exposures: ExposureProfile, nash: NashSolution, du, inefficiency, L):
+    """Index into _CROSSCHECK_FAILURES per market, for extreme markets and
+    two-trader bilateral ones; 0 for the other kinds."""
+    agg = np.asarray(exposures.aggregate_market_variance)[..., None]
+    delta_total = np.asarray(exposures.delta_total)
+    delta, lam, beta = exposures.delta, exposures.lam, exposures.beta
+    tol = _CROSSCHECK_RTOL * np.maximum(1.0, agg[..., 0] / (2.0 * np.min(delta, axis=-1)))
+
+    k = np.argmax(nash.k_shares, axis=-1)[..., None]
+    lam_k = np.take_along_axis(lam, k, -1)
+    leader = np.arange(exposures.n_traders) == k
+    closed = np.where(
+        leader,
+        agg / (2.0 * delta) * (lam * (2.0 * beta - lam) - 1.0),
+        agg / (2.0 * delta) * lam * (2.0 * beta - lam),
+    )
+    extreme_du = np.max(np.abs(du - closed), axis=-1) > tol
+    closed_ineff = -agg / (2.0 * delta_total[..., None]) * (1.0 - lam_k) / lam_k
+    extreme_ineff = np.abs(inefficiency - closed_ineff[..., 0]) > tol
+
+    bilateral_du = False
+    if exposures.n_traders == 2:
+        mid = 0.5 * (lam + beta)
+        closed = agg / (2.0 * delta) * (lam**2 - mid**2) + (
+            beta - lam
+        ) / delta_total[..., None] * agg * (1.0 - np.asarray(L)[..., None])
+        bilateral_du = np.max(np.abs(du - closed), axis=-1) > tol
+
+    extreme, bilateral = nash.kind == KIND_EXTREME, nash.kind == KIND_BILATERAL
+    return np.select(
+        [extreme & extreme_du, extreme & extreme_ineff, bilateral & bilateral_du], [1, 2, 3], 0
+    )
 
 
 def compare(
@@ -66,45 +116,36 @@ def compare(
 
     du comes from direct utility subtraction; for two-trader non-extreme and
     for extreme instances the known closed forms are recomputed and any
-    disagreement raises ConsistencyError.
+    disagreement raises ConsistencyError.  Given a stacked profile and
+    solve_grid's solution, every point at once: a disagreement marks the
+    point in `failed` instead of raising, and points without a solution get
+    NaN.
     """
-    if nash.kind == KIND_UNSUPPORTED:
+    one_market = np.ndim(nash.kind) == 0
+    if one_market and nash.kind == KIND_UNSUPPORTED:
         raise ValueError("cannot compare against an unsupported-regime result")
 
     du = nash.outcome.utilities - competitive.utilities
+    inefficiency = du.sum(axis=-1)
+    L = None
+    if exposures.n_traders == 2 and not (one_market and exposures.is_trivial):
+        L = _bilateral_l_factor(exposures)
     report = ComparisonReport(
         du=_frozen_array(du),
-        inefficiency=float(du.sum()),
+        inefficiency=float(inefficiency) if one_market else _frozen_array(inefficiency),
         premium_competitive=_frozen_array(competitive.premium),
         premium_nash=_frozen_array(nash.outcome.premium),
         payoff_gain_competitive=_frozen_array(_payoff_gains(exposures, competitive)),
         payoff_gain_nash=_frozen_array(_payoff_gains(exposures, nash.outcome)),
-        L=_bilateral_l_factor(exposures) if exposures.n_traders == 2 and not exposures.is_trivial else None,
+        L=L,
     )
-
-    if exposures.is_trivial:
+    if one_market and exposures.is_trivial:
         return report
-
-    agg = exposures.aggregate_market_variance
-    delta, lam, beta = exposures.delta, exposures.lam, exposures.beta
-    tol = _CROSSCHECK_RTOL * max(1.0, agg / (2.0 * float(delta.min())))
-
-    if nash.kind == KIND_EXTREME:
-        k = int(np.argmax(nash.k_shares))
-        closed = agg / (2.0 * delta) * lam * (2.0 * beta - lam)
-        closed[k] = agg / (2.0 * delta[k]) * (lam[k] * (2.0 * beta[k] - lam[k]) - 1.0)
-        if np.max(np.abs(du - closed)) > tol:
-            raise ConsistencyError("extreme utility-gain closed form disagrees with direct du")
-        closed_ineff = -agg / (2.0 * exposures.delta_total) * (1.0 - lam[k]) / lam[k]
-        if abs(report.inefficiency - closed_ineff) > tol:
-            raise ConsistencyError("extreme inefficiency closed form disagrees with direct sum")
-    elif nash.kind == KIND_BILATERAL and exposures.n_traders == 2:
-        mid = 0.5 * (lam + beta)
-        closed = agg / (2.0 * delta) * (lam**2 - mid**2) + (
-            beta - lam
-        ) / exposures.delta_total * agg * (1.0 - report.L)
-        if np.max(np.abs(du - closed)) > tol:
-            raise ConsistencyError("bilateral utility-gain closed form disagrees with direct du")
+    verdict = _crosscheck(exposures, nash, du, inefficiency, L)
+    if not one_market:
+        return replace(report, failed=_frozen_array(verdict != 0, dtype=bool))
+    if verdict:
+        raise ConsistencyError(_CROSSCHECK_FAILURES[verdict])
     return report
 
 
@@ -176,7 +217,7 @@ def incompleteness_effect(
     lam, beta = exposures.lam, exposures.beta
     qhat = competitive_allocations
     cov = model.securities_cov
-    sq_gain = np.einsum("ij,jk,ik->i", qhat, cov, qhat)
+    sq_gain = _quadratic_forms(qhat, cov)
     sq_gain_o = lam**2 * total - 2.0 * lam * beta * total + model.endowment_vars
 
     return IncompletenessReport(

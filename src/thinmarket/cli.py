@@ -5,6 +5,12 @@ Exit codes are a stable contract: 0 success, 1 I/O or parse error, 2 model
 validation failure, 3 unsupported equilibrium regime (a diagnostic report is
 still written), 4 a validation check failed, 5 the equilibrium could not be
 solved or verified (one `error:` line on stderr, no report).
+
+`sweep` evaluates its grid as one stacked model, whose arrays carry a leading
+grid axis: the grid is validated and derived once, and every point is
+classified, solved, verified and compared at once, with the one-market
+arithmetic, so each CSV row is byte-identical to analyzing that point alone.
+General points are root-found one at a time.
 """
 
 from __future__ import annotations
@@ -14,16 +20,26 @@ import csv
 import math
 import re
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from .analysis import compare, incompleteness_effect
 from .best_response import best_response
 from .competitive import competitive_equilibrium
-from .errors import BracketError, ConsistencyError, InvalidModelError, ScenarioError
+from .errors import InvalidModelError, ScenarioError
 from .model import ValidationResult, certainty_equivalent, derive_exposures
-from .nash import KIND_UNSUPPORTED, RESIDUAL_TOL, solve
+from .nash import (
+    KIND_BILATERAL,
+    KIND_EXTREME,
+    KIND_FAILED,
+    KIND_GENERAL,
+    KIND_TRIVIAL,
+    KIND_UNSUPPORTED,
+    RESIDUAL_TOL,
+    SOLVE_ERRORS,
+    solve,
+    solve_grid,
+)
 from .oracles import McConfig, grid_best_response_share, iterate_best_responses, mc_certainty_equivalent
 from .scenario import (
     INF_TOKEN,
@@ -39,10 +55,6 @@ EXIT_INVALID = 2
 EXIT_UNSUPPORTED = 3
 EXIT_CHECK_FAILED = 4
 EXIT_SOLVE_FAILED = 5
-
-# What solve and compare raise on an instance they cannot solve or verify:
-# ValueError for boundary rejections, the others for failed internal checks.
-_SOLVE_ERRORS = (ValueError, ConsistencyError, BracketError)
 
 _PARAM_RE = re.compile(r"^(\d+):(delta|cov_es\[(\d+)\])$")
 
@@ -104,7 +116,7 @@ def cmd_analyze(args) -> int:
         return EXIT_IO
     try:
         code, doc = _analyze_model(model)
-    except _SOLVE_ERRORS as exc:
+    except SOLVE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVE_FAILED
     try:
@@ -115,21 +127,58 @@ def cmd_analyze(args) -> int:
     return code
 
 
-def _set_trader_param(model, index: int, field: str, component: int | None, value: float):
+def _grid_model(model, index: int, field: str, component: int | None, grid: list[float]):
+    """The stacked model of a sweep: trader `index`'s risk tolerance (field
+    "delta") or Cov(E_i, S_component) set to each grid value in turn."""
     if index >= model.n_traders:
         raise ScenarioError("--param", f"trader index {index} out of range")
-    trader = model.traders[index]
+    if field != "delta" and (component is None or component >= model.n_securities):
+        raise ScenarioError("--param", "cov_es component out of range")
+    deltas = np.repeat(model.deltas[None], len(grid), axis=0)
+    cov_rows = np.repeat(model.cov_matrix_rows[None], len(grid), axis=0)
     if field == "delta":
-        trader = replace(trader, delta=value)
+        deltas[:, index] = grid
     else:
-        if component is None or component >= model.n_securities:
-            raise ScenarioError("--param", "cov_es component out of range")
-        cov = np.array(trader.cov_endowment_securities)
-        cov[component] = value
-        trader = replace(trader, cov_endowment_securities=cov)
-    traders = list(model.traders)
-    traders[index] = trader
-    return replace(model, traders=tuple(traders))
+        cov_rows[:, index, component] = grid
+    return model.stacked(deltas, cov_rows)
+
+
+_SOLVED_KINDS = frozenset((KIND_TRIVIAL, KIND_EXTREME, KIND_BILATERAL, KIND_GENERAL))
+
+
+def _sweep_rows(model, grid: list[float], width: int) -> list[list[str]]:
+    """The CSV rows of a sweep after the header; width is the number of value
+    columns.  Each row's kind is what analyzing the point alone gives:
+    validation_failed, unsupported_regime or solve_failed (with blank
+    values), or the Nash kind with the point's values."""
+    blank = [""] * width
+    try:
+        exposures = derive_exposures(model)
+    except InvalidModelError:  # the covariance itself fails, at every point
+        return [[_fmt(value), "validation_failed"] + blank for value in grid]
+    nash = solve_grid(exposures)
+    # unsolved points carry inf and NaN through the row-wise arithmetic
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        comparison = compare(exposures, competitive_equilibrium(exposures), nash)
+    kinds = np.where(comparison.failed, KIND_FAILED, nash.kind)
+    kinds = np.where(exposures.valid, kinds, "validation_failed").tolist()
+    thetas, shares = nash.thetas.tolist(), nash.k_shares.tolist()
+    prices, du = nash.outcome.prices.tolist(), comparison.du.tolist()
+    inefficiency = comparison.inefficiency.tolist()
+    rows = []
+    for g, (value, kind) in enumerate(zip(grid, kinds)):
+        if kind not in _SOLVED_KINDS:
+            rows.append([_fmt(value), kind] + blank)
+            continue
+        rows.append(
+            [_fmt(value), kind]
+            + [INF_TOKEN if math.isinf(t) else _fmt(t) for t in thetas[g]]
+            + [_fmt(s) for s in shares[g]]
+            + [_fmt(p) for p in prices[g]]
+            + [_fmt(d) for d in du[g]]
+            + [_fmt(inefficiency[g])]
+        )
+    return rows
 
 
 def cmd_sweep(args) -> int:
@@ -147,8 +196,7 @@ def cmd_sweep(args) -> int:
             raise ScenarioError("--grid", "expected a comma-separated list of numbers")
         if not grid:
             raise ScenarioError("--grid", "at least one grid point is required")
-        # probe once so bad indices fail before any work
-        _set_trader_param(model, index, field, component, grid[0])
+        grid_model = _grid_model(model, index, field, component, grid)
     except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -162,7 +210,6 @@ def cmd_sweep(args) -> int:
         + [f"du_{i}" for i in range(n)]
         + ["inefficiency"]
     )
-    blank = [""] * (len(header) - 2)
     # open the output first, so an unwritable path fails before any solve
     try:
         out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
@@ -172,30 +219,7 @@ def cmd_sweep(args) -> int:
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
-        for value in grid:
-            point = _set_trader_param(model, index, field, component, value)
-            try:
-                exposures = derive_exposures(point)
-            except InvalidModelError:
-                writer.writerow([_fmt(value), "validation_failed"] + blank)
-                continue
-            try:
-                nash = solve(exposures)
-                if nash.kind == KIND_UNSUPPORTED:
-                    writer.writerow([_fmt(value), nash.kind] + blank)
-                    continue
-                comparison = compare(exposures, competitive_equilibrium(exposures), nash)
-            except _SOLVE_ERRORS:
-                writer.writerow([_fmt(value), "solve_failed"] + blank)
-                continue
-            writer.writerow(
-                [_fmt(value), nash.kind]
-                + [INF_TOKEN if math.isinf(t) else _fmt(t) for t in nash.thetas.tolist()]
-                + [_fmt(s) for s in nash.k_shares]
-                + [_fmt(p) for p in nash.outcome.prices]
-                + [_fmt(d) for d in comparison.du]
-                + [_fmt(comparison.inefficiency)]
-            )
+        writer.writerows(_sweep_rows(grid_model, grid, len(header) - 2))
     finally:
         if args.out:
             out.close()
@@ -254,7 +278,7 @@ def cmd_validate(args) -> int:
     else:
         try:
             nash = solve(exposures)
-        except _SOLVE_ERRORS as exc:
+        except SOLVE_ERRORS as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_SOLVE_FAILED
         if nash.kind == KIND_UNSUPPORTED:
@@ -275,15 +299,13 @@ def cmd_validate(args) -> int:
         worst = 0.0
         if ok:
             final = trace.iterates[-1]
-            for got, want in zip(final, nash.elasticities):
-                if got.is_infinite or want.is_infinite:
-                    if got.kind != want.kind:
+            for got, want in zip(final, nash.thetas.tolist()):
+                if got.is_infinite or math.isinf(want):
+                    if got.is_infinite != math.isinf(want):
                         ok = False
                         worst = math.inf
                 else:
-                    dev = abs(got.as_float - want.as_float) / max(
-                        1.0, abs(got.as_float), abs(want.as_float)
-                    )
+                    dev = abs(got.as_float - want) / max(1.0, abs(got.as_float), abs(want))
                     worst = max(worst, dev)
             ok = ok and worst <= tols["iteration"]
         checks.append(

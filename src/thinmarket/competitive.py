@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ExposureProfile, _frozen_array
+from .model import ExposureProfile, _frozen_array, _matvec
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,15 @@ class EquilibriumOutcome:
     beta_defined: bool = True
 
 
+def _quadratic_forms(q: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """<q_i, C q_i> for every trader.  Over a grid axis each point is
+    evaluated on its own: on a stack of 2x2 blocks the three-operand einsum
+    adds in another order than on one block."""
+    if q.ndim > 2:
+        return np.stack([_quadratic_forms(block, cov) for block in q])
+    return np.einsum("ij,jk,ik->i", q, cov, q)
+
+
 def position_utilities(
     exposures: ExposureProfile, allocations: np.ndarray, prices: np.ndarray
 ) -> np.ndarray:
@@ -44,10 +53,9 @@ def position_utilities(
     q = np.asarray(allocations, dtype=float)
     p = np.asarray(prices, dtype=float)
     cov_rows = exposures.model.cov_matrix_rows
-    cov = exposures.model.securities_cov
-    cross = np.einsum("ij,ij->i", q, cov_rows)  # <q_i, C a_i>
-    quad = np.einsum("ij,jk,ik->i", q, cov, q)  # <q_i, C q_i>
-    return exposures.u - cross / exposures.delta - quad / (2.0 * exposures.delta) - q @ p
+    cross = np.einsum("...ij,...ij->...i", q, cov_rows)  # <q_i, C a_i>
+    quad = _quadratic_forms(q, exposures.model.securities_cov)
+    return exposures.u - cross / exposures.delta - quad / (2.0 * exposures.delta) - _matvec(q, p)
 
 
 def clearing_outcome(
@@ -56,16 +64,20 @@ def clearing_outcome(
     prices: np.ndarray,
     beta_defined: bool = True,
 ) -> EquilibriumOutcome:
-    """Assemble the outcome for allocations of the form q_i = k_i a_I - a_i."""
+    """Assemble the outcome for allocations of the form q_i = k_i a_I - a_i.
+
+    The post-trade betas are the shares k_i; where they are undefined (a_I =
+    0, beta_defined False) every caller passes zero shares.
+    """
     k = np.asarray(k_shares, dtype=float)
-    q = np.outer(k, exposures.a_total) - exposures.a
+    q = k[..., :, None] * exposures.a_total[..., None, :] - exposures.a
     p = np.asarray(prices, dtype=float)
     return EquilibriumOutcome(
         prices=_frozen_array(p),
         allocations=_frozen_array(q),
-        post_beta=_frozen_array(k if beta_defined else np.zeros_like(k)),
+        post_beta=_frozen_array(k),
         utilities=_frozen_array(position_utilities(exposures, q, p)),
-        premium=_frozen_array(q @ p),
+        premium=_frozen_array(_matvec(q, p)),
         beta_defined=beta_defined,
     )
 
@@ -76,15 +88,15 @@ def competitive_equilibrium(exposures: ExposureProfile) -> EquilibriumOutcome:
     Prices are -C a_I / delta_I and trader i receives lambda_i a_I - a_i, so
     every post-trade beta equals the relative risk tolerance.  In the trivial
     case a_I = 0 prices are zero and traders simply shed the hedgeable part of
-    their endowments (q_i = -a_i).
+    their endowments (q_i = -a_i).  For a stacked profile, every point at
+    once, and beta_defined is an array over the points.
     """
-    if exposures.is_trivial:
-        zeros = np.zeros(exposures.n_securities)
-        return clearing_outcome(
-            exposures, np.zeros(exposures.n_traders), zeros, beta_defined=False
-        )
-    prices = -exposures.cov_total / exposures.delta_total
-    return clearing_outcome(exposures, exposures.lam, prices)
+    trivial = np.asarray(exposures.is_trivial)
+    delta_total = np.asarray(exposures.delta_total)[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # failed points of a stack
+        prices = np.where(trivial[..., None], 0.0, -exposures.cov_total / delta_total)
+    shares = np.where(trivial[..., None], 0.0, exposures.lam)
+    return clearing_outcome(exposures, shares, prices, beta_defined=~trivial)
 
 
 def aggregate_demand(exposures: ExposureProfile, elasticities, price) -> np.ndarray:

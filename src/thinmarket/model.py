@@ -6,6 +6,12 @@ the endowment with the securities, endowment mean and variance).  Everything
 the solvers need is derived from those inputs: hedge portfolios a_i, the
 aggregate a_I, projected betas, relative risk tolerances and autarky
 utilities.
+
+Per-trader quantities are arrays whose last axis is the trader.  A stacked
+model (`MarketModel.stacked`) describes G markets that share the securities
+covariance at once: its per-trader arrays carry a leading grid axis, it is
+validated once, and `derive_exposures` derives every point in one pass.  Each
+point's arithmetic is the one-market arithmetic, bit for bit.
 """
 
 from __future__ import annotations
@@ -100,9 +106,39 @@ class MarketModel:
             self, "_cov_rows", _frozen_array([t.cov_endowment_securities for t in traders])
         )
 
+    def stacked(self, deltas: np.ndarray, cov_rows: np.ndarray) -> MarketModel:
+        """This market at G points at once.
+
+        deltas (G, N) and cov_rows (G, N, k) replace the risk tolerances and
+        the rows Cov(E_i, S); the securities covariance, the endowment means
+        and variances and total_endowment_var are shared by every point.  The
+        result's per-trader arrays carry the leading grid axis, and it has no
+        `traders` tuple.
+        """
+        deltas = np.asarray(deltas, dtype=float)
+        means, variances = (np.broadcast_to(x, deltas.shape) for x in self._scalars[1:])
+        return self._with_columns([deltas, means, variances], cov_rows)
+
+    def point(self, g: int) -> MarketModel:
+        """Grid point g of a stacked model, as one market (without a `traders`
+        tuple)."""
+        return self._with_columns(self._scalars[:, g], self._cov_rows[g])
+
+    def _with_columns(self, scalars, cov_rows) -> MarketModel:
+        model = object.__new__(MarketModel)
+        for name, value in (
+            ("securities_cov", self.securities_cov),
+            ("traders", None),
+            ("total_endowment_var", self.total_endowment_var),
+            ("_scalars", _frozen_array(scalars)),
+            ("_cov_rows", _frozen_array(cov_rows)),
+        ):
+            object.__setattr__(model, name, value)
+        return model
+
     @property
     def n_traders(self) -> int:
-        return len(self.traders)
+        return self._cov_rows.shape[-2]
 
     @property
     def n_securities(self) -> int:
@@ -114,7 +150,7 @@ class MarketModel:
 
     @property
     def cov_matrix_rows(self) -> np.ndarray:
-        """Stacked Cov(E_i, S) rows, shape (n_traders, n_securities)."""
+        """Stacked Cov(E_i, S) rows, shape (..., n_traders, n_securities)."""
         return self._cov_rows
 
     @property
@@ -128,14 +164,49 @@ class MarketModel:
 
 @dataclass(frozen=True)
 class ValidationResult:
+    """Verdict of validate_model.
+
+    For a stacked model, violations lists what fails at every point (the
+    securities covariance, the number of traders), and failed_points marks
+    the points that fail a per-trader or per-point check, unnamed.
+    """
+
     violations: tuple[str, ...] = ()
+    failed_points: np.ndarray | None = None
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self.violations and (self.failed_points is None or not self.failed_points.any())
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+# Products over optional leading axes.  A stacked matmul makes per point the
+# BLAS call that the unstacked product makes, so each point gets the bits of
+# the one-market product; einsum and elementwise sums add in other orders.
+# BLAS needs unit strides, and a vector not contiguous along its axis sends
+# numpy to a loop of its own, so vectors are made contiguous (a no-op for one
+# market's vectors).
+
+
+def _matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """matrix @ vector per point."""
+    return (matrix @ np.ascontiguousarray(vector)[..., None])[..., 0]
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u @ v per point."""
+    u, v = np.ascontiguousarray(u), np.ascontiguousarray(v)
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _solve_sym(cov: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve C x = rhs against the symmetrized covariance for every vector on
+    rhs's last axis, in one call with all of them as right-hand sides."""
+    k = cov.shape[0]
+    columns = np.linalg.solve(0.5 * (cov + cov.T), rhs.reshape(-1, k).T)
+    return columns.T.reshape(rhs.shape)
 
 
 def validate_model(model: MarketModel) -> ValidationResult:
@@ -144,7 +215,8 @@ def validate_model(model: MarketModel) -> ValidationResult:
     Reported violations: non-finite entries, asymmetric or non-positive-definite
     securities covariance, fewer than two traders, nonpositive risk tolerance,
     negative endowment variance, and a total endowment variance below the
-    variance spanned by the securities.
+    variance spanned by the securities.  A stacked model's covariance is
+    checked once, and its points' per-trader checks at once.
     """
     violations: list[str] = []
     cov = model.securities_cov
@@ -165,32 +237,38 @@ def validate_model(model: MarketModel) -> ValidationResult:
         violations.append("at least two traders are required")
     deltas, variances = model.deltas, model.endowment_vars
     bad_delta = ~((deltas > 0.0) & (deltas < np.inf))
-    bad_cov = ~np.isfinite(model.cov_matrix_rows).all(axis=1)
+    bad_cov = ~np.isfinite(model.cov_matrix_rows).all(axis=-1)
     bad_mean = ~np.isfinite(model.endowment_means)
     bad_var = ~((variances >= 0.0) & (variances < np.inf))
-    for idx in (bad_delta | bad_cov | bad_mean | bad_var).nonzero()[0].tolist():
-        if bad_delta[idx]:
-            violations.append(f"traders[{idx}]: risk tolerance must be strictly positive")
-        if bad_cov[idx]:
-            violations.append(f"traders[{idx}]: cov_endowment_securities has non-finite entries")
-        if bad_mean[idx]:
-            violations.append(f"traders[{idx}]: endowment_mean must be finite")
-        if bad_var[idx]:
-            violations.append(f"traders[{idx}]: endowment_var must be nonnegative")
+    bad = bad_delta | bad_cov | bad_mean | bad_var
+    failed = bad.any(axis=-1)
+    if failed.ndim == 0:
+        for idx in bad.nonzero()[0].tolist():
+            if bad_delta[idx]:
+                violations.append(f"traders[{idx}]: risk tolerance must be strictly positive")
+            if bad_cov[idx]:
+                violations.append(f"traders[{idx}]: cov_endowment_securities has non-finite entries")
+            if bad_mean[idx]:
+                violations.append(f"traders[{idx}]: endowment_mean must be finite")
+            if bad_var[idx]:
+                violations.append(f"traders[{idx}]: endowment_var must be nonnegative")
 
     if model.total_endowment_var is not None and not violations:
         total = model.total_endowment_var
         if not np.isfinite(total) or total < 0.0:
             violations.append("total_endowment_var must be nonnegative")
         else:
-            cov_total = model.cov_matrix_rows.sum(axis=0)
-            a_total = np.linalg.solve(0.5 * (cov + cov.T), cov_total)
-            spanned = float(a_total @ cov_total)
-            if spanned > total + TOTAL_VAR_SLACK * max(1.0, total, spanned):
+            cov_total = model.cov_matrix_rows.sum(axis=-2)
+            with np.errstate(invalid="ignore", over="ignore"):  # on failed points only
+                spanned = _dot(_solve_sym(cov, cov_total), cov_total)
+                below = spanned > total + TOTAL_VAR_SLACK * np.maximum(max(1.0, total), spanned)
+            if below.ndim:
+                failed = failed | below
+            elif below:
                 violations.append(
                     "total_endowment_var is below the variance spanned by the securities"
                 )
-    return ValidationResult(tuple(violations))
+    return ValidationResult(tuple(violations), failed if failed.ndim else None)
 
 
 @dataclass(frozen=True)
@@ -202,6 +280,11 @@ class ExposureProfile:
     lam[i] = delta_i / delta_total; u[i] is the autarky certainty equivalent.
     cov_total is C a_I and market_cov[i] = <a_I, C a_i>; own_var[i] =
     <a_i, C a_i>.  All arrays are read-only; the profile is an immutable value.
+
+    The profile of a stacked model has a leading grid axis on every array,
+    and delta_total, aggregate_market_variance and is_trivial are arrays over
+    the points.  valid marks the points that passed validation; the values at
+    the others mean nothing, and beta is an array even where a_I = 0.
     """
 
     model: MarketModel
@@ -217,6 +300,7 @@ class ExposureProfile:
     cov_total: np.ndarray
     market_cov: np.ndarray
     own_var: np.ndarray
+    valid: np.ndarray | None = None
 
     @property
     def n_traders(self) -> int:
@@ -231,41 +315,68 @@ class ExposureProfile:
         cov = self.model.securities_cov
         return np.linalg.solve(0.5 * (cov + cov.T), np.asarray(rhs, dtype=float))
 
+    def point(self, g: int) -> ExposureProfile:
+        """Grid point g of a stacked profile, as the profile of one market."""
+        trivial = bool(self.is_trivial[g])
+        return ExposureProfile(
+            model=self.model.point(g),
+            a=self.a[g],
+            a_total=self.a_total[g],
+            beta=None if trivial else self.beta[g],
+            lam=self.lam[g],
+            delta=self.delta[g],
+            delta_total=float(self.delta_total[g]),
+            u=self.u[g],
+            aggregate_market_variance=float(self.aggregate_market_variance[g]),
+            is_trivial=trivial,
+            cov_total=self.cov_total[g],
+            market_cov=self.market_cov[g],
+            own_var=self.own_var[g],
+        )
+
 
 def derive_exposures(model: MarketModel) -> ExposureProfile:
     """Derive hedge portfolios, betas, relative tolerances and aggregates.
 
     Validates the model first and raises InvalidModelError when it is
-    ill-posed.  Linear solves use np.linalg.solve on the symmetrized
-    securities covariance, which validation found positive definite.
+    ill-posed; for a stacked model only when every point is (a failed
+    covariance check), and otherwise marks the failed points in `valid`.
+    Linear solves use np.linalg.solve on the symmetrized securities
+    covariance, which validation found positive definite.
     """
     verdict = validate_model(model)
-    if not verdict.ok:
+    if verdict.violations:
         raise InvalidModelError(verdict.violations)
 
     cov, cov_rows = model.securities_cov, model.cov_matrix_rows
-    a = np.linalg.solve(0.5 * (cov + cov.T), cov_rows.T).T
-    a_total = a.sum(axis=0)
-    cov_total = cov_rows.sum(axis=0)  # equals C a_I exactly, by linearity
+    # Arithmetic on the points that failed validation may overflow or divide
+    # by zero; a valid point's values never do.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a = _solve_sym(cov, cov_rows)
+        a_total = a.sum(axis=-2)
+        cov_total = cov_rows.sum(axis=-2)  # equals C a_I exactly, by linearity
 
-    market_cov = cov_rows @ a_total  # <a_I, C a_i> per trader
-    own_var = np.einsum("ij,ij->i", a, cov_rows)
-    agg_var = max(float(a_total @ cov_total), 0.0)
+        market_cov = _matvec(cov_rows, a_total)  # <a_I, C a_i> per trader
+        own_var = np.einsum("...ij,...ij->...i", a, cov_rows)
+        agg_var = _dot(a_total, cov_total)
+        agg_var = np.where(agg_var < 0.0, 0.0, agg_var)
 
-    denom = float(own_var.sum())
-    if denom > 0.0:
-        trivial = agg_var < TRIVIAL_RTOL * denom
-    else:
-        trivial = agg_var < TRIVIAL_ATOL
+        denom = own_var.sum(axis=-1)
+        trivial = np.where(denom > 0.0, agg_var < TRIVIAL_RTOL * denom, agg_var < TRIVIAL_ATOL)
 
-    deltas = model.deltas
-    delta_total = float(deltas.sum())
-    lam = deltas / delta_total
-    beta = None if trivial else market_cov / agg_var
-    # certainty_equivalent over all traders at once; validation guarantees its
-    # preconditions (finite positive deltas, finite nonnegative variances)
-    u = model.endowment_means - model.endowment_vars / (2.0 * deltas)
+        deltas = model.deltas
+        delta_total = deltas.sum(axis=-1, keepdims=True)
+        lam = deltas / delta_total
+        beta = market_cov / agg_var[..., None]
+        # certainty_equivalent over all traders at once; validation guarantees
+        # its preconditions (finite positive deltas, finite nonnegative
+        # variances)
+        u = model.endowment_means - model.endowment_vars / (2.0 * deltas)
 
+    stacked = verdict.failed_points is not None
+    if not stacked:
+        beta = None if trivial else beta
+        delta_total, agg_var, trivial = float(delta_total[0]), float(agg_var), bool(trivial)
     return ExposureProfile(
         model=model,
         a=_frozen_array(a),
@@ -273,13 +384,14 @@ def derive_exposures(model: MarketModel) -> ExposureProfile:
         beta=None if beta is None else _frozen_array(beta),
         lam=_frozen_array(lam),
         delta=_frozen_array(deltas),
-        delta_total=delta_total,
+        delta_total=_frozen_array(delta_total[..., 0]) if stacked else delta_total,
         u=_frozen_array(u),
-        aggregate_market_variance=agg_var,
-        is_trivial=trivial,
+        aggregate_market_variance=_frozen_array(agg_var) if stacked else agg_var,
+        is_trivial=_frozen_array(trivial, dtype=bool) if stacked else trivial,
         cov_total=_frozen_array(cov_total),
         market_cov=_frozen_array(market_cov),
         own_var=_frozen_array(own_var),
+        valid=_frozen_array(~verdict.failed_points, dtype=bool) if stacked else None,
     )
 
 

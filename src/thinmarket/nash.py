@@ -1,13 +1,14 @@
 """Noncompetitive (Nash) equilibrium: classification and solvers.
 
-`solve` is the one entry point, and it decides the regime once, in the order
-of the theory: the trivial case a_I = 0 first, then the extreme regime (one
-trader submits infinite elasticity, prices are zero), then the bilateral
-closed form when exactly two traders are active, then the unsupported regime,
-and otherwise the general constructive solver, which reduces the coupled
-quadratic system to a single monotone scalar equation in the total elasticity
-and solves it by Brent's method on a bisection bracket.  The per-regime
-solvers trust that dispatch and do not check their regime again.
+`solve` is the one entry point for one market, and it decides the regime
+once, in the order of the theory: the trivial case a_I = 0 first, then the
+extreme regime (one trader submits infinite elasticity, prices are zero), then
+the bilateral closed form when exactly two traders are active, then the
+unsupported regime, and otherwise the general constructive solver, which
+reduces the coupled quadratic system to a single monotone scalar equation in
+the total elasticity and solves it by Brent's method on a bisection bracket.
+The per-regime solvers trust that dispatch and do not check their regime
+again.
 
 Configurations with two or more betas above one where the extreme condition
 fails (and more than two traders are active) are reported as an unsupported
@@ -17,6 +18,13 @@ Every solution is verified against the closed-form best response of each
 trader to the others.  The verification is O(N): the others' aggregate
 elasticity comes from prefix and suffix sums, and the best-response branches
 are evaluated as arrays, with the verdicts of a trader-by-trader check.
+
+The classification, the extreme and bilateral closed forms, the residuals and
+the verification are written over arrays whose last axis is the trader, with
+optional leading grid axes.  `solve_grid` runs them over a stacked profile
+(one derived from `MarketModel.stacked`), every point at once, and gives each
+point the kind that `solve` gives it alone, or KIND_FAILED where `solve` would
+raise; general points go through `solve` one at a time.
 """
 
 from __future__ import annotations
@@ -36,6 +44,12 @@ KIND_EXTREME = "extreme"
 KIND_BILATERAL = "bilateral_closed_form"
 KIND_GENERAL = "general_non_extreme"
 KIND_UNSUPPORTED = "unsupported_regime"
+# A grid point that solve would reject with one of SOLVE_ERRORS.
+KIND_FAILED = "solve_failed"
+
+# What solve and compare raise on an instance they cannot solve or verify:
+# ValueError for boundary rejections, the others for failed internal checks.
+SOLVE_ERRORS = (ValueError, ConsistencyError, BracketError)
 
 # Max tolerated residual of the coupled equilibrium equations for a finite
 # solution, and relative tolerance of the coordinatewise best-response check.
@@ -58,6 +72,11 @@ class NashSolution:
     0 elsewhere in the extreme regime; residuals are left-minus-right of the
     coupled equilibrium equations for diagnostic reporting.  For the
     unsupported regime only kind and detail are populated.
+
+    solve_grid's solution has a leading grid axis: kind is an array of kinds,
+    theta_total and detail are None, and the arrays hold NaN at the points
+    without a solution (unsupported, failed) and, in residuals, the trivial
+    ones.
     """
 
     kind: str
@@ -77,19 +96,41 @@ class NashSolution:
 
 
 def _exclusive_sums(values: np.ndarray) -> np.ndarray:
-    """sum_{j != i} values[j] for every i, as a prefix plus a suffix sum (the
-    total minus values[i] cancels when one entry holds almost all of it)."""
-    rest = np.zeros(values.size)
-    rest[1:] = np.add.accumulate(values[:-1])
-    rest[:-1] += np.add.accumulate(values[:0:-1])[::-1]
+    """sum_{j != i} values[j] for every i along the last axis, as a prefix
+    plus a suffix sum (the total minus values[i] cancels when one entry holds
+    almost all of it)."""
+    rest = np.zeros(values.shape)
+    rest[..., 1:] = np.add.accumulate(values[..., :-1], axis=-1)
+    rest[..., :-1] += np.add.accumulate(values[..., :0:-1], axis=-1)[..., ::-1]
     return rest
+
+
+def _positive_terms(exposures: ExposureProfile) -> np.ndarray:
+    """delta_i (1 + beta_i)_+: each trader's elasticity against an infinite
+    rest, and their term in the extreme condition."""
+    return np.maximum(exposures.delta * (1.0 + exposures.beta), 0.0)
 
 
 def _extreme_thresholds(exposures: ExposureProfile) -> tuple[np.ndarray, np.ndarray]:
     """The terms delta_i (1 + beta_i)_+ and the thresholds 1 + rest_i / delta_i,
     rest_i the exclusive sum of the others' terms."""
-    plus = np.maximum(exposures.delta * (1.0 + exposures.beta), 0.0)
+    plus = _positive_terms(exposures)
     return plus, 1.0 + _exclusive_sums(plus) / exposures.delta
+
+
+def _extreme_hits(exposures: ExposureProfile) -> tuple[np.ndarray, np.ndarray]:
+    """The traders meeting the extreme condition beta_k >= 1 + rest_k /
+    delta_k, and per market the margin by which the aggregate reformulation
+    sum delta_i (1 + beta_i)_+ <= 2 max delta_i beta_i disagrees with them
+    beyond rounding noise (0 where the two tests agree)."""
+    plus, thresholds = _extreme_thresholds(exposures)
+    hits = exposures.beta >= thresholds
+    total_plus = plus.sum(axis=-1)
+    two_max = 2.0 * np.max(exposures.delta * exposures.beta, axis=-1)
+    margin = np.abs(total_plus - two_max)
+    noise = 1e-9 * np.maximum(np.maximum(1.0, total_plus), np.abs(two_max))
+    disagree = ((total_plus <= two_max) != hits.any(axis=-1)) & (margin > noise)
+    return hits, np.where(disagree, margin, 0.0)
 
 
 def check_extreme_condition(exposures: ExposureProfile) -> int | None:
@@ -105,36 +146,48 @@ def check_extreme_condition(exposures: ExposureProfile) -> int | None:
     """
     if exposures.is_trivial:
         raise ValueError("extreme classification is undefined on a trivial instance")
-    delta = exposures.delta
-    beta = exposures.beta
-    plus, thresholds = _extreme_thresholds(exposures)
-    total_plus = float(plus.sum())
+    hits, disagreement = _extreme_hits(exposures)
+    leaders = hits.nonzero()[0].tolist()
+    if len(leaders) > 1:
+        raise ConsistencyError(f"extreme condition held for several traders: {leaders}")
+    if disagreement:
+        raise ConsistencyError(
+            "extreme-condition tests disagree: "
+            f"per-trader={bool(leaders)}, aggregate={not leaders}, margin={disagreement:g}"
+        )
+    return leaders[0] if leaders else None
 
-    hits = (beta >= thresholds).nonzero()[0].tolist()
-    if len(hits) > 1:
-        raise ConsistencyError(f"extreme condition held for several traders: {hits}")
 
-    two_max = 2.0 * float(np.max(delta * beta))
-    aggregate_test = total_plus <= two_max
-    if aggregate_test != bool(hits):
-        margin = abs(total_plus - two_max)
-        if margin > 1e-9 * max(1.0, total_plus, abs(two_max)):
-            raise ConsistencyError(
-                "extreme-condition tests disagree: "
-                f"per-trader={bool(hits)}, aggregate={aggregate_test}, margin={margin:g}"
-            )
-    return hits[0] if hits else None
+def _n_active(exposures: ExposureProfile) -> np.ndarray:
+    return np.count_nonzero(exposures.beta > -1.0, axis=-1)
+
+
+def _regime(exposures: ExposureProfile, leader) -> np.ndarray:
+    """The regime of a non-trivial market whose extreme classification gave
+    `leader` (-1 for none): extreme, bilateral (exactly two betas > -1),
+    unsupported (two or more betas > 1) or general, in that order."""
+    return np.select(
+        [
+            np.asarray(leader) >= 0,
+            _n_active(exposures) == 2,
+            np.count_nonzero(exposures.beta > 1.0, axis=-1) >= 2,
+        ],
+        [KIND_EXTREME, KIND_BILATERAL, KIND_UNSUPPORTED],
+        KIND_GENERAL,
+    )
+
+
+def _extreme_parts(exposures: ExposureProfile, leader) -> tuple[np.ndarray, np.ndarray]:
+    """Elasticities and shares of the extreme equilibrium led by `leader`."""
+    is_leader = np.arange(exposures.n_traders) == np.asarray(leader)[..., None]
+    return np.where(is_leader, math.inf, _positive_terms(exposures)), is_leader.astype(float)
 
 
 def solve_extreme(exposures: ExposureProfile, k: int) -> NashSolution:
     """Extreme equilibrium: trader k submits infinite elasticity, everyone
     else submits delta_i (1 + beta_i)_+; prices are exactly zero, trader k
     absorbs the whole market exposure and all others end market-neutral."""
-    n = exposures.n_traders
-    thetas = np.maximum(exposures.delta * (1.0 + exposures.beta), 0.0)
-    thetas[k] = math.inf
-    shares = np.zeros(n)
-    shares[k] = 1.0
+    thetas, shares = _extreme_parts(exposures, k)
     outcome = clearing_outcome(exposures, shares, np.zeros(exposures.n_securities))
     return NashSolution(
         kind=KIND_EXTREME,
@@ -142,7 +195,7 @@ def solve_extreme(exposures: ExposureProfile, k: int) -> NashSolution:
         theta_total=Elasticity.infinite(),
         k_shares=_frozen_array(shares),
         outcome=outcome,
-        residuals=_frozen_array(np.zeros(n)),
+        residuals=_frozen_array(np.zeros(exposures.n_traders)),
     )
 
 
@@ -150,13 +203,11 @@ def nash_residuals(exposures: ExposureProfile, thetas: np.ndarray) -> np.ndarray
     """Left-minus-right of the coupled equilibrium equations
     (2 + theta_{-i}/delta_i) k_i = 1 + beta_i for the active traders."""
     thetas = np.asarray(thetas, dtype=float)
-    total = float(thetas.sum())
-    res = np.zeros_like(thetas)
-    active = exposures.beta > -1.0
-    res[active] = (2.0 + (total - thetas[active]) / exposures.delta[active]) * (
-        thetas[active] / total
-    ) - (1.0 + exposures.beta[active])
-    return res
+    total = thetas.sum(axis=-1, keepdims=True)
+    beta = exposures.beta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        res = (2.0 + (total - thetas) / exposures.delta) * (thetas / total) - (1.0 + beta)
+    return np.where(beta > -1.0, res, 0.0)
 
 
 # Finite equilibria with total elasticity beyond this multiple of delta_I sit
@@ -169,13 +220,20 @@ _BOUNDARY_MESSAGE = (
 )
 
 
+def _finite_parts(exposures: ExposureProfile, thetas: np.ndarray):
+    """Total elasticity, shares and prices of a finite solution, and whether
+    the total lies in (0, _BOUNDARY_GUARD delta_I]."""
+    total = thetas.sum(axis=-1, keepdims=True)
+    in_range = (0.0 < total[..., 0]) & (total[..., 0] <= _BOUNDARY_GUARD * exposures.delta_total)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return total[..., 0], thetas / total, -exposures.cov_total / total, in_range
+
+
 def _finite_solution(exposures: ExposureProfile, thetas: np.ndarray, kind: str) -> NashSolution:
     thetas = np.asarray(thetas, dtype=float)
-    total = float(thetas.sum())
-    if not 0.0 < total <= _BOUNDARY_GUARD * exposures.delta_total:
+    total, shares, prices, in_range = _finite_parts(exposures, thetas)
+    if not in_range:
         raise ValueError(_BOUNDARY_MESSAGE)
-    shares = thetas / total
-    prices = -exposures.cov_total / total
     return NashSolution(
         kind=kind,
         thetas=_frozen_array(thetas),
@@ -186,6 +244,28 @@ def _finite_solution(exposures: ExposureProfile, thetas: np.ndarray, kind: str) 
     )
 
 
+def _bilateral_thetas(exposures: ExposureProfile) -> np.ndarray:
+    """The bilateral closed form, for markets with exactly two traders with
+    beta > -1 (the first and the last such trader are taken; everyone else is
+    passive with zero elasticity)."""
+    beta, lam, delta = exposures.beta, exposures.lam, exposures.delta
+    active = beta > -1.0
+    n = active.shape[-1]
+    i0 = np.argmax(active, axis=-1)[..., None]
+    i1 = n - 1 - np.argmax(active[..., ::-1], axis=-1)[..., None]
+    lam0, lam1 = np.take_along_axis(lam, i0, -1), np.take_along_axis(lam, i1, -1)
+    b0, b1 = np.take_along_axis(beta, i0, -1), np.take_along_axis(beta, i1, -1)
+    beta_sum = b0 + b1
+    lam_sum = lam0 + lam1
+    gap = lam0 * b0 - lam1 * b1
+    # a denominator can round to zero on the boundary; _finite_parts rejects it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        theta0 = np.take_along_axis(delta, i0, -1) * 2.0 * lam1 * beta_sum / (lam_sum - gap)
+        theta1 = np.take_along_axis(delta, i1, -1) * 2.0 * lam0 * beta_sum / (lam_sum + gap)
+    trader = np.arange(n)
+    return np.where(trader == i0, theta0, np.where(trader == i1, theta1, 0.0))
+
+
 def solve_bilateral(exposures: ExposureProfile) -> NashSolution:
     """Closed form when exactly two traders have beta > -1 (all others are
     passive and submit zero elasticity).
@@ -194,19 +274,9 @@ def solve_bilateral(exposures: ExposureProfile) -> NashSolution:
     non-trivial, exactly two traders are active and the extreme condition
     fails.
     """
-    beta = exposures.beta
-    i0, i1 = (beta > -1.0).nonzero()[0]
-    lam0, lam1 = float(exposures.lam[i0]), float(exposures.lam[i1])
-    b0, b1 = float(beta[i0]), float(beta[i1])
-    beta_sum = b0 + b1
-    lam_sum = lam0 + lam1
-    gap = lam0 * b0 - lam1 * b1
-    thetas = np.zeros(exposures.n_traders)
-    # a denominator can round to zero on the boundary; _finite_solution rejects it
-    with np.errstate(divide="ignore"):
-        thetas[i0] = exposures.delta[i0] * 2.0 * lam1 * beta_sum / (lam_sum - gap)
-        thetas[i1] = exposures.delta[i1] * 2.0 * lam0 * beta_sum / (lam_sum + gap)
-    return _finite_solution(exposures, thetas, KIND_BILATERAL)
+    if _n_active(exposures) != 2:
+        raise ValueError("the bilateral closed form needs exactly two traders with beta > -1")
+    return _finite_solution(exposures, _bilateral_thetas(exposures), KIND_BILATERAL)
 
 
 class _FollowerPhi:
@@ -414,7 +484,10 @@ def _unsupported_solution(exposures: ExposureProfile) -> NashSolution:
     )
 
 
-def fixed_point_deviation(exposures: ExposureProfile, thetas) -> float:
+_NOT_AN_ELASTICITY = "finite elasticity must be a strictly positive real"
+
+
+def fixed_point_deviation(exposures: ExposureProfile, thetas):
     """Worst-case relative deviation of each elasticity from the best response
     to the others; infinite on any branch mismatch.
 
@@ -426,17 +499,22 @@ def fixed_point_deviation(exposures: ExposureProfile, thetas) -> float:
     best_response trader by trader in index order: the first trader whose best
     response is undefined raises ValueError, unless an earlier trader's branch
     mismatches, which gives inf.
+
+    Over a stacked profile with thetas of shape (G, N), one deviation per
+    point, +inf where the one-market form raises.
     """
     theta = np.asarray(thetas, dtype=float)
-    if not np.all(theta >= 0.0):
-        raise ValueError("finite elasticity must be a strictly positive real")
-    if exposures.is_trivial:
+    elasticities = np.all(theta >= 0.0, axis=-1)
+    one_market = theta.ndim == 1
+    if one_market and not elasticities:
+        raise ValueError(_NOT_AN_ELASTICITY)
+    if one_market and exposures.is_trivial:
         raise ValueError("best response is undefined on a trivial instance (flat response)")
     infinite = np.isinf(theta)
-    n_infinite = np.count_nonzero(infinite)
-    rest = _exclusive_sums(np.where(infinite, 0.0, theta) if n_infinite else theta)
-    if n_infinite:  # the rest is infinite where anyone else's theta is
-        rest[n_infinite - infinite > 0] = math.inf
+    n_infinite = np.count_nonzero(infinite, axis=-1)[..., None]
+    rest = _exclusive_sums(np.where(infinite, 0.0, theta))
+    # the rest is infinite where anyone else's theta is
+    rest = np.where(n_infinite - infinite > 0, math.inf, rest)
 
     # best_response's branches as arrays: zero for beta <= -1, infinite for
     # beta >= 1 + rest/delta (never against an infinite rest), the interior
@@ -446,27 +524,40 @@ def fixed_point_deviation(exposures: ExposureProfile, thetas) -> float:
     with np.errstate(divide="ignore", invalid="ignore"):
         escalate = beta >= 1.0 + rest / delta
         br = delta * rest * (1.0 + beta) / (rest + delta * (1.0 - beta))
-    rest_inf = np.isinf(rest)
-    if np.count_nonzero(rest_inf):
-        br = np.where(rest_inf, delta * (1.0 + beta), br)
-    passive = beta <= -1.0
-    interior = ~(passive | escalate)
-    undefined = (rest == 0.0) & (beta <= 1.0)
-    bad_value = interior & ~((br > 0.0) & (br < math.inf))
-    mismatch = ((theta == 0.0) != passive) | (infinite != escalate)
-    stop = undefined | bad_value | mismatch
-    if np.count_nonzero(stop):
-        first = int(np.argmax(stop))
-        if undefined[first]:
-            raise ValueError(
-                "theta_rest = 0 is only meaningful against beta_i > 1; "
-                "the response problem is undefined otherwise"
-            )
-        if bad_value[first]:
-            raise ValueError("finite elasticity must be a strictly positive real")
-        return math.inf
-    br, theta = br[interior], theta[interior]
-    return max((np.abs(br - theta) / np.maximum(br, np.abs(theta))).tolist(), default=0.0)
+        br = np.where(np.isinf(rest), delta * (1.0 + beta), br)
+        passive = beta <= -1.0
+        interior = ~(passive | escalate)
+        undefined = (rest == 0.0) & (beta <= 1.0)
+        bad_value = interior & ~((br > 0.0) & (br < math.inf))
+        mismatch = ((theta == 0.0) != passive) | (infinite != escalate)
+        stop = undefined | bad_value | mismatch
+        first = np.argmax(stop, axis=-1)[..., None]
+        stopped = stop.any(axis=-1)
+        undefined = stopped & np.take_along_axis(undefined, first, -1)[..., 0]
+        bad_value = stopped & np.take_along_axis(bad_value, first, -1)[..., 0]
+        relative = np.abs(br - theta) / np.maximum(br, np.abs(theta))
+        deviation = np.where(stopped, math.inf, np.max(np.where(interior, relative, 0.0), axis=-1))
+    if not one_market:
+        raises = ~elasticities | np.asarray(exposures.is_trivial) | undefined | bad_value
+        return np.where(raises, math.inf, deviation)
+    if undefined:
+        raise ValueError(
+            "theta_rest = 0 is only meaningful against beta_i > 1; "
+            "the response problem is undefined otherwise"
+        )
+    if bad_value:
+        raise ValueError(_NOT_AN_ELASTICITY)
+    return float(deviation)
+
+
+def _verification(exposures: ExposureProfile, thetas, residuals):
+    """Verdict on a solution, per market: 0 when verified, 1 when a residual
+    exceeds RESIDUAL_TOL, 2 when the best-response deviation exceeds
+    FIXED_POINT_RTOL; with the largest |residual| and the deviation."""
+    worst = np.max(np.abs(residuals), axis=-1)
+    deviation = fixed_point_deviation(exposures, thetas)
+    failure = np.where(worst > RESIDUAL_TOL, 1, np.where(deviation > FIXED_POINT_RTOL, 2, 0))
+    return failure, worst, deviation
 
 
 def _extreme_boundary_margin(exposures: ExposureProfile) -> float:
@@ -496,29 +587,89 @@ def solve(exposures: ExposureProfile) -> NashSolution:
     if exposures.is_trivial:
         return _trivial_solution(exposures)
     k = check_extreme_condition(exposures)
-    if k is not None:
-        solution = solve_extreme(exposures, k)
-    elif np.count_nonzero(exposures.beta > -1.0) == 2:
-        solution = solve_bilateral(exposures)
-    elif np.count_nonzero(exposures.beta > 1.0) >= 2:
+    kind = _regime(exposures, -1 if k is None else k)
+    if kind == KIND_UNSUPPORTED:
         return _unsupported_solution(exposures)
+    if kind == KIND_EXTREME:
+        solution = solve_extreme(exposures, k)
+    elif kind == KIND_BILATERAL:
+        solution = solve_bilateral(exposures)
     else:
         solution = solve_general(exposures)
 
-    failure = None
-    if solution.residuals is not None:
-        worst_residual = float(np.max(np.abs(solution.residuals)))
-        if worst_residual > RESIDUAL_TOL:
-            failure = f"equilibrium residuals exceed tolerance: {worst_residual:g}"
-    if failure is None:
-        deviation = fixed_point_deviation(exposures, solution.thetas)
-        if deviation > FIXED_POINT_RTOL:
-            failure = f"best-response verification failed: deviation {deviation:g}"
-    if failure is not None:
+    failure, worst_residual, deviation = _verification(
+        exposures, solution.thetas, solution.residuals
+    )
+    if failure:
         if _extreme_boundary_margin(exposures) < 1e-6:
             raise ValueError(
                 "instance lies within floating-point noise of the extreme-equilibrium "
                 "boundary and cannot be verified to tolerance"
             )
-        raise ConsistencyError(failure)
+        if failure == 1:
+            raise ConsistencyError(f"equilibrium residuals exceed tolerance: {worst_residual:g}")
+        raise ConsistencyError(f"best-response verification failed: deviation {deviation:g}")
     return solution
+
+
+def solve_grid(exposures: ExposureProfile) -> NashSolution:
+    """Classify, solve and verify every point of a stacked profile at once.
+
+    Each point gets the kind that solve gives it alone, or KIND_FAILED where
+    solve would raise; points that failed validation are KIND_FAILED too.
+    The classification, the extreme and bilateral closed forms, the residuals
+    and the best-response verification run over all points together, with
+    the one-market arithmetic and tolerances; general points go through solve
+    one at a time, on their own slice of the profile.
+    """
+    valid = exposures.valid
+    trivial = valid & exposures.is_trivial
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        hits, disagreement = _extreme_hits(exposures)
+        n_hits = np.count_nonzero(hits, axis=-1)
+        leader = np.where(n_hits == 1, np.argmax(hits, axis=-1), -1)
+        kind = np.select(
+            [~valid, trivial, (n_hits > 1) | (disagreement > 0.0)],
+            [KIND_FAILED, KIND_TRIVIAL, KIND_FAILED],
+            _regime(exposures, leader),
+        ).astype(object)
+        extreme, bilateral = kind == KIND_EXTREME, kind == KIND_BILATERAL
+
+        extreme_thetas, extreme_shares = _extreme_parts(exposures, leader)
+        bilateral_thetas = _bilateral_thetas(exposures)
+        _, bilateral_shares, bilateral_prices, in_range = _finite_parts(exposures, bilateral_thetas)
+        bilateral &= in_range
+        column = (..., None)
+        thetas = np.where(extreme[column], extreme_thetas, bilateral_thetas)
+        thetas = np.where(trivial[column], exposures.delta, thetas)
+        shares = np.where(extreme[column], extreme_shares, bilateral_shares)
+        prices = np.where(bilateral[column], bilateral_prices, 0.0)
+        residuals = np.where(bilateral[column], nash_residuals(exposures, thetas), 0.0)
+        failure, _, _ = _verification(exposures, thetas, residuals)
+        solved = (extreme | bilateral) & (failure == 0)
+        kind[(extreme | (kind == KIND_BILATERAL)) & ~solved] = KIND_FAILED
+
+    for g in (kind == KIND_GENERAL).nonzero()[0].tolist():
+        try:
+            solution = solve(exposures.point(g))
+        except SOLVE_ERRORS:
+            kind[g] = KIND_FAILED
+            continue
+        thetas[g], shares[g] = solution.thetas, solution.k_shares
+        prices[g], residuals[g] = solution.outcome.prices, solution.residuals
+        solved[g] = True
+
+    unsolved = ~(solved | trivial)
+    thetas[unsolved] = shares[unsolved] = prices[unsolved] = np.nan
+    residuals[~solved] = np.nan
+    clearing = np.where(trivial[column], 0.0, shares)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        outcome = clearing_outcome(exposures, clearing, prices, beta_defined=~trivial)
+    return NashSolution(
+        kind=_frozen_array(kind, dtype=object),
+        thetas=_frozen_array(thetas),
+        theta_total=None,
+        k_shares=_frozen_array(np.where(trivial[column], exposures.lam, shares)),
+        outcome=outcome,
+        residuals=_frozen_array(residuals),
+    )

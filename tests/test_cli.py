@@ -11,6 +11,8 @@ import pytest
 
 import thinmarket.analysis
 import thinmarket.cli
+import thinmarket.model
+import thinmarket.nash
 from thinmarket import load_scenario, save_scenario, scenario_to_dict
 from thinmarket.cli import main
 from conftest import constrained_betas, model_from_betas, random_deltas
@@ -32,6 +34,19 @@ def assert_one_error_line(capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def four_trader_scenario():
+    return {
+        "schema_version": "1",
+        "securities_cov": [[1.0]],
+        "traders": [
+            {"delta": 1.0, "cov_es": [2.0]},
+            {"delta": 1.0, "cov_es": [2.0]},
+            {"delta": 1.0, "cov_es": [0.0]},
+            {"delta": 1.0, "cov_es": [-3.0]},
+        ],
+    }
+
+
 def bilateral_scenario(beta0=1.2, deltas=(1.0, 1.0), total=None):
     doc = {
         "schema_version": "1",
@@ -44,6 +59,22 @@ def bilateral_scenario(beta0=1.2, deltas=(1.0, 1.0), total=None):
     if total is not None:
         doc["total_endowment_var"] = total
     return doc
+
+
+def assert_row_matches_report(row, report):
+    """Every value column of a sweep row equals the analyze report's value."""
+    nash, comparison = report["nash"], report["comparison"]
+    assert row["kind"] == nash["kind"]
+    columns = {
+        "theta": [float(t) for t in nash["elasticities"]],
+        "k": nash["k_shares"],
+        "p": nash["prices"],
+        "du": comparison["du"],
+    }
+    for prefix, values in columns.items():
+        for i, value in enumerate(values):
+            assert float(row[f"{prefix}_{i}"]) == value, f"{prefix}_{i}"
+    assert float(row["inefficiency"]) == comparison["inefficiency"]
 
 
 class TestAnalyze:
@@ -214,15 +245,10 @@ class TestSweep:
             )
             == 0
         )
-        report = json.loads(report_path.read_text())
         with open(csv_path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1
-        row = rows[0]
-        assert row["kind"] == report["nash"]["kind"]
-        assert float(row["theta_0"]) == pytest.approx(report["nash"]["elasticities"][0], rel=1e-15)
-        assert float(row["du_1"]) == pytest.approx(report["comparison"]["du"][1], rel=1e-15)
-        assert float(row["p_0"]) == pytest.approx(report["nash"]["prices"][0], rel=1e-15)
+        assert_row_matches_report(rows[0], json.loads(report_path.read_text()))
 
     def test_delta_sweep_approaches_risk_neutral_limit(self, tmp_path):
         beta0 = 0.35
@@ -310,16 +336,7 @@ class TestSweep:
     def test_unsupported_points_carry_kind(self, tmp_path):
         # sweeping trader 3's exposure drives the market into and out of the
         # two-high-beta configuration that no result covers
-        doc = {
-            "schema_version": "1",
-            "securities_cov": [[1.0]],
-            "traders": [
-                {"delta": 1.0, "cov_es": [2.0]},
-                {"delta": 1.0, "cov_es": [2.0]},
-                {"delta": 1.0, "cov_es": [0.0]},
-                {"delta": 1.0, "cov_es": [-3.0]},
-            ],
-        }
+        doc = four_trader_scenario()
         scen = write_json(tmp_path / "s.json", doc)
         csv_path = tmp_path / "sweep.csv"
         assert (
@@ -333,7 +350,40 @@ class TestSweep:
         assert rows[0]["kind"] == "unsupported_regime"
         assert rows[0]["du_0"] == ""
         # at cov_es = 1.0 the aggregate exposure moves and betas leave the gap
-        assert rows[1]["kind"] != "unsupported_regime"
+        assert rows[1]["kind"] == "general_non_extreme"
+        doc["traders"][3]["cov_es"] = [1.0]
+        point = write_json(tmp_path / "point.json", doc)
+        report_path = tmp_path / "r.json"
+        assert main(["analyze", "--scenario", point, "--out", str(report_path)]) == 0
+        assert_row_matches_report(rows[1], json.loads(report_path.read_text()))
+
+    def test_validates_and_derives_once_per_grid(self, tmp_path, monkeypatch):
+        calls = {"validate": 0, "derive": 0, "solve": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            thinmarket.model, "validate_model", counted("validate", thinmarket.model.validate_model)
+        )
+        monkeypatch.setattr(
+            thinmarket.cli, "derive_exposures", counted("derive", thinmarket.cli.derive_exposures)
+        )
+        monkeypatch.setattr(thinmarket.nash, "solve", counted("solve", thinmarket.nash.solve))
+        scen = write_json(tmp_path / "s.json", four_trader_scenario())
+        csv_path = tmp_path / "sweep.csv"
+        grid = "--grid=-3.0,1.0,0.5,-4.0,-0.5,-6.0,2.0,nan,-1.5"
+        assert main(["sweep", "--scenario", scen, "--param", "3:cov_es[0]", grid, "--out", str(csv_path)]) == 0
+        with open(csv_path, newline="") as fh:
+            kinds = [row["kind"] for row in csv.DictReader(fh)]
+        assert set(kinds) == {
+            "unsupported_regime", "general_non_extreme", "trivial", "extreme", "validation_failed"
+        }
+        assert calls == {"validate": 1, "derive": 1, "solve": kinds.count("general_non_extreme")}
 
     def test_inf_token_in_csv(self, tmp_path):
         scen = write_json(tmp_path / "s.json", bilateral_scenario(beta0=1.5))
@@ -382,13 +432,16 @@ class TestSweep:
     def test_unwritable_out_exit_one(self, tmp_path, capsys, monkeypatch):
         # the output is opened before the grid is solved
         solves = []
-        solve = thinmarket.cli.solve
 
-        def counted(exposures):
-            solves.append(exposures)
-            return solve(exposures)
+        def counted(fn):
+            def wrapper(exposures):
+                solves.append(exposures)
+                return fn(exposures)
 
-        monkeypatch.setattr(thinmarket.cli, "solve", counted)
+            return wrapper
+
+        monkeypatch.setattr(thinmarket.cli, "solve_grid", counted(thinmarket.cli.solve_grid))
+        monkeypatch.setattr(thinmarket.nash, "solve", counted(thinmarket.nash.solve))
         scen = write_json(tmp_path / "s.json", bilateral_scenario())
         out = tmp_path / "no_such_dir" / "s.csv"
         assert main(["sweep", "--scenario", scen, "--param", "0:delta", "--grid", "1", "--out", str(out)]) == 1
