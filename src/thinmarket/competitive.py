@@ -33,12 +33,9 @@ class EquilibriumOutcome:
 
 
 def _quadratic_forms(q: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """<q_i, C q_i> for every trader.  Over a grid axis each point is
-    evaluated on its own: on a stack of 2x2 blocks the three-operand einsum
-    adds in another order than on one block."""
-    if q.ndim > 2:
-        return np.stack([_quadratic_forms(block, cov) for block in q])
-    return np.einsum("ij,jk,ik->i", q, cov, q)
+    """<q_i, C q_i> for every trader, as the row sums of (q C) * q.  Per point
+    these are the bits of the one-market product, also over a grid axis."""
+    return np.einsum("...ij,...ij->...i", q @ cov, q)
 
 
 def position_utilities(
