@@ -16,7 +16,6 @@ General points are root-found one at a time.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import re
 import sys
@@ -42,7 +41,6 @@ from .nash import (
 )
 from .oracles import McConfig, grid_best_response_share, iterate_best_responses, mc_certainty_equivalent
 from .scenario import (
-    INF_TOKEN,
     build_report,
     document_json,
     load_scenario,
@@ -64,10 +62,6 @@ _DEFAULT_TOLS = {
     "nash-residual": RESIDUAL_TOL,
     "mc-sigma": 3.0,
 }
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _emit(doc: dict, out_path) -> None:
@@ -146,39 +140,31 @@ def _grid_model(model, index: int, field: str, component: int | None, grid: list
 _SOLVED_KINDS = frozenset((KIND_TRIVIAL, KIND_EXTREME, KIND_BILATERAL, KIND_GENERAL))
 
 
-def _sweep_rows(model, grid: list[float], width: int) -> list[list[str]]:
-    """The CSV rows of a sweep after the header; width is the number of value
-    columns.  Each row's kind is what analyzing the point alone gives:
-    validation_failed, unsupported_regime or solve_failed (with blank
-    values), or the Nash kind with the point's values."""
-    blank = [""] * width
+def _sweep_lines(model, grid: list[float], width: int) -> list[str]:
+    """The CSV lines of a sweep after the header; width is the number of
+    value columns.  Each line's kind is what analyzing the point alone gives:
+    validation_failed, unsupported_regime or solve_failed (with empty
+    values), or the Nash kind with the point's values.  Numbers are written
+    with 17 significant digits, an infinite elasticity as "inf" (the report's
+    INF_TOKEN); no field needs CSV quoting."""
+    failed = "%.17g,%s" + "," * width + "\n"
     try:
         exposures = derive_exposures(model)
     except InvalidModelError:  # the covariance itself fails, at every point
-        return [[_fmt(value), "validation_failed"] + blank for value in grid]
+        return [failed % (value, "validation_failed") for value in grid]
     nash = solve_grid(exposures)
     # unsolved points carry inf and NaN through the row-wise arithmetic
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         comparison = compare(exposures, competitive_equilibrium(exposures), nash)
     kinds = np.where(comparison.failed, KIND_FAILED, nash.kind)
     kinds = np.where(exposures.valid, kinds, "validation_failed").tolist()
-    thetas, shares = nash.thetas.tolist(), nash.k_shares.tolist()
-    prices, du = nash.outcome.prices.tolist(), comparison.du.tolist()
-    inefficiency = comparison.inefficiency.tolist()
-    rows = []
-    for g, (value, kind) in enumerate(zip(grid, kinds)):
-        if kind not in _SOLVED_KINDS:
-            rows.append([_fmt(value), kind] + blank)
-            continue
-        rows.append(
-            [_fmt(value), kind]
-            + [INF_TOKEN if math.isinf(t) else _fmt(t) for t in thetas[g]]
-            + [_fmt(s) for s in shares[g]]
-            + [_fmt(p) for p in prices[g]]
-            + [_fmt(d) for d in du[g]]
-            + [_fmt(inefficiency[g])]
-        )
-    return rows
+    columns = (nash.thetas, nash.k_shares, nash.outcome.prices, comparison.du)
+    values = np.concatenate(columns + (comparison.inefficiency[:, None],), axis=1).tolist()
+    solved = ",".join(["%.17g", "%s"] + ["%.17g"] * width) + "\n"
+    return [
+        solved % (value, kind, *row) if kind in _SOLVED_KINDS else failed % (value, kind)
+        for value, kind, row in zip(grid, kinds, values)
+    ]
 
 
 def cmd_sweep(args) -> int:
@@ -217,9 +203,8 @@ def cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(_sweep_rows(grid_model, grid, len(header) - 2))
+        out.write(",".join(header) + "\n")
+        out.writelines(_sweep_lines(grid_model, grid, len(header) - 2))
     finally:
         if args.out:
             out.close()
