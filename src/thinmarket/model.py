@@ -70,7 +70,8 @@ class MarketModel:
     """Full problem instance: securities covariance plus the trader list.
 
     total_endowment_var (Var of the summed endowments) is optional and only
-    needed for the market-incompleteness comparison.
+    needed for the market-incompleteness comparison.  `stacked` builds the
+    model of a grid of markets, which has no `traders` tuple.
     """
 
     securities_cov: np.ndarray
@@ -373,10 +374,14 @@ def derive_exposures(model: MarketModel) -> ExposureProfile:
         # variances)
         u = model.endowment_means - model.endowment_vars / (2.0 * deltas)
 
-    stacked = verdict.failed_points is not None
-    if not stacked:
+    if verdict.failed_points is None:  # one market: plain scalars, no beta at a_I = 0
+        trivial, valid = bool(trivial), None
         beta = None if trivial else beta
-        delta_total, agg_var, trivial = float(delta_total[0]), float(agg_var), bool(trivial)
+        delta_total, agg_var = float(delta_total[0]), float(agg_var)
+    else:
+        delta_total, agg_var = _frozen_array(delta_total[..., 0]), _frozen_array(agg_var)
+        trivial = _frozen_array(trivial, dtype=bool)
+        valid = _frozen_array(~verdict.failed_points, dtype=bool)
     return ExposureProfile(
         model=model,
         a=_frozen_array(a),
@@ -384,14 +389,14 @@ def derive_exposures(model: MarketModel) -> ExposureProfile:
         beta=None if beta is None else _frozen_array(beta),
         lam=_frozen_array(lam),
         delta=_frozen_array(deltas),
-        delta_total=_frozen_array(delta_total[..., 0]) if stacked else delta_total,
+        delta_total=delta_total,
         u=_frozen_array(u),
-        aggregate_market_variance=_frozen_array(agg_var) if stacked else agg_var,
-        is_trivial=_frozen_array(trivial, dtype=bool) if stacked else trivial,
+        aggregate_market_variance=agg_var,
+        is_trivial=trivial,
         cov_total=_frozen_array(cov_total),
         market_cov=_frozen_array(market_cov),
         own_var=_frozen_array(own_var),
-        valid=_frozen_array(~verdict.failed_points, dtype=bool) if stacked else None,
+        valid=valid,
     )
 
 

@@ -638,7 +638,6 @@ def solve_grid(exposures: ExposureProfile) -> NashSolution:
         extreme_thetas, extreme_shares = _extreme_parts(exposures, leader)
         bilateral_thetas = _bilateral_thetas(exposures)
         _, bilateral_shares, bilateral_prices, in_range = _finite_parts(exposures, bilateral_thetas)
-        bilateral &= in_range
         column = (..., None)
         thetas = np.where(extreme[column], extreme_thetas, bilateral_thetas)
         thetas = np.where(trivial[column], exposures.delta, thetas)
@@ -646,8 +645,8 @@ def solve_grid(exposures: ExposureProfile) -> NashSolution:
         prices = np.where(bilateral[column], bilateral_prices, 0.0)
         residuals = np.where(bilateral[column], nash_residuals(exposures, thetas), 0.0)
         failure, _, _ = _verification(exposures, thetas, residuals)
-        solved = (extreme | bilateral) & (failure == 0)
-        kind[(extreme | (kind == KIND_BILATERAL)) & ~solved] = KIND_FAILED
+        solved = (extreme | (bilateral & in_range)) & (failure == 0)
+        kind[(extreme | bilateral) & ~solved] = KIND_FAILED
 
     for g in (kind == KIND_GENERAL).nonzero()[0].tolist():
         try:
