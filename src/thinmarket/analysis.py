@@ -77,34 +77,35 @@ def _crosscheck(exposures: ExposureProfile, nash: NashSolution, du, inefficiency
     """Index into _CROSSCHECK_FAILURES per market, for extreme markets and
     two-trader bilateral ones; 0 for the other kinds."""
     agg = np.asarray(exposures.aggregate_market_variance)[..., None]
-    delta_total = np.asarray(exposures.delta_total)
+    delta_total = np.asarray(exposures.delta_total)[..., None]
     delta, lam, beta = exposures.delta, exposures.lam, exposures.beta
     tol = _CROSSCHECK_RTOL * np.maximum(1.0, agg[..., 0] / (2.0 * np.min(delta, axis=-1)))
+    verdict = np.zeros(np.shape(nash.kind), dtype=int)
 
-    k = np.argmax(nash.k_shares, axis=-1)[..., None]
-    lam_k = np.take_along_axis(lam, k, -1)
-    leader = np.arange(exposures.n_traders) == k
-    closed = np.where(
-        leader,
-        agg / (2.0 * delta) * (lam * (2.0 * beta - lam) - 1.0),
-        agg / (2.0 * delta) * lam * (2.0 * beta - lam),
-    )
-    extreme_du = np.max(np.abs(du - closed), axis=-1) > tol
-    closed_ineff = -agg / (2.0 * delta_total[..., None]) * (1.0 - lam_k) / lam_k
-    extreme_ineff = np.abs(inefficiency - closed_ineff[..., 0]) > tol
+    extreme = nash.kind == KIND_EXTREME
+    if np.any(extreme):
+        k = np.argmax(nash.k_shares, axis=-1)[..., None]
+        lam_k = np.take_along_axis(lam, k, -1)
+        closed = np.where(
+            np.arange(exposures.n_traders) == k,
+            agg / (2.0 * delta) * (lam * (2.0 * beta - lam) - 1.0),
+            agg / (2.0 * delta) * lam * (2.0 * beta - lam),
+        )
+        closed_ineff = (-agg / (2.0 * delta_total) * (1.0 - lam_k) / lam_k)[..., 0]
+        verdict = np.where(
+            extreme & (np.max(np.abs(du - closed), axis=-1) > tol),
+            1,
+            np.where(extreme & (np.abs(inefficiency - closed_ineff) > tol), 2, verdict),
+        )
 
-    bilateral_du = False
-    if exposures.n_traders == 2:
+    bilateral = nash.kind == KIND_BILATERAL
+    if exposures.n_traders == 2 and np.any(bilateral):
         mid = 0.5 * (lam + beta)
         closed = agg / (2.0 * delta) * (lam**2 - mid**2) + (
             beta - lam
-        ) / delta_total[..., None] * agg * (1.0 - np.asarray(L)[..., None])
-        bilateral_du = np.max(np.abs(du - closed), axis=-1) > tol
-
-    extreme, bilateral = nash.kind == KIND_EXTREME, nash.kind == KIND_BILATERAL
-    return np.select(
-        [extreme & extreme_du, extreme & extreme_ineff, bilateral & bilateral_du], [1, 2, 3], 0
-    )
+        ) / delta_total * agg * (1.0 - np.asarray(L)[..., None])
+        verdict = np.where(bilateral & (np.max(np.abs(du - closed), axis=-1) > tol), 3, verdict)
+    return verdict
 
 
 def compare(

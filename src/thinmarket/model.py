@@ -312,9 +312,9 @@ class ExposureProfile:
         return self.model.n_securities
 
     def solve_cov(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve C x = rhs against the symmetrized securities covariance."""
-        cov = self.model.securities_cov
-        return np.linalg.solve(0.5 * (cov + cov.T), np.asarray(rhs, dtype=float))
+        """Solve C x = rhs against the symmetrized securities covariance, for
+        every vector on rhs's last axis."""
+        return _solve_sym(self.model.securities_cov, np.asarray(rhs, dtype=float))
 
     def point(self, g: int) -> ExposureProfile:
         """Grid point g of a stacked profile, as the profile of one market."""

@@ -166,14 +166,15 @@ def _regime(exposures: ExposureProfile, leader) -> np.ndarray:
     """The regime of a non-trivial market whose extreme classification gave
     `leader` (-1 for none): extreme, bilateral (exactly two betas > -1),
     unsupported (two or more betas > 1) or general, in that order."""
-    return np.select(
-        [
-            np.asarray(leader) >= 0,
+    unsupported = np.count_nonzero(exposures.beta > 1.0, axis=-1) >= 2
+    return np.where(
+        np.asarray(leader) >= 0,
+        KIND_EXTREME,
+        np.where(
             _n_active(exposures) == 2,
-            np.count_nonzero(exposures.beta > 1.0, axis=-1) >= 2,
-        ],
-        [KIND_EXTREME, KIND_BILATERAL, KIND_UNSUPPORTED],
-        KIND_GENERAL,
+            KIND_BILATERAL,
+            np.where(unsupported, KIND_UNSUPPORTED, KIND_GENERAL),
+        ),
     )
 
 
@@ -253,15 +254,17 @@ def _bilateral_thetas(exposures: ExposureProfile) -> np.ndarray:
     n = active.shape[-1]
     i0 = np.argmax(active, axis=-1)[..., None]
     i1 = n - 1 - np.argmax(active[..., ::-1], axis=-1)[..., None]
-    lam0, lam1 = np.take_along_axis(lam, i0, -1), np.take_along_axis(lam, i1, -1)
-    b0, b1 = np.take_along_axis(beta, i0, -1), np.take_along_axis(beta, i1, -1)
+    pair = np.concatenate([i0, i1], axis=-1)
+    lams, betas, deltas = (np.take_along_axis(x, pair, -1) for x in (lam, beta, delta))
+    lam0, lam1, b0, b1 = lams[..., :1], lams[..., 1:], betas[..., :1], betas[..., 1:]
+    d0, d1 = deltas[..., :1], deltas[..., 1:]
     beta_sum = b0 + b1
     lam_sum = lam0 + lam1
     gap = lam0 * b0 - lam1 * b1
     # a denominator can round to zero on the boundary; _finite_parts rejects it
     with np.errstate(divide="ignore", invalid="ignore"):
-        theta0 = np.take_along_axis(delta, i0, -1) * 2.0 * lam1 * beta_sum / (lam_sum - gap)
-        theta1 = np.take_along_axis(delta, i1, -1) * 2.0 * lam0 * beta_sum / (lam_sum + gap)
+        theta0 = d0 * 2.0 * lam1 * beta_sum / (lam_sum - gap)
+        theta1 = d1 * 2.0 * lam0 * beta_sum / (lam_sum + gap)
     trader = np.arange(n)
     return np.where(trader == i0, theta0, np.where(trader == i1, theta1, 0.0))
 
@@ -530,11 +533,10 @@ def fixed_point_deviation(exposures: ExposureProfile, thetas):
         undefined = (rest == 0.0) & (beta <= 1.0)
         bad_value = interior & ~((br > 0.0) & (br < math.inf))
         mismatch = ((theta == 0.0) != passive) | (infinite != escalate)
-        stop = undefined | bad_value | mismatch
-        first = np.argmax(stop, axis=-1)[..., None]
-        stopped = stop.any(axis=-1)
-        undefined = stopped & np.take_along_axis(undefined, first, -1)[..., 0]
-        bad_value = stopped & np.take_along_axis(bad_value, first, -1)[..., 0]
+        # the verdict of the first trader that stops the check
+        stop = np.where(undefined, 1, np.where(bad_value, 2, np.where(mismatch, 3, 0)))
+        first = np.take_along_axis(stop, np.argmax(stop > 0, axis=-1)[..., None], -1)[..., 0]
+        stopped, undefined, bad_value = first > 0, first == 1, first == 2
         relative = np.abs(br - theta) / np.maximum(br, np.abs(theta))
         deviation = np.where(stopped, math.inf, np.max(np.where(interior, relative, 0.0), axis=-1))
     if not one_market:
@@ -628,11 +630,8 @@ def solve_grid(exposures: ExposureProfile) -> NashSolution:
         hits, disagreement = _extreme_hits(exposures)
         n_hits = np.count_nonzero(hits, axis=-1)
         leader = np.where(n_hits == 1, np.argmax(hits, axis=-1), -1)
-        kind = np.select(
-            [~valid, trivial, (n_hits > 1) | (disagreement > 0.0)],
-            [KIND_FAILED, KIND_TRIVIAL, KIND_FAILED],
-            _regime(exposures, leader),
-        ).astype(object)
+        kind = np.where(trivial, KIND_TRIVIAL, _regime(exposures, leader)).astype(object)
+        kind[~valid | (~trivial & ((n_hits > 1) | (disagreement > 0.0)))] = KIND_FAILED
         extreme, bilateral = kind == KIND_EXTREME, kind == KIND_BILATERAL
 
         extreme_thetas, extreme_shares = _extreme_parts(exposures, leader)
