@@ -1,9 +1,9 @@
-"""The batched sweep against the per-point pipeline it replaced.
+"""The batched sweep against a per-point reference.
 
-The reference below evaluates a sweep the way `thinmarket sweep` did before
-its grid was batched: one model per grid point, derived, solved and compared
-on its own, each failure caught where the scalar path raises it.  Every CSV
-row of the batched sweep must equal the reference row byte for byte.
+The reference below evaluates a sweep point by point: one model per grid
+point, derived, solved and compared on its own, each failure caught where the
+one-market path raises it.  Every CSV row of the batched sweep must equal the
+reference row byte for byte.
 """
 
 import csv
