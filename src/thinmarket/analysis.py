@@ -12,7 +12,7 @@ import numpy as np
 
 from .competitive import EquilibriumOutcome, _quadratic_forms, competitive_equilibrium
 from .errors import ConsistencyError
-from .model import ExposureProfile, MarketModel, derive_exposures, _frozen_array
+from .model import ExposureProfile, derive_exposures, _frozen_array
 from .nash import (
     KIND_BILATERAL,
     KIND_EXTREME,
@@ -204,13 +204,8 @@ def incompleteness_effect(
 
     # Complete counterpart: single security with variance Var(E_I) and hedge
     # weights equal to the betas, so the projected geometry is preserved.
-    counterpart = MarketModel(
-        securities_cov=np.array([[total]]),
-        traders=tuple(
-            replace(tr, cov_endowment_securities=np.array([beta_i * total]))
-            for tr, beta_i in zip(model.traders, exposures.beta)
-        ),
-        total_endowment_var=total,
+    counterpart = replace(
+        model, securities_cov=[[total]], cov_matrix_rows=exposures.beta[:, None] * total
     )
     exposures_o = derive_exposures(counterpart)
     du_o = compare(exposures_o, competitive_equilibrium(exposures_o), solve(exposures_o)).du

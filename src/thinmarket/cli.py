@@ -241,14 +241,10 @@ def cmd_validate(args) -> int:
     checks: list[tuple[str, bool, str]] = []
 
     # Monte-Carlo certainty equivalents of each trader's autarky position.
-    for i, trader in enumerate(model.traders):
-        exact = certainty_equivalent(trader.endowment_mean, trader.endowment_var, trader.delta)
-        est = mc_certainty_equivalent(
-            trader.endowment_mean,
-            trader.endowment_var,
-            trader.delta,
-            mc_configs[i],
-        )
+    columns = (model.endowment_means, model.endowment_vars, model.deltas)
+    for i, (mean, var, delta) in enumerate(zip(*(column.tolist() for column in columns))):
+        exact = certainty_equivalent(mean, var, delta)
+        est = mc_certainty_equivalent(mean, var, delta, mc_configs[i])
         if est.standard_error == 0.0:
             ok = abs(est.value - exact) < 1e-12 and not est.unreliable
             detail = f"exact, err={est.value - exact:.3g}"

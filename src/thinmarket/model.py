@@ -1,22 +1,24 @@
 """Market model: problem instance, validation, and derived exposure quantities.
 
 A market instance consists of the covariance matrix of the tradeable
-securities together with one profile per trader (risk tolerance, covariance of
-the endowment with the securities, endowment mean and variance).  Everything
-the solvers need is derived from those inputs: hedge portfolios a_i, the
-aggregate a_I, projected betas, relative risk tolerances and autarky
+securities together with per-trader arrays whose last axis is the trader:
+risk tolerances, the rows Cov(E_i, S) of each endowment with the securities,
+and endowment means and variances.  `TraderProfile` describes one trader and
+is an input convenience: a model built from profiles stores only the arrays.
+Everything the solvers need is derived from those inputs: hedge portfolios
+a_i, the aggregate a_I, projected betas, relative risk tolerances and autarky
 utilities.
 
-Per-trader quantities are arrays whose last axis is the trader.  A stacked
-model (`MarketModel.stacked`) describes G markets that share the securities
-covariance at once: its per-trader arrays carry a leading grid axis, it is
-validated once, and `derive_exposures` derives every point in one pass.  Each
-point's arithmetic is the one-market arithmetic, bit for bit.
+A stacked model (`MarketModel.stacked`) describes G markets that share the
+securities covariance at once: its per-trader arrays carry a leading grid
+axis, it is validated once, and `derive_exposures` derives every point in one
+pass.  Each point's arithmetic is the one-market arithmetic, bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import InitVar, dataclass, replace
 
 import numpy as np
 
@@ -67,45 +69,64 @@ class TraderProfile:
 
 @dataclass(frozen=True)
 class MarketModel:
-    """Full problem instance: securities covariance plus the trader list.
+    """Full problem instance: the securities covariance and per-trader arrays.
 
-    total_endowment_var (Var of the summed endowments) is optional and only
-    needed for the market-incompleteness comparison.  `stacked` builds the
-    model of a grid of markets, which has no `traders` tuple.
+    deltas, endowment_means and endowment_vars have shape (..., N) and
+    cov_matrix_rows, the rows Cov(E_i, S), shape (..., N, k); all are stored
+    read-only.  Give either `traders`, a sequence of TraderProfile that is
+    read into those arrays and not stored, or the arrays themselves (the
+    means and variances default to zero).  total_endowment_var (Var of the
+    summed endowments) is optional and only needed for the
+    market-incompleteness comparison.
     """
 
     securities_cov: np.ndarray
-    traders: tuple[TraderProfile, ...]
+    traders: InitVar[Sequence[TraderProfile] | None] = None
     total_endowment_var: float | None = None
+    deltas: np.ndarray | None = None
+    cov_matrix_rows: np.ndarray | None = None
+    endowment_means: np.ndarray | None = None
+    endowment_vars: np.ndarray | None = None
 
-    def __post_init__(self):
+    def __post_init__(self, traders):
         cov = np.asarray(self.securities_cov, dtype=float)
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
             raise ValueError("securities_cov must be a square matrix")
-        object.__setattr__(self, "securities_cov", _frozen_array(cov))
-        traders = tuple(self.traders)
-        if not traders:
-            raise ValueError("traders must be non-empty")
         k = cov.shape[0]
-        for idx, tr in enumerate(traders):
-            if tr.cov_endowment_securities.shape != (k,):
-                raise ValueError(
-                    f"traders[{idx}].cov_endowment_securities has length "
-                    f"{tr.cov_endowment_securities.shape[0]}, expected {k}"
-                )
-        object.__setattr__(self, "traders", traders)
+        columns = (self.deltas, self.cov_matrix_rows, self.endowment_means, self.endowment_vars)
+        if traders is not None:
+            if any(column is not None for column in columns):
+                raise ValueError("give either traders or the per-trader arrays, not both")
+            traders = tuple(traders)
+            for idx, tr in enumerate(traders):
+                if tr.cov_endowment_securities.shape != (k,):
+                    raise ValueError(
+                        f"traders[{idx}].cov_endowment_securities has length "
+                        f"{tr.cov_endowment_securities.shape[0]}, expected {k}"
+                    )
+            columns = (
+                [t.delta for t in traders],
+                [t.cov_endowment_securities for t in traders],
+                [t.endowment_mean for t in traders],
+                [t.endowment_var for t in traders],
+            )
+        deltas, rows, means, variances = columns
+        deltas = _frozen_array(deltas)
+        rows = _frozen_array(rows)
+        if deltas.ndim == 0 or deltas.shape[-1] == 0:
+            raise ValueError("traders must be non-empty")
+        if rows.shape != deltas.shape + (k,):
+            raise ValueError(f"cov_matrix_rows has shape {rows.shape}, expected {deltas.shape + (k,)}")
+        for name, column in (("endowment_means", means), ("endowment_vars", variances)):
+            column = _frozen_array(np.zeros(deltas.shape) if column is None else column)
+            if column.shape != deltas.shape:
+                raise ValueError(f"{name} has shape {column.shape}, expected {deltas.shape}")
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "securities_cov", _frozen_array(cov))
+        object.__setattr__(self, "deltas", deltas)
+        object.__setattr__(self, "cov_matrix_rows", rows)
         if self.total_endowment_var is not None:
             object.__setattr__(self, "total_endowment_var", float(self.total_endowment_var))
-        # Per-trader inputs as read-only arrays, built once per instance.
-        scalars = (
-            [t.delta for t in traders],
-            [t.endowment_mean for t in traders],
-            [t.endowment_var for t in traders],
-        )
-        object.__setattr__(self, "_scalars", _frozen_array(scalars))
-        object.__setattr__(
-            self, "_cov_rows", _frozen_array([t.cov_endowment_securities for t in traders])
-        )
 
     def stacked(self, deltas: np.ndarray, cov_rows: np.ndarray) -> MarketModel:
         """This market at G points at once.
@@ -113,54 +134,34 @@ class MarketModel:
         deltas (G, N) and cov_rows (G, N, k) replace the risk tolerances and
         the rows Cov(E_i, S); the securities covariance, the endowment means
         and variances and total_endowment_var are shared by every point.  The
-        result's per-trader arrays carry the leading grid axis, and it has no
-        `traders` tuple.
+        result's per-trader arrays carry the leading grid axis.
         """
-        deltas = np.asarray(deltas, dtype=float)
-        means, variances = (np.broadcast_to(x, deltas.shape) for x in self._scalars[1:])
-        return self._with_columns([deltas, means, variances], cov_rows)
+        shape = np.shape(deltas)
+        return replace(
+            self,
+            deltas=deltas,
+            cov_matrix_rows=cov_rows,
+            endowment_means=np.broadcast_to(self.endowment_means, shape),
+            endowment_vars=np.broadcast_to(self.endowment_vars, shape),
+        )
 
     def point(self, g: int) -> MarketModel:
-        """Grid point g of a stacked model, as one market (without a `traders`
-        tuple)."""
-        return self._with_columns(self._scalars[:, g], self._cov_rows[g])
-
-    def _with_columns(self, scalars, cov_rows) -> MarketModel:
-        model = object.__new__(MarketModel)
-        for name, value in (
-            ("securities_cov", self.securities_cov),
-            ("traders", None),
-            ("total_endowment_var", self.total_endowment_var),
-            ("_scalars", _frozen_array(scalars)),
-            ("_cov_rows", _frozen_array(cov_rows)),
-        ):
-            object.__setattr__(model, name, value)
-        return model
+        """Grid point g of a stacked model, as one market."""
+        return replace(
+            self,
+            deltas=self.deltas[g],
+            cov_matrix_rows=self.cov_matrix_rows[g],
+            endowment_means=self.endowment_means[g],
+            endowment_vars=self.endowment_vars[g],
+        )
 
     @property
     def n_traders(self) -> int:
-        return self._cov_rows.shape[-2]
+        return self.deltas.shape[-1]
 
     @property
     def n_securities(self) -> int:
         return self.securities_cov.shape[0]
-
-    @property
-    def deltas(self) -> np.ndarray:
-        return self._scalars[0]
-
-    @property
-    def cov_matrix_rows(self) -> np.ndarray:
-        """Stacked Cov(E_i, S) rows, shape (..., n_traders, n_securities)."""
-        return self._cov_rows
-
-    @property
-    def endowment_means(self) -> np.ndarray:
-        return self._scalars[1]
-
-    @property
-    def endowment_vars(self) -> np.ndarray:
-        return self._scalars[2]
 
 
 @dataclass(frozen=True)

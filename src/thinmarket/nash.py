@@ -67,7 +67,8 @@ class NashSolution:
     """Solved (or classified) noncompetitive equilibrium.
 
     thetas holds the submitted elasticities as a read-only float array: each
-    entry is 0.0, a finite positive value, or +inf, the three Elasticity kinds.
+    entry is 0.0, a finite positive value, or +inf, the three Elasticity kinds;
+    theta_total is their sum as a float (+inf in the extreme regime).
     k_shares are theta_i / theta_total with the conventions 1 at infinity and
     0 elsewhere in the extreme regime; residuals are left-minus-right of the
     coupled equilibrium equations for diagnostic reporting.  For the
@@ -81,7 +82,7 @@ class NashSolution:
 
     kind: str
     thetas: np.ndarray | None
-    theta_total: Elasticity | None
+    theta_total: float | None
     k_shares: np.ndarray | None
     outcome: EquilibriumOutcome | None
     residuals: np.ndarray | None
@@ -193,7 +194,7 @@ def solve_extreme(exposures: ExposureProfile, k: int) -> NashSolution:
     return NashSolution(
         kind=KIND_EXTREME,
         thetas=_frozen_array(thetas),
-        theta_total=Elasticity.infinite(),
+        theta_total=math.inf,
         k_shares=_frozen_array(shares),
         outcome=outcome,
         residuals=_frozen_array(np.zeros(exposures.n_traders)),
@@ -238,7 +239,7 @@ def _finite_solution(exposures: ExposureProfile, thetas: np.ndarray, kind: str) 
     return NashSolution(
         kind=kind,
         thetas=_frozen_array(thetas),
-        theta_total=Elasticity.finite(total),
+        theta_total=float(total),
         k_shares=_frozen_array(shares),
         outcome=clearing_outcome(exposures, shares, prices),
         residuals=_frozen_array(nash_residuals(exposures, thetas)),
@@ -460,7 +461,7 @@ def _trivial_solution(exposures: ExposureProfile) -> NashSolution:
     return NashSolution(
         kind=KIND_TRIVIAL,
         thetas=_frozen_array(exposures.delta),
-        theta_total=Elasticity.finite(exposures.delta_total),
+        theta_total=exposures.delta_total,
         k_shares=_frozen_array(exposures.lam),
         outcome=outcome,
         residuals=None,

@@ -28,6 +28,8 @@ class McConfig:
     def __post_init__(self):
         if self.sample_count < 1:
             raise ValueError("sample_count must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)

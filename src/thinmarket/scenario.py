@@ -15,10 +15,19 @@ from typing import Any
 import numpy as np
 
 from .errors import ScenarioError
-from .model import MarketModel, TraderProfile, ValidationResult
+from .model import MarketModel, ValidationResult
 
 SCHEMA_VERSION = "1"
 INF_TOKEN = "inf"
+
+
+def _number(value, field: str, message: str = "must be a number") -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(field, message)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioError(field, "is too large for a float")
 
 
 def _require(mapping: dict, field: str, kind, path: str):
@@ -26,9 +35,7 @@ def _require(mapping: dict, field: str, kind, path: str):
         raise ScenarioError(f"{path}{field}", "missing")
     value = mapping[field]
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ScenarioError(f"{path}{field}", "must be a number")
-        return float(value)
+        return _number(value, f"{path}{field}")
     if not isinstance(value, kind):
         raise ScenarioError(f"{path}{field}", f"must be of type {kind.__name__}")
     return value
@@ -37,12 +44,7 @@ def _require(mapping: dict, field: str, kind, path: str):
 def _number_list(values, field: str) -> list[float]:
     if not isinstance(values, list) or not values:
         raise ScenarioError(field, "must be a non-empty array of numbers")
-    out = []
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ScenarioError(field, "must contain numbers only")
-        out.append(float(v))
-    return out
+    return [_number(v, field, "must contain numbers only") for v in values]
 
 
 def scenario_from_dict(data: Any) -> MarketModel:
@@ -63,43 +65,32 @@ def scenario_from_dict(data: Any) -> MarketModel:
     raw_traders = _require(data, "traders", list, "")
     if len(raw_traders) < 1:
         raise ScenarioError("traders", "must be a non-empty array")
-    traders = []
+    deltas, cov_rows, means, variances = [], [], [], []
     for i, item in enumerate(raw_traders):
         if not isinstance(item, dict):
             raise ScenarioError(f"traders[{i}]", "must be an object")
         path = f"traders[{i}]."
-        delta = _require(item, "delta", float, path)
-        cov_es = _number_list(
-            _require(item, "cov_es", list, path), f"traders[{i}].cov_es"
-        )
+        deltas.append(_require(item, "delta", float, path))
+        cov_es = _number_list(_require(item, "cov_es", list, path), f"{path}cov_es")
         if len(cov_es) != width:
             raise ScenarioError(
-                f"traders[{i}].cov_es", f"length {len(cov_es)} does not match matrix size {width}"
+                f"{path}cov_es", f"length {len(cov_es)} does not match matrix size {width}"
             )
-        mean = item.get("endowment_mean", 0.0)
-        if isinstance(mean, bool) or not isinstance(mean, (int, float)):
-            raise ScenarioError(f"traders[{i}].endowment_mean", "must be a number")
-        var = item.get("endowment_var", 0.0)
-        if isinstance(var, bool) or not isinstance(var, (int, float)):
-            raise ScenarioError(f"traders[{i}].endowment_var", "must be a number")
-        traders.append(
-            TraderProfile(
-                delta=delta,
-                cov_endowment_securities=np.array(cov_es),
-                endowment_mean=float(mean),
-                endowment_var=float(var),
-            )
-        )
+        cov_rows.append(cov_es)
+        means.append(_number(item.get("endowment_mean", 0.0), f"{path}endowment_mean"))
+        variances.append(_number(item.get("endowment_var", 0.0), f"{path}endowment_var"))
 
     total = data.get("total_endowment_var")
-    if total is not None and (isinstance(total, bool) or not isinstance(total, (int, float))):
-        raise ScenarioError("total_endowment_var", "must be a number")
-
+    if total is not None:
+        total = _number(total, "total_endowment_var")
     try:
         return MarketModel(
-            securities_cov=np.array(rows),
-            traders=tuple(traders),
-            total_endowment_var=None if total is None else float(total),
+            securities_cov=rows,
+            total_endowment_var=total,
+            deltas=deltas,
+            cov_matrix_rows=cov_rows,
+            endowment_means=means,
+            endowment_vars=variances,
         )
     except ValueError as exc:
         raise ScenarioError("(model)", str(exc))
@@ -115,17 +106,13 @@ def load_scenario(path) -> MarketModel:
 
 
 def scenario_to_dict(model: MarketModel) -> dict:
+    columns = (model.deltas, model.cov_matrix_rows, model.endowment_means, model.endowment_vars)
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "securities_cov": [[float(v) for v in row] for row in model.securities_cov],
+        "securities_cov": model.securities_cov.tolist(),
         "traders": [
-            {
-                "delta": float(t.delta),
-                "cov_es": [float(v) for v in t.cov_endowment_securities],
-                "endowment_mean": float(t.endowment_mean),
-                "endowment_var": float(t.endowment_var),
-            }
-            for t in model.traders
+            {"delta": delta, "cov_es": cov_es, "endowment_mean": mean, "endowment_var": var}
+            for delta, cov_es, mean, var in zip(*(column.tolist() for column in columns))
         ],
     }
     if model.total_endowment_var is not None:
@@ -179,7 +166,7 @@ def build_report(
         block: dict[str, Any] = {"kind": nash.kind}
         if nash.thetas is not None:
             block["elasticities"] = [elasticity_token(t) for t in nash.thetas.tolist()]
-            block["theta_total"] = elasticity_token(nash.theta_total.as_float)
+            block["theta_total"] = elasticity_token(nash.theta_total)
             block["k_shares"] = _floats(nash.k_shares)
         if nash.outcome is not None:
             block.update(_outcome_block(nash.outcome))

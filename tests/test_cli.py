@@ -141,6 +141,31 @@ class TestAnalyze:
         assert main(["analyze", "--scenario", scen, "--out", str(tmp_path / "r.json")]) == 1
         assert "securities_cov" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "path, field",
+        [
+            (("securities_cov", 0, 0), "securities_cov[0]"),
+            (("traders", 0, "delta"), "traders[0].delta"),
+            (("traders", 0, "cov_es", 0), "traders[0].cov_es"),
+            (("traders", 1, "endowment_mean"), "traders[1].endowment_mean"),
+            (("traders", 1, "endowment_var"), "traders[1].endowment_var"),
+            (("total_endowment_var",), "total_endowment_var"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["analyze", "sweep", "validate"])
+    def test_integer_too_large_for_a_float_exit_one(self, tmp_path, capsys, command, path, field):
+        doc = bilateral_scenario(total=3.0)
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = 10**400
+        scen = write_json(tmp_path / "s.json", doc)
+        extra = {"sweep": ["--param", "0:delta", "--grid", "1,2"], "validate": ["--samples", "10"]}
+        assert main([command, "--scenario", scen, *extra.get(command, [])]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: scenario field '{field}': ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_missing_file_exit_one(self, tmp_path, capsys):
         assert main(["analyze", "--scenario", str(tmp_path / "nope.json")]) == 1
 
@@ -507,8 +532,9 @@ class TestValidate:
 
     def test_zero_samples_exit_one(self, tmp_path, capsys):
         scen = write_json(tmp_path / "s.json", bilateral_scenario())
-        assert main(["validate", "--scenario", scen, "--samples", "0"]) == 1
-        assert_one_error_line(capsys)
+        for option in (["--samples", "0"], ["--seed", "-1"]):
+            assert main(["validate", "--scenario", scen, *option]) == 1
+            assert_one_error_line(capsys)
 
     def test_unsupported_scenario_exit_three(self, tmp_path, capsys):
         doc = {

@@ -9,9 +9,17 @@ from thinmarket import (
     TraderProfile,
     certainty_equivalent,
     derive_exposures,
+    scenario_from_dict,
+    scenario_to_dict,
     validate_model,
 )
-from conftest import model_from_betas, random_deltas, spd_matrix, unconstrained_betas
+from conftest import (
+    constrained_betas,
+    model_from_betas,
+    random_deltas,
+    spd_matrix,
+    unconstrained_betas,
+)
 
 
 def _simple_model(deltas=(1.0, 1.0), covs=((1.5,), (-0.5,)), cov=((1.0,),), total=None):
@@ -84,10 +92,8 @@ class TestDeriveExposures:
         assert ex.delta_total == 2.0
         assert not ex.is_trivial
         # linear-solve check: C a_i reproduces the input covariances
-        for i, trader in enumerate(ex.model.traders):
-            assert np.allclose(
-                ex.model.securities_cov @ ex.a[i], trader.cov_endowment_securities
-            )
+        for i, row in enumerate(ex.model.cov_matrix_rows):
+            assert np.allclose(ex.model.securities_cov @ ex.a[i], row)
 
     def test_trivial_flagged_when_all_covariances_vanish(self):
         model = MarketModel(
@@ -168,6 +174,53 @@ class TestDeriveExposures:
         assert np.allclose(ex_p.lam, ex.lam[perm])
         assert np.allclose(ex_p.u, ex.u[perm])
         assert np.isclose(ex_p.aggregate_market_variance, ex.aggregate_market_variance)
+
+
+COLUMNS = ("deltas", "cov_matrix_rows", "endowment_means", "endowment_vars")
+EXPOSURE_ARRAYS = ("a", "a_total", "beta", "lam", "delta", "u", "cov_total", "market_cov", "own_var")
+EXPOSURE_SCALARS = ("delta_total", "aggregate_market_variance", "is_trivial")
+
+
+class TestColumns:
+    @pytest.mark.parametrize("source", ["readme", "k5"])
+    def test_profiles_round_trip_and_grid_point_agree(self, source, rng):
+        if source == "readme":
+            profiles = (
+                TraderProfile(1.0, [1.2], endowment_mean=0.5, endowment_var=2.0),
+                TraderProfile(1.0, [-0.2], endowment_mean=0.0, endowment_var=1.5),
+            )
+            model = MarketModel(np.array([[1.0]]), profiles, total_endowment_var=3.0)
+        else:
+            n = 7
+            model = model_from_betas(
+                rng, constrained_betas(rng, n), random_deltas(rng, n), n_securities=5,
+                with_total_var=True,
+            )
+        others = (
+            scenario_from_dict(scenario_to_dict(model)),
+            model.stacked(model.deltas[None], model.cov_matrix_rows[None]).point(0),
+        )
+        ex = derive_exposures(model)
+        for other in others:
+            assert np.array_equal(other.securities_cov, model.securities_cov)
+            assert other.total_endowment_var == model.total_endowment_var
+            for name in COLUMNS:
+                assert np.array_equal(getattr(other, name), getattr(model, name)), name
+            ex_other = derive_exposures(other)
+            for name in EXPOSURE_ARRAYS:
+                assert np.array_equal(getattr(ex_other, name), getattr(ex, name)), name
+            for name in EXPOSURE_SCALARS:
+                assert getattr(ex_other, name) == getattr(ex, name), name
+
+    def test_profiles_and_columns_together_rejected(self):
+        profiles = (TraderProfile(1.0, [1.0]), TraderProfile(1.0, [0.0]))
+        with pytest.raises(ValueError, match="not both"):
+            MarketModel(np.eye(1), profiles, deltas=[1.0, 1.0])
+
+    def test_columns_are_read_only(self):
+        model = _simple_model()
+        for name in ("securities_cov",) + COLUMNS:
+            assert not getattr(model, name).flags.writeable, name
 
 
 class TestCertaintyEquivalent:

@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,8 @@ from thinmarket import (
     best_response,
     competitive_equilibrium,
     derive_exposures,
+    scenario_from_dict,
+    scenario_to_dict,
     solve,
 )
 import thinmarket.nash
@@ -236,9 +239,13 @@ class TestSolveGeneral:
         model = model_from_betas(rng, betas, deltas, n_securities=2)
         ex = derive_exposures(model)
         sol = solve(ex)
-        swapped = MarketModel(
-            model.securities_cov,
-            (model.traders[1], model.traders[0], model.traders[2]),
+        order = [1, 0, 2]
+        swapped = replace(
+            model,
+            deltas=model.deltas[order],
+            cov_matrix_rows=model.cov_matrix_rows[order],
+            endowment_means=model.endowment_means[order],
+            endowment_vars=model.endowment_vars[order],
         )
         sol_swapped = solve(derive_exposures(swapped))
         thetas = np.array([t.as_float for t in sol.elasticities])
@@ -749,15 +756,21 @@ class TestRootFinder:
 
 
 def test_scaling_guard_large_general_solve():
-    # an O(N^2) step anywhere in solve() takes tens of minutes at this size
+    # an O(N^2) step anywhere in solve() or in the scenario round trip takes
+    # tens of minutes at this size
     rng = np.random.default_rng(7)
     n = 100_000
     betas = constrained_betas(rng, n, low=-1.25, high=0.95)
-    ex = derive_exposures(model_from_betas(rng, betas, random_deltas(rng, n), n_securities=5))
+    model = model_from_betas(rng, betas, random_deltas(rng, n), n_securities=5)
+    ex = derive_exposures(model)
     start = time.perf_counter()
     sol = solve(ex)
+    parsed = scenario_from_dict(scenario_to_dict(model))
     elapsed = time.perf_counter() - start
     assert sol.kind == KIND_GENERAL
+    assert np.array_equal(parsed.cov_matrix_rows, model.cov_matrix_rows)
     budget = 10.0
-    assert elapsed < budget, f"solve() at N={n}: runtime {elapsed:.1f}s exceeded {budget}s"
-    print(f"scaling guard (solve at N={n}): PASS ({elapsed:.1f}s)")
+    assert elapsed < budget, (
+        f"solve() and scenario round trip at N={n}: runtime {elapsed:.1f}s exceeded {budget}s"
+    )
+    print(f"scaling guard (solve and scenario round trip at N={n}): PASS ({elapsed:.1f}s)")

@@ -42,16 +42,13 @@ def _fmt(x):
 
 
 def _set_trader_param(model, index, field, component, value):
-    trader = model.traders[index]
+    # one model per point from copied columns, never through stacked/point
+    deltas, cov_rows = model.deltas.copy(), model.cov_matrix_rows.copy()
     if field == "delta":
-        trader = replace(trader, delta=value)
+        deltas[index] = value
     else:
-        cov = np.array(trader.cov_endowment_securities)
-        cov[component] = value
-        trader = replace(trader, cov_endowment_securities=cov)
-    traders = list(model.traders)
-    traders[index] = trader
-    return replace(model, traders=tuple(traders))
+        cov_rows[index, component] = value
+    return replace(model, deltas=deltas, cov_matrix_rows=cov_rows)
 
 
 def reference_csv(doc, index, field, component, grid):
