@@ -26,7 +26,7 @@ from .nash import (
 _CROSSCHECK_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComparisonReport:
     """Per-trader utility difference du (Nash minus competitive), its
     decomposition into random-payoff gains and premiums, the aggregate
@@ -165,7 +165,7 @@ def risk_neutral_limit_du(exposures: ExposureProfile) -> float:
     return agg * (1.0 + beta0) * (1.0 - beta0) ** 2 / (8.0 * float(exposures.delta[1]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IncompletenessReport:
     """Effect of endowments not being securitised, holding betas and relative
     tolerances fixed while the market-variance scalar moves from

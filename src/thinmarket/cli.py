@@ -1,10 +1,14 @@
 """Command-line front end: analyze a scenario, sweep a parameter to CSV, or
 run the validation oracles.
 
-Exit codes are a stable contract: 0 success, 1 I/O or parse error, 2 model
-validation failure, 3 unsupported equilibrium regime (a diagnostic report is
-still written), 4 a validation check failed, 5 the equilibrium could not be
-solved or verified (one `error:` line on stderr, no report).
+Exit codes are a stable contract: 0 success, 1 usage, I/O or parse error, 2
+model validation failure, 3 unsupported equilibrium regime (a diagnostic
+report is still written), 4 a validation check failed, 5 the equilibrium
+could not be solved or verified.  The commands raise, and `main` alone maps
+a failure to its code and one line on stderr (`error:`, or for an invalid
+model one `invalid:` line per violation).  Only outcomes that come with a
+report keep their own codes: analyze's 2 and 3, validate's 3 and 4, and
+sweep's per-point failure rows.
 
 `sweep` evaluates its grid as one stacked model, whose arrays carry a leading
 grid axis: the grid is validated and derived once, and every point is
@@ -19,6 +23,7 @@ import argparse
 import math
 import re
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -103,34 +108,27 @@ def _analyze_model(model):
 
 
 def cmd_analyze(args) -> int:
-    try:
-        model = load_scenario(args.scenario)
-    except (ScenarioError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        code, doc = _analyze_model(model)
-    except SOLVE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVE_FAILED
-    try:
-        _emit(doc, args.out)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    code, doc = _analyze_model(load_scenario(args.scenario))
+    _emit(doc, args.out)
     return code
 
 
-def _grid_model(model, index: int, field: str, component: int | None, grid: list[float]):
-    """The stacked model of a sweep: trader `index`'s risk tolerance (field
-    "delta") or Cov(E_i, S_component) set to each grid value in turn."""
+def _grid_model(model, param: str, grid: list[float]):
+    """The stacked model of a sweep: the parameter `param` names (INDEX:delta,
+    a trader's risk tolerance, or INDEX:cov_es[J], its Cov(E_i, S_J)) set to
+    each grid value in turn."""
+    match = _PARAM_RE.match(param)
+    if not match:
+        raise ScenarioError("--param", "expected INDEX:delta or INDEX:cov_es[J]")
+    index = int(match.group(1))
+    component = None if match.group(3) is None else int(match.group(3))
     if index >= model.n_traders:
         raise ScenarioError("--param", f"trader index {index} out of range")
-    if field != "delta" and (component is None or component >= model.n_securities):
+    if component is not None and component >= model.n_securities:
         raise ScenarioError("--param", "cov_es component out of range")
     deltas = np.repeat(model.deltas[None], len(grid), axis=0)
     cov_rows = np.repeat(model.cov_matrix_rows[None], len(grid), axis=0)
-    if field == "delta":
+    if component is None:
         deltas[:, index] = grid
     else:
         cov_rows[:, index, component] = grid
@@ -168,24 +166,14 @@ def _sweep_lines(model, grid: list[float], width: int) -> list[str]:
 
 
 def cmd_sweep(args) -> int:
+    model = load_scenario(args.scenario)
     try:
-        model = load_scenario(args.scenario)
-        match = _PARAM_RE.match(args.param)
-        if not match:
-            raise ScenarioError("--param", "expected INDEX:delta or INDEX:cov_es[J]")
-        index = int(match.group(1))
-        field = "delta" if match.group(2) == "delta" else "cov_es"
-        component = None if match.group(3) is None else int(match.group(3))
-        try:
-            grid = [float(v) for v in args.grid.split(",") if v.strip() != ""]
-        except ValueError:
-            raise ScenarioError("--grid", "expected a comma-separated list of numbers")
-        if not grid:
-            raise ScenarioError("--grid", "at least one grid point is required")
-        grid_model = _grid_model(model, index, field, component, grid)
-    except (ScenarioError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        grid = [float(v) for v in args.grid.split(",") if v.strip() != ""]
+    except ValueError:
+        raise ScenarioError("--grid", "expected a comma-separated list of numbers") from None
+    if not grid:
+        raise ScenarioError("--grid", "at least one grid point is required")
+    grid_model = _grid_model(model, args.param, grid)
 
     n, k = model.n_traders, model.n_securities
     header = (
@@ -197,17 +185,10 @@ def cmd_sweep(args) -> int:
         + ["inefficiency"]
     )
     # open the output first, so an unwritable path fails before any solve
-    try:
-        out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        out.write(",".join(header) + "\n")
-        out.writelines(_sweep_lines(grid_model, grid, len(header) - 2))
-    finally:
-        if args.out:
-            out.close()
+    out = open(args.out, "w", newline="", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+    with out as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(_sweep_lines(grid_model, grid, len(header) - 2))
     return EXIT_OK
 
 
@@ -217,26 +198,23 @@ def _parse_tol_overrides(pairs):
         name, _, value = pair.partition("=")
         if name not in tols or not value:
             raise ScenarioError("--tol-override", f"expected NAME=VALUE with NAME in {sorted(tols)}")
-        tols[name] = float(value)
+        try:
+            tols[name] = float(value)
+        except ValueError:
+            raise ScenarioError("--tol-override", f"{name}: expected a number") from None
     return tols
 
 
 def cmd_validate(args) -> int:
+    model = load_scenario(args.scenario)
+    tols = _parse_tol_overrides(args.tol_override)
     try:
-        model = load_scenario(args.scenario)
-        tols = _parse_tol_overrides(args.tol_override)
         mc_configs = [
             McConfig(sample_count=args.samples, seed=args.seed + i) for i in range(model.n_traders)
         ]
-    except (ScenarioError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        exposures = derive_exposures(model)
-    except InvalidModelError as exc:
-        for violation in exc.violations:
-            print(f"invalid: {violation}", file=sys.stderr)
-        return EXIT_INVALID
+    except ValueError as exc:
+        raise ScenarioError("--samples/--seed", str(exc)) from None
+    exposures = derive_exposures(model)
 
     checks: list[tuple[str, bool, str]] = []
 
@@ -257,11 +235,7 @@ def cmd_validate(args) -> int:
     if exposures.is_trivial:
         print("note: flat response (a_I = 0); response-function oracles skipped")
     else:
-        try:
-            nash = solve(exposures)
-        except SOLVE_ERRORS as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_SOLVE_FAILED
+        nash = solve(exposures)
         if nash.kind == KIND_UNSUPPORTED:
             print(f"unsupported regime: {nash.detail}", file=sys.stderr)
             return EXIT_UNSUPPORTED
@@ -314,8 +288,16 @@ def cmd_validate(args) -> int:
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ScenarioError, so main reports them like any other
+    bad input (exit 1, one line), and main returns instead of exiting."""
+
+    def error(self, message):
+        raise ScenarioError("(command line)", message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="thinmarket",
         description="Equilibria of thin CARA-Gaussian risk-sharing markets",
     )
@@ -348,8 +330,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except InvalidModelError as exc:
+        for violation in exc.violations:
+            print(f"invalid: {violation}", file=sys.stderr)
+        return EXIT_INVALID
+    # ScenarioError is a ValueError, and so in SOLVE_ERRORS: it must come first
+    except (ScenarioError, OSError) as exc:
+        error, code = exc, EXIT_IO
+    except SOLVE_ERRORS as exc:
+        error, code = exc, EXIT_SOLVE_FAILED
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

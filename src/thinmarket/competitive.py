@@ -14,7 +14,7 @@ import numpy as np
 from .model import ExposureProfile, _frozen_array, _matvec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquilibriumOutcome:
     """Prices, allocations and per-trader post-trade statistics.
 
@@ -29,7 +29,7 @@ class EquilibriumOutcome:
     post_beta: np.ndarray
     utilities: np.ndarray
     premium: np.ndarray
-    beta_defined: bool = True
+    beta_defined: bool
 
 
 def _quadratic_forms(q: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -56,15 +56,13 @@ def position_utilities(
 
 
 def clearing_outcome(
-    exposures: ExposureProfile,
-    k_shares: np.ndarray,
-    prices: np.ndarray,
-    beta_defined: bool = True,
+    exposures: ExposureProfile, k_shares: np.ndarray, prices: np.ndarray
 ) -> EquilibriumOutcome:
     """Assemble the outcome for allocations of the form q_i = k_i a_I - a_i.
 
-    The post-trade betas are the shares k_i; where they are undefined (a_I =
-    0, beta_defined False) every caller passes zero shares.
+    The post-trade betas are the shares k_i.  They are undefined where a_I =
+    0 (the profile is trivial, and beta_defined is False), and there every
+    caller passes zero shares.
     """
     k = np.asarray(k_shares, dtype=float)
     q = k[..., :, None] * exposures.a_total[..., None, :] - exposures.a
@@ -75,7 +73,7 @@ def clearing_outcome(
         post_beta=_frozen_array(k),
         utilities=_frozen_array(position_utilities(exposures, q, p)),
         premium=_frozen_array(_matvec(q, p)),
-        beta_defined=beta_defined,
+        beta_defined=np.logical_not(exposures.is_trivial),
     )
 
 
@@ -93,7 +91,7 @@ def competitive_equilibrium(exposures: ExposureProfile) -> EquilibriumOutcome:
     with np.errstate(divide="ignore", invalid="ignore"):  # failed points of a stack
         prices = np.where(trivial[..., None], 0.0, -exposures.cov_total / delta_total)
     shares = np.where(trivial[..., None], 0.0, exposures.lam)
-    return clearing_outcome(exposures, shares, prices, beta_defined=~trivial)
+    return clearing_outcome(exposures, shares, prices)
 
 
 def aggregate_demand(exposures: ExposureProfile, elasticities, price) -> np.ndarray:

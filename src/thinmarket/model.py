@@ -42,7 +42,7 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraderProfile:
     """One trader: risk tolerance and endowment statistics.
 
@@ -67,7 +67,7 @@ class TraderProfile:
         object.__setattr__(self, "endowment_var", float(self.endowment_var))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarketModel:
     """Full problem instance: the securities covariance and per-trader arrays.
 
@@ -164,7 +164,7 @@ class MarketModel:
         return self.securities_cov.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValidationResult:
     """Verdict of validate_model.
 
@@ -273,7 +273,7 @@ def validate_model(model: MarketModel) -> ValidationResult:
     return ValidationResult(tuple(violations), failed if failed.ndim else None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExposureProfile:
     """Derived per-trader quantities and aggregates.
 

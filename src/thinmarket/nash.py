@@ -62,7 +62,7 @@ _KEY_XTOL = 1e-12
 _MAX_ITERATIONS = 500
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NashSolution:
     """Solved (or classified) noncompetitive equilibrium.
 
@@ -453,10 +453,7 @@ def _trivial_solution(exposures: ExposureProfile) -> NashSolution:
     # Any elasticity vector is an equilibrium here; report the true tolerances
     # as the representative and the common prices/allocations.
     outcome = clearing_outcome(
-        exposures,
-        np.zeros(exposures.n_traders),
-        np.zeros(exposures.n_securities),
-        beta_defined=False,
+        exposures, np.zeros(exposures.n_traders), np.zeros(exposures.n_securities)
     )
     return NashSolution(
         kind=KIND_TRIVIAL,
@@ -663,7 +660,7 @@ def solve_grid(exposures: ExposureProfile) -> NashSolution:
     residuals[~solved] = np.nan
     clearing = np.where(trivial[column], 0.0, shares)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        outcome = clearing_outcome(exposures, clearing, prices, beta_defined=~trivial)
+        outcome = clearing_outcome(exposures, clearing, prices)
     return NashSolution(
         kind=_frozen_array(kind, dtype=object),
         thetas=_frozen_array(thetas),

@@ -18,6 +18,8 @@ from .model import ExposureProfile
 # ziggurat method.  Fixed here so a given (seed, sample_count) always yields
 # the same stream.
 _EXP_OVERFLOW = math.log(np.finfo(float).max)
+# The most samples whose float64 array has a byte size numpy can index.
+_MAX_SAMPLES = np.iinfo(np.intp).max // 8
 
 
 @dataclass(frozen=True)
@@ -28,6 +30,8 @@ class McConfig:
     def __post_init__(self):
         if self.sample_count < 1:
             raise ValueError("sample_count must be at least 1")
+        if self.sample_count > _MAX_SAMPLES:
+            raise ValueError(f"sample_count must be at most {_MAX_SAMPLES}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 

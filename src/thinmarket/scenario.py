@@ -100,8 +100,10 @@ def load_scenario(path) -> MarketModel:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError("(json)", f"not valid JSON: {exc}")
+        # malformed JSON, bytes that are not UTF-8, or nesting deeper than
+        # the decoder's recursion limit
+        except (ValueError, RecursionError) as exc:
+            raise ScenarioError("(json)", f"not valid JSON: {exc}") from None
     return scenario_from_dict(data)
 
 

@@ -551,6 +551,46 @@ class TestValidate:
         assert main(["validate", "--scenario", scen, "--samples", "1000"]) == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--scenario", "{latin1}"],
+        ["sweep", "--scenario", "{latin1}", "--param", "0:delta", "--grid", "1"],
+        ["validate", "--scenario", "{latin1}", "--samples", "10"],
+        ["analyze", "--scenario", "{deep}"],
+        pytest.param(
+            ["sweep", "--scenario", "{good}", "--param", "0:delta", "--grid", "1", "--out", "/dev/full"],
+            marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full"),
+        ),
+        ["validate", "--scenario", "{good}", "--samples", "10000000000000000000000"],
+        ["validate", "--scenario", "{good}", "--samples", "10", "--tol-override", "grid-k=abc"],
+        ["analyze"],
+        ["frobnicate"],
+    ],
+    ids=[
+        "analyze-not-utf8", "sweep-not-utf8", "validate-not-utf8", "deep-json", "sweep-disk-full",
+        "samples-too-large", "tol-override-not-a-number", "missing-scenario", "unknown-command",
+    ],
+)
+def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, argv):
+    paths = {
+        "good": write_json(tmp_path / "good.json", bilateral_scenario()),
+        "latin1": str(tmp_path / "latin1.json"),
+        "deep": str(tmp_path / "deep.json"),
+    }
+    Path(paths["latin1"]).write_bytes(b'{"schema_version": "\xe9"}')
+    Path(paths["deep"]).write_text("[" * 100_000 + "]" * 100_000)
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    assert_one_error_line(capsys)
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    assert "analyze" in capsys.readouterr().out
+
+
 def test_analyze_imports_no_scipy(tmp_path):
     # numpy is the only runtime dependency: a CLI process never loads scipy,
     # on the bilateral closed form or on the general root-finding path.

@@ -11,6 +11,7 @@ from thinmarket import (
     derive_exposures,
     scenario_from_dict,
     scenario_to_dict,
+    solve,
     validate_model,
 )
 from conftest import (
@@ -221,6 +222,24 @@ class TestColumns:
         model = _simple_model()
         for name in ("securities_cov",) + COLUMNS:
             assert not getattr(model, name).flags.writeable, name
+
+    def test_array_holding_values_compare_by_identity(self):
+        # field-wise == would ask numpy for the truth value of an array
+        def build():
+            profiles = (TraderProfile(1.0, [1.2, 0.1]), TraderProfile(2.0, [-0.2, 0.3]))
+            return MarketModel(np.eye(2), profiles)
+
+        model, twin = build(), build()
+        ex, ex_twin = derive_exposures(model), derive_exposures(twin)
+        pairs = [
+            (model, twin),
+            (TraderProfile(1.0, [1.2, 0.1]), TraderProfile(1.0, [1.2, 0.1])),
+            (ex, ex_twin),
+            (solve(ex), solve(ex_twin)),
+        ]
+        for value, other in pairs:
+            assert value == value and value != other
+            assert value not in [other] and len({value, other}) == 2
 
 
 class TestCertaintyEquivalent:

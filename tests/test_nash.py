@@ -233,6 +233,21 @@ class TestSolveGeneral:
         with pytest.raises(ValueError, match="boundary"):
             solve(ex)
 
+    @pytest.mark.parametrize(
+        "betas, deltas",
+        [
+            ((0.75, 1.4999999999990905, -1.2499999999990905), (0.5, 1.75, 0.25)),
+            ((0.6875, -0.9375, 3.1249999999990905, -1.8749999999990905), (0.25, 1.75, 0.25, 3.75)),
+        ],
+        ids=["bilateral", "general"],
+    )
+    def test_unverifiable_boundary_instance_is_rejected(self, betas, deltas):
+        # within rounding of the extreme boundary but inside the boundary
+        # guard: the solution is computed, and its verification fails
+        ex = _exposures(np.random.default_rng(0), betas, deltas, market_variance=1.0)
+        with pytest.raises(ValueError, match="cannot be verified to tolerance"):
+            solve(ex)
+
     def test_argmax_tie_is_order_invariant(self, rng):
         betas = np.array([0.8, 0.8, -0.6])
         deltas = np.array([1.3, 0.7, 2.0])

@@ -130,6 +130,15 @@ def bilateral_doc(beta0, deltas=(1.0, 1.0), total=None):
     return doc
 
 
+def beta_doc(betas, deltas):
+    """One security and market variance 1: each trader's cov_es is its beta."""
+    return {
+        "schema_version": "1",
+        "securities_cov": [[1.0]],
+        "traders": [{"delta": d, "cov_es": [b]} for b, d in zip(betas, deltas)],
+    }
+
+
 FOUR_TRADERS = {
     "schema_version": "1",
     "securities_cov": [[1.0]],
@@ -159,6 +168,12 @@ INVALID = [0.0, -1.0, math.nan, math.inf, -math.inf]
         # total_endowment_var below the spanned variance at the large points
         (bilateral_doc(1.2, total=3.0), 1, "cov_es", 0, [-0.2, 0.5, 3.0, 30.0],
          [None, None, "validation_failed", "validation_failed"]),
+        # within rounding of the extreme boundary, bilateral and general: the
+        # first point is solved but fails its best-response verification
+        (beta_doc((0.75, 1.4999999999990905, -1.2499999999990905), (0.5, 1.75, 0.25)),
+         0, "delta", None, [0.5, 1.0], ["solve_failed", "bilateral_closed_form"]),
+        (beta_doc((0.6875, -0.9375, 3.1249999999990905, -1.8749999999990905), (0.25, 1.75, 0.25, 3.75)),
+         0, "delta", None, [0.25, 0.5], ["solve_failed", "general_non_extreme"]),
     ],
 )
 def test_fixed_sweeps_match_the_per_point_pipeline(doc, index, field, component, grid, kinds):
