@@ -12,7 +12,7 @@ import numpy as np
 
 from .competitive import EquilibriumOutcome, _quadratic_forms, competitive_equilibrium
 from .errors import ConsistencyError
-from .model import ExposureProfile, derive_exposures, _frozen_array
+from .model import ExposureProfile, derive_exposures, _frozen, _frozen_array
 from .nash import (
     KIND_BILATERAL,
     KIND_EXTREME,
@@ -132,19 +132,19 @@ def compare(
     if exposures.n_traders == 2 and not (one_market and exposures.is_trivial):
         L = _bilateral_l_factor(exposures)
     report = ComparisonReport(
-        du=_frozen_array(du),
-        inefficiency=float(inefficiency) if one_market else _frozen_array(inefficiency),
+        du=_frozen(du),
+        inefficiency=float(inefficiency) if one_market else _frozen(inefficiency),
         premium_competitive=_frozen_array(competitive.premium),
         premium_nash=_frozen_array(nash.outcome.premium),
-        payoff_gain_competitive=_frozen_array(_payoff_gains(exposures, competitive)),
-        payoff_gain_nash=_frozen_array(_payoff_gains(exposures, nash.outcome)),
+        payoff_gain_competitive=_frozen(_payoff_gains(exposures, competitive)),
+        payoff_gain_nash=_frozen(_payoff_gains(exposures, nash.outcome)),
         L=L,
     )
     if one_market and exposures.is_trivial:
         return report
     verdict = _crosscheck(exposures, nash, du, inefficiency, L)
     if not one_market:
-        return replace(report, failed=_frozen_array(verdict != 0, dtype=bool))
+        return replace(report, failed=_frozen(verdict != 0))
     if verdict:
         raise ConsistencyError(_CROSSCHECK_FAILURES[verdict])
     return report
@@ -219,9 +219,9 @@ def incompleteness_effect(
     return IncompletenessReport(
         du=_frozen_array(du),
         du_complete=_frozen_array(du_o),
-        du_gap=_frozen_array(du_o - du),
+        du_gap=_frozen(du_o - du),
         aggregate_gap=float((du_o - du).sum()),
-        competitive_sq_gain=_frozen_array(sq_gain),
-        competitive_sq_gain_complete=_frozen_array(sq_gain_o),
-        competitive_sq_gain_gap=_frozen_array(sq_gain_o - sq_gain),
+        competitive_sq_gain=_frozen(sq_gain),
+        competitive_sq_gain_complete=_frozen(sq_gain_o),
+        competitive_sq_gain_gap=_frozen(sq_gain_o - sq_gain),
     )

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ExposureProfile, _frozen_array, _matvec
+from .model import ExposureProfile, _frozen, _matvec
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,23 +38,6 @@ def _quadratic_forms(q: np.ndarray, cov: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ij->...i", q @ cov, q)
 
 
-def position_utilities(
-    exposures: ExposureProfile, allocations: np.ndarray, prices: np.ndarray
-) -> np.ndarray:
-    """Certainty equivalents of E_i + <q_i, S - p> for every trader.
-
-    One code path for every equilibrium kind: mean minus variance over twice
-    the risk tolerance of the post-trade position, expanded in terms of the
-    stored covariances.
-    """
-    q = np.asarray(allocations, dtype=float)
-    p = np.asarray(prices, dtype=float)
-    cov_rows = exposures.model.cov_matrix_rows
-    cross = np.einsum("...ij,...ij->...i", q, cov_rows)  # <q_i, C a_i>
-    quad = _quadratic_forms(q, exposures.model.securities_cov)
-    return exposures.u - cross / exposures.delta - quad / (2.0 * exposures.delta) - _matvec(q, p)
-
-
 def clearing_outcome(
     exposures: ExposureProfile, k_shares: np.ndarray, prices: np.ndarray
 ) -> EquilibriumOutcome:
@@ -62,18 +45,26 @@ def clearing_outcome(
 
     The post-trade betas are the shares k_i.  They are undefined where a_I =
     0 (the profile is trivial, and beta_defined is False), and there every
-    caller passes zero shares.
+    caller passes zero shares.  The utilities are the certainty equivalents
+    of E_i + <q_i, S - p>, one code path for every equilibrium kind: mean
+    minus variance over twice the risk tolerance of the post-trade position,
+    expanded in terms of the stored covariances.  The arrays are frozen in
+    place, so the callers pass arrays they have just computed.
     """
     k = np.asarray(k_shares, dtype=float)
     q = k[..., :, None] * exposures.a_total[..., None, :] - exposures.a
     p = np.asarray(prices, dtype=float)
+    premium = _matvec(q, p)  # <q_i, p>
+    cross = np.einsum("...ij,...ij->...i", q, exposures.model.cov_matrix_rows)  # <q_i, C a_i>
+    quad = _quadratic_forms(q, exposures.model.securities_cov)
+    utilities = exposures.u - cross / exposures.delta - quad / (2.0 * exposures.delta) - premium
     return EquilibriumOutcome(
-        prices=_frozen_array(p),
-        allocations=_frozen_array(q),
-        post_beta=_frozen_array(k),
-        utilities=_frozen_array(position_utilities(exposures, q, p)),
-        premium=_frozen_array(_matvec(q, p)),
-        beta_defined=np.logical_not(exposures.is_trivial),
+        prices=_frozen(p),
+        allocations=_frozen(q),
+        post_beta=_frozen(k),
+        utilities=_frozen(utilities),
+        premium=_frozen(premium),
+        beta_defined=_frozen(np.logical_not(exposures.is_trivial)),
     )
 
 

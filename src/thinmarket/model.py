@@ -37,9 +37,14 @@ TOTAL_VAR_SLACK = 1e-9
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
-    out.setflags(write=False)
-    return out
+    """A read-only copy of values: a caller's array is never frozen or aliased."""
+    return _frozen(np.array(values, dtype=dtype))
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """array itself, made read-only; only for arrays that nothing else can write."""
+    array.setflags(write=False)
+    return array
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,7 +191,9 @@ class ValidationResult:
 
 # Products over optional leading axes.  A stacked matmul makes per point the
 # BLAS call that the unstacked product makes, so each point gets the bits of
-# the one-market product; einsum and elementwise sums add in other orders.
+# the one-market product; einsum, elementwise sums and one GEMM over the
+# flattened points add in other orders.  A point's vector is a one-row matrix
+# (..., 1, k), so that one market and a stack make the same call per point.
 # BLAS needs unit strides, and a vector not contiguous along its axis sends
 # numpy to a loop of its own, so vectors are made contiguous (a no-op for one
 # market's vectors).
@@ -205,10 +212,14 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _solve_sym(cov: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve C x = rhs against the symmetrized covariance for every vector on
-    rhs's last axis, in one call with all of them as right-hand sides."""
-    k = cov.shape[0]
-    columns = np.linalg.solve(0.5 * (cov + cov.T), rhs.reshape(-1, k).T)
-    return columns.T.reshape(rhs.shape)
+    rhs's last axis.  C = L L^T is factored once, and the solutions are the
+    products x^T = rhs^T L^-T L^-1 with one step of iterative refinement:
+    without it, the explicit inverse factor leaves backward errors of several
+    ulps once C is ill-conditioned."""
+    sym = 0.5 * (cov + cov.T)
+    factor = np.linalg.inv(np.linalg.cholesky(sym))
+    x = (rhs @ factor.T) @ factor
+    return x + ((rhs - x @ sym) @ factor.T) @ factor
 
 
 def validate_model(model: MarketModel) -> ValidationResult:
@@ -239,7 +250,9 @@ def validate_model(model: MarketModel) -> ValidationResult:
         violations.append("at least two traders are required")
     deltas, variances = model.deltas, model.endowment_vars
     bad_delta = ~((deltas > 0.0) & (deltas < np.inf))
-    bad_cov = ~np.isfinite(model.cov_matrix_rows).all(axis=-1)
+    finite_rows = np.isfinite(model.cov_matrix_rows)
+    # the per-trader reduction over short rows is slow; most models need none
+    bad_cov = np.zeros(deltas.shape, bool) if finite_rows.all() else ~finite_rows.all(axis=-1)
     bad_mean = ~np.isfinite(model.endowment_means)
     bad_var = ~((variances >= 0.0) & (variances < np.inf))
     bad = bad_delta | bad_cov | bad_mean | bad_var
@@ -262,7 +275,7 @@ def validate_model(model: MarketModel) -> ValidationResult:
         else:
             cov_total = model.cov_matrix_rows.sum(axis=-2)
             with np.errstate(invalid="ignore", over="ignore"):  # on failed points only
-                spanned = _dot(_solve_sym(cov, cov_total), cov_total)
+                spanned = _dot(_solve_sym(cov, cov_total[..., None, :])[..., 0, :], cov_total)
                 below = spanned > total + TOTAL_VAR_SLACK * np.maximum(max(1.0, total), spanned)
             if below.ndim:
                 failed = failed | below
@@ -343,8 +356,8 @@ def derive_exposures(model: MarketModel) -> ExposureProfile:
     Validates the model first and raises InvalidModelError when it is
     ill-posed; for a stacked model only when every point is (a failed
     covariance check), and otherwise marks the failed points in `valid`.
-    Linear solves use np.linalg.solve on the symmetrized securities
-    covariance, which validation found positive definite.
+    Linear solves apply the inverse Cholesky factor of the symmetrized
+    securities covariance, which validation found positive definite.
     """
     verdict = validate_model(model)
     if verdict.violations:
@@ -380,23 +393,22 @@ def derive_exposures(model: MarketModel) -> ExposureProfile:
         beta = None if trivial else beta
         delta_total, agg_var = float(delta_total[0]), float(agg_var)
     else:
-        delta_total, agg_var = _frozen_array(delta_total[..., 0]), _frozen_array(agg_var)
-        trivial = _frozen_array(trivial, dtype=bool)
-        valid = _frozen_array(~verdict.failed_points, dtype=bool)
+        delta_total, agg_var = _frozen(delta_total[..., 0]), _frozen(agg_var)
+        trivial, valid = _frozen(trivial), _frozen(~verdict.failed_points)
     return ExposureProfile(
         model=model,
-        a=_frozen_array(a),
-        a_total=_frozen_array(a_total),
-        beta=None if beta is None else _frozen_array(beta),
-        lam=_frozen_array(lam),
-        delta=_frozen_array(deltas),
+        a=_frozen(a),
+        a_total=_frozen(a_total),
+        beta=None if beta is None else _frozen(beta),
+        lam=_frozen(lam),
+        delta=deltas,
         delta_total=delta_total,
-        u=_frozen_array(u),
+        u=_frozen(u),
         aggregate_market_variance=agg_var,
         is_trivial=trivial,
-        cov_total=_frozen_array(cov_total),
-        market_cov=_frozen_array(market_cov),
-        own_var=_frozen_array(own_var),
+        cov_total=_frozen(cov_total),
+        market_cov=_frozen(market_cov),
+        own_var=_frozen(own_var),
         valid=valid,
     )
 

@@ -37,7 +37,7 @@ import numpy as np
 from .best_response import Elasticity
 from .competitive import EquilibriumOutcome, clearing_outcome
 from .errors import BracketError, ConsistencyError
-from .model import ExposureProfile, _frozen_array
+from .model import ExposureProfile, _frozen
 
 KIND_TRIVIAL = "trivial"
 KIND_EXTREME = "extreme"
@@ -193,11 +193,11 @@ def solve_extreme(exposures: ExposureProfile, k: int) -> NashSolution:
     outcome = clearing_outcome(exposures, shares, np.zeros(exposures.n_securities))
     return NashSolution(
         kind=KIND_EXTREME,
-        thetas=_frozen_array(thetas),
+        thetas=_frozen(thetas),
         theta_total=math.inf,
-        k_shares=_frozen_array(shares),
+        k_shares=_frozen(shares),
         outcome=outcome,
-        residuals=_frozen_array(np.zeros(exposures.n_traders)),
+        residuals=_frozen(np.zeros(exposures.n_traders)),
     )
 
 
@@ -238,11 +238,11 @@ def _finite_solution(exposures: ExposureProfile, thetas: np.ndarray, kind: str) 
         raise ValueError(_BOUNDARY_MESSAGE)
     return NashSolution(
         kind=kind,
-        thetas=_frozen_array(thetas),
+        thetas=_frozen(thetas),
         theta_total=float(total),
-        k_shares=_frozen_array(shares),
+        k_shares=_frozen(shares),
         outcome=clearing_outcome(exposures, shares, prices),
-        residuals=_frozen_array(nash_residuals(exposures, thetas)),
+        residuals=_frozen(nash_residuals(exposures, thetas)),
     )
 
 
@@ -299,20 +299,24 @@ class _FollowerPhi:
         self.scale = delta * (1.0 + beta)
         self.kink = (beta == 1.0).nonzero()[0]  # where the discriminant cancels
         self.above = (beta > 1.0).nonzero()[0]
+        self._half, self._scaled, self._disc = (np.empty(delta.size) for _ in range(3))
 
     def __call__(self, x: float) -> np.ndarray:
         if x <= 0.0:
             return np.zeros(self.delta.size)
-        half = self.delta + 0.5 * x
-        scaled = self.scale * x
-        disc = half * half - scaled
+        # scaled / (half + sqrt(max(half^2 - scaled, 0))), in scratch buffers
+        half = np.add(self.delta, 0.5 * x, out=self._half)
+        scaled = np.multiply(self.scale, x, out=self._scaled)
+        disc = np.multiply(half, half, out=self._disc)
+        disc -= scaled
         if self.above.size:
             h = half[self.above]
             low = disc[self.above] < -1e-14 * h * h
             if np.count_nonzero(low):
                 beta_i = self.beta[self.above[low.argmax()]]
                 raise ValueError(f"negative discriminant for beta={beta_i}; outside (-1, 1]")
-        theta = scaled / (half + np.sqrt(np.maximum(disc, 0.0)))
+        root = np.sqrt(np.maximum(disc, 0.0, out=disc), out=disc)
+        theta = scaled / np.add(half, root, out=root)
         if self.kink.size:
             theta[self.kink] = np.minimum(x, 2.0 * self.delta[self.kink])
         return theta
@@ -344,24 +348,39 @@ class GeneralSystem:
         beta = exposures.beta
         self.leader = int(np.argmax(beta))
         follower = (beta > -1.0) & (beta <= 1.0)
-        passive = beta <= -1.0
-        follower[self.leader] = passive[self.leader] = False
-        self.followers = follower.nonzero()[0].tolist()
-        self.passive = passive.nonzero()[0].tolist()
+        follower[self.leader] = False
+        self.follower_mask = follower
         self._phi = _FollowerPhi(exposures.delta[follower], beta[follower])
         self.delta0 = float(exposures.delta[self.leader])
         self.beta0 = float(beta[self.leader])
+        # x -> (follower thetas, sigma) of the last two evaluations: Brent's
+        # method ends on one of them, mostly the one before last
+        self._recent: dict[float, tuple[np.ndarray, float]] = {}
+
+    def _evaluate(self, x: float) -> tuple[np.ndarray, float]:
+        recent = self._recent.get(x)
+        if recent is None:
+            thetas = _frozen(self._phi(x))
+            # A running sum adds left to right (numpy's sum adds pairwise, and
+            # Python's sum compensates from 3.12 on); that order fixes F's
+            # bits, and with them the root and the general solution.
+            recent = thetas, float(np.add.accumulate(thetas)[-1]) if thetas.size else 0.0
+            if len(self._recent) == 2:
+                del self._recent[next(iter(self._recent))]
+            self._recent[x] = recent
+        return recent
+
+    @property
+    def followers(self) -> list[int]:
+        """The followers' indices, ascending."""
+        return self.follower_mask.nonzero()[0].tolist()
 
     def follower_thetas(self, x: float) -> np.ndarray:
-        """phi(x, delta_i, beta_i) of every follower, in order."""
-        return self._phi(x)
+        """phi(x, delta_i, beta_i) of every follower, in order (read-only)."""
+        return self._evaluate(x)[0]
 
     def sigma(self, x: float) -> float:
-        # A running sum adds left to right (numpy's sum adds pairwise, and
-        # Python's sum compensates from 3.12 on); that order fixes F's bits,
-        # and with them the root and the general solution.
-        thetas = self.follower_thetas(x)
-        return float(np.add.accumulate(thetas)[-1]) if thetas.size else 0.0
+        return self._evaluate(x)[1]
 
     def F(self, x: float) -> float:
         s = self.sigma(x)
@@ -444,7 +463,7 @@ def solve_general(exposures: ExposureProfile) -> NashSolution:
     system = GeneralSystem(exposures)
     total = _root_total_elasticity(system, exposures.delta_total)
     thetas = np.zeros(exposures.n_traders)
-    thetas[system.followers] = system.follower_thetas(total)
+    thetas[system.follower_mask] = system.follower_thetas(total)
     thetas[system.leader] = system.leader_theta(total)
     return _finite_solution(exposures, thetas, KIND_GENERAL)
 
@@ -457,9 +476,9 @@ def _trivial_solution(exposures: ExposureProfile) -> NashSolution:
     )
     return NashSolution(
         kind=KIND_TRIVIAL,
-        thetas=_frozen_array(exposures.delta),
+        thetas=exposures.delta,
         theta_total=exposures.delta_total,
-        k_shares=_frozen_array(exposures.lam),
+        k_shares=exposures.lam,
         outcome=outcome,
         residuals=None,
         detail="a_I = 0: every elasticity vector clears at zero prices with q_i = -a_i",
@@ -662,10 +681,10 @@ def solve_grid(exposures: ExposureProfile) -> NashSolution:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         outcome = clearing_outcome(exposures, clearing, prices)
     return NashSolution(
-        kind=_frozen_array(kind, dtype=object),
-        thetas=_frozen_array(thetas),
+        kind=_frozen(kind),
+        thetas=_frozen(thetas),
         theta_total=None,
-        k_shares=_frozen_array(np.where(trivial[column], exposures.lam, shares)),
+        k_shares=_frozen(np.where(trivial[column], exposures.lam, shares)),
         outcome=outcome,
-        residuals=_frozen_array(residuals),
+        residuals=_frozen(residuals),
     )

@@ -1,19 +1,28 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thinmarket import (
+    KIND_BILATERAL,
+    KIND_EXTREME,
+    KIND_GENERAL,
+    KIND_TRIVIAL,
     InvalidModelError,
     MarketModel,
     TraderProfile,
     certainty_equivalent,
+    compare,
+    competitive_equilibrium,
     derive_exposures,
     scenario_from_dict,
     scenario_to_dict,
     solve,
     validate_model,
 )
+from thinmarket.nash import solve_grid
 from conftest import (
     constrained_betas,
     model_from_betas,
@@ -161,6 +170,25 @@ class TestDeriveExposures:
             residual = cov @ ex.a[i] - traders[i].cov_endowment_securities
             assert np.max(np.abs(residual)) < 1e-8
 
+    @pytest.mark.parametrize("condition", [1e2, 1e6, 1e9])
+    def test_hedge_portfolios_are_backward_stable(self, condition, rng):
+        # max_i |C a_i - r_i| / (|C|_2 |a_i|) stays at a few ulps however
+        # ill-conditioned C is; products with inv(C), or with the inverse
+        # Cholesky factor without a refinement step, miss this bound
+        k, n = 5, 400
+        for _ in range(10):
+            q, _ = np.linalg.qr(rng.normal(size=(k, k)))
+            cov = q @ np.diag(np.geomspace(1.0, 1.0 / condition, k)) @ q.T
+            cov = 0.5 * (cov + cov.T)
+            assert np.isclose(np.linalg.cond(cov), condition, rtol=1e-3)
+            rows = rng.normal(size=(n, k)) @ cov
+            model = MarketModel(cov, deltas=rng.uniform(0.5, 3.0, n), cov_matrix_rows=rows)
+            assert validate_model(model).ok
+            a = derive_exposures(model).a
+            residual = np.linalg.norm(a @ cov - rows, axis=1)
+            scale = np.linalg.norm(cov, 2) * np.linalg.norm(a, axis=1)
+            assert np.max(residual / scale) <= 1e-15
+
     def test_permutation_equivariance(self, rng):
         n, k = 4, 3
         cov = spd_matrix(rng, k)
@@ -222,6 +250,40 @@ class TestColumns:
         model = _simple_model()
         for name in ("securities_cov",) + COLUMNS:
             assert not getattr(model, name).flags.writeable, name
+
+    def test_inputs_are_copied_and_outputs_frozen(self, rng):
+        # the model copies the caller's arrays and leaves them writeable;
+        # every array the pipeline hands back is read-only
+        n, k = 6, 3
+        base = model_from_betas(rng, constrained_betas(rng, n), random_deltas(rng, n), n_securities=k)
+        cov, deltas, rows = (np.array(x) for x in (base.securities_cov, base.deltas, base.cov_matrix_rows))
+        model = MarketModel(securities_cov=cov, deltas=deltas, cov_matrix_rows=rows)
+        for array in (cov, deltas, rows):
+            assert array.flags.writeable
+        kept = [np.array(getattr(model, name)) for name in ("securities_cov",) + COLUMNS]
+        cov[0, 0], deltas[0], rows[0, 0] = 99.0, -1.0, np.nan
+        for name, value in zip(("securities_cov",) + COLUMNS, kept):
+            assert np.array_equal(getattr(model, name), value), name
+
+        # general, bilateral, extreme (a tie) and trivial markets, and a grid
+        two = MarketModel(np.eye(1), deltas=[1.0, 1.0], cov_matrix_rows=[[1.2], [-0.2]])
+        models = [model, two, replace(two, deltas=[4.0, 1.0]), replace(two, cov_matrix_rows=[[1.0], [-1.0]])]
+        values, kinds = [], []
+        for m in models:
+            exposures = derive_exposures(m)
+            competitive = competitive_equilibrium(exposures)
+            solution = solve(exposures)
+            kinds.append(solution.kind)
+            report = compare(exposures, competitive, solution)
+            values += [exposures, competitive, solution, solution.outcome, report]
+        grid = derive_exposures(model.stacked(model.deltas[None], model.cov_matrix_rows[None]))
+        grid_solution = solve_grid(grid)
+        values += [grid, competitive_equilibrium(grid), grid_solution, grid_solution.outcome]
+        assert kinds == [KIND_GENERAL, KIND_BILATERAL, KIND_EXTREME, KIND_TRIVIAL]
+        for value in values:
+            for name, array in vars(value).items():
+                if isinstance(array, np.ndarray):
+                    assert not array.flags.writeable, (type(value).__name__, name)
 
     def test_array_holding_values_compare_by_identity(self):
         # field-wise == would ask numpy for the truth value of an array

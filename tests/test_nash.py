@@ -748,6 +748,40 @@ class TestRootFinder:
             assert solve(ex).kind == KIND_GENERAL
             assert len(calls) <= 20, len(calls)
 
+    def test_solve_reuses_evaluations_without_changing_them(self, monkeypatch):
+        # F, sigma, follower_thetas and leader_theta on one system, at x values
+        # revisited after others, equal those of a system that never saw an x
+        rng = np.random.default_rng(5)
+        n = 200
+        ex = _exposures(rng, constrained_betas(rng, n, low=-1.25, high=0.95),
+                        random_deltas(rng, n), n_securities=5)
+        assert check_extreme_condition(ex) is None
+        x1, x2, x3 = 0.5 * ex.delta_total, 3.0 * ex.delta_total, 1e-12 * ex.delta_total
+        system = GeneralSystem(ex)
+        for x in (x1, x2, x1, x3, x1, x2):
+            values = (system.F(x), system.sigma(x), system.leader_theta(x))
+            thetas = system.follower_thetas(x)
+            assert not thetas.flags.writeable
+            assert values == (
+                GeneralSystem(ex).F(x), GeneralSystem(ex).sigma(x), GeneralSystem(ex).leader_theta(x)
+            )
+            assert np.array_equal(thetas, GeneralSystem(ex).follower_thetas(x))
+
+        calls = []
+        F = GeneralSystem.F
+
+        def counted(system, x):
+            calls.append(x)
+            return F(system, x)
+
+        monkeypatch.setattr(thinmarket.nash.GeneralSystem, "F", counted)
+        thinmarket.nash._root_total_elasticity(GeneralSystem(ex), ex.delta_total)
+        root_calls = len(calls)
+        calls.clear()
+        assert solve(ex).kind == KIND_GENERAL
+        # the root finder's evaluations and no more, as before the reuse
+        assert len(calls) == root_calls == 9
+
     def test_root_matches_an_independent_bisection(self, rng):
         instances = []
         while len(instances) < 60:

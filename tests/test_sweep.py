@@ -28,6 +28,7 @@ from thinmarket import (
     scenario_from_dict,
     scenario_to_dict,
     solve,
+    validate_model,
 )
 from thinmarket.cli import main
 from thinmarket.nash import KIND_UNSUPPORTED, SOLVE_ERRORS
@@ -260,3 +261,37 @@ def test_perturbed_row_alone_fails_verification(monkeypatch):
         rows = batched_csv(doc, "0:delta", grid).splitlines()
         assert rows[g + 1].split(",")[:3] == [_fmt(grid[g]), "solve_failed", ""]
         assert rows[: g + 1] + rows[g + 2:] == clean[: g + 1] + clean[g + 2:]
+
+
+EXPOSURE_ARRAYS = ("a", "a_total", "beta", "lam", "delta", "u", "cov_total", "market_cov", "own_var")
+
+
+def test_stacked_derivation_is_grid_size_independent_at_large_n():
+    # the linear solves and products of a stacked derivation are made per
+    # point, so a point's bits do not depend on how many points share the
+    # stack; the third point's rows are scaled until their spanned variance
+    # exceeds total_endowment_var, so the stacked check fails there alone
+    rng = np.random.default_rng(11)
+    n = 2000
+    model = model_from_betas(
+        rng, constrained_betas(rng, n, low=-1.25, high=0.95), random_deltas(rng, n),
+        n_securities=5, with_total_var=True,
+    )
+    deltas = np.stack([model.deltas, model.deltas * rng.uniform(0.5, 2.0, n), model.deltas])
+    cov_rows = np.stack([model.cov_matrix_rows, model.cov_matrix_rows[::-1],
+                         3.0 * model.cov_matrix_rows])
+    stacked = model.stacked(deltas, cov_rows)
+    exposures = derive_exposures(stacked)
+    assert exposures.valid.tolist() == [True, True, False]
+    for g in range(3):
+        point = stacked.point(g)
+        assert bool(exposures.valid[g]) == validate_model(point).ok
+        if not exposures.valid[g]:
+            with pytest.raises(InvalidModelError):
+                derive_exposures(point)
+            continue
+        alone, grid_point = derive_exposures(point), exposures.point(g)
+        for name in EXPOSURE_ARRAYS:
+            assert np.array_equal(getattr(grid_point, name), getattr(alone, name)), (g, name)
+        for name in ("delta_total", "aggregate_market_variance", "is_trivial"):
+            assert getattr(grid_point, name) == getattr(alone, name), (g, name)
