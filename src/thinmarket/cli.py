@@ -14,12 +14,21 @@ sweep's per-point failure rows.
 grid axis: the grid is validated and derived once, and every point is
 classified, solved, verified and compared at once, with the one-market
 arithmetic, so each CSV row is byte-identical to analyzing that point alone.
-General points are root-found one at a time.
+General points are root-found one at a time.  Writing the numbers is the
+largest cost of a two-trader sweep, about half of it: CPython's 17-digit
+float formatting takes about 0.4 us a number, and the CSV body is one
+%-format of one flat tuple, with one template per row.
+
+The parser is built once per process (`build_parser` is cached), and `main`
+looks the command function up by name, `cmd_<command>`, on each call rather
+than storing it in the parser, so a function patched on this module after
+the first call (a test's or a tracer's wrapper) is the one that runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -138,37 +147,44 @@ def _grid_model(model, param: str, grid: list[float]):
 _SOLVED_KINDS = frozenset((KIND_TRIVIAL, KIND_EXTREME, KIND_BILATERAL, KIND_GENERAL))
 
 
-def _sweep_lines(model, grid: list[float], width: int) -> list[str]:
-    """The CSV lines of a sweep after the header; width is the number of
-    value columns.  Each line's kind is what analyzing the point alone gives:
-    validation_failed, unsupported_regime or solve_failed (with empty
-    values), or the Nash kind with the point's values.  Numbers are written
-    with 17 significant digits, an infinite elasticity as "inf" (the report's
-    INF_TOKEN); no field needs CSV quoting."""
-    failed = "%.17g,%s" + "," * width + "\n"
+def _sweep_body(model, grid: list[float], width: int) -> str:
+    """The CSV lines of a sweep after the header, as one string; width is the
+    number of value columns.  Each line's kind is what analyzing the point
+    alone gives: validation_failed, unsupported_regime or solve_failed (with
+    empty values), or the Nash kind with the point's values.  Numbers are
+    written with 17 significant digits, an infinite elasticity as "inf" (the
+    report's INF_TOKEN); no field needs CSV quoting."""
     try:
         exposures = derive_exposures(model)
     except InvalidModelError:  # the covariance itself fails, at every point
-        return [failed % (value, "validation_failed") for value in grid]
-    nash = solve_grid(exposures)
-    # unsolved points carry inf and NaN through the row-wise arithmetic
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        comparison = compare(exposures, competitive_equilibrium(exposures), nash)
-    kinds = np.where(comparison.failed, KIND_FAILED, nash.kind)
-    kinds = np.where(exposures.valid, kinds, "validation_failed").tolist()
-    columns = (nash.thetas, nash.k_shares, nash.outcome.prices, comparison.du)
-    values = np.concatenate(columns + (comparison.inefficiency[:, None],), axis=1).tolist()
-    solved = ",".join(["%.17g", "%s"] + ["%.17g"] * width) + "\n"
-    return [
-        solved % (value, kind, *row) if kind in _SOLVED_KINDS else failed % (value, kind)
-        for value, kind, row in zip(grid, kinds, values)
-    ]
+        kinds, numbers = ["validation_failed"] * len(grid), np.array(grid)[:, None]
+    else:
+        nash = solve_grid(exposures)
+        # unsolved points carry inf and NaN through the row-wise arithmetic
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            comparison = compare(exposures, competitive_equilibrium(exposures), nash)
+        kinds = np.where(comparison.failed, KIND_FAILED, nash.kind)
+        kinds = np.where(exposures.valid, kinds, "validation_failed").tolist()
+        numbers = np.concatenate(
+            (np.array(grid)[:, None], nash.thetas, nash.k_shares, nash.outcome.prices,
+             comparison.du, comparison.inefficiency[:, None]),
+            axis=1,
+        )
+    # One %-format for the whole body.  A row's template spells its kind and
+    # takes the row's numbers, or only its value if the point failed.
+    templates = {
+        kind: "%.17g," + kind + (",%.17g" * width if kind in _SOLVED_KINDS else "," * width) + "\n"
+        for kind in set(kinds)
+    }
+    keep = np.ones(numbers.shape, dtype=bool)
+    keep[[kind not in _SOLVED_KINDS for kind in kinds], 1:] = False
+    return "".join(map(templates.__getitem__, kinds)) % tuple(numbers[keep].tolist())
 
 
 def cmd_sweep(args) -> int:
     model = load_scenario(args.scenario)
     try:
-        grid = [float(v) for v in args.grid.split(",") if v.strip() != ""]
+        grid = list(map(float, filter(str.strip, args.grid.split(","))))
     except ValueError:
         raise ScenarioError("--grid", "expected a comma-separated list of numbers") from None
     if not grid:
@@ -188,7 +204,7 @@ def cmd_sweep(args) -> int:
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else nullcontext(sys.stdout)
     with out as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(_sweep_lines(grid_model, grid, len(header) - 2))
+        fh.write(_sweep_body(grid_model, grid, len(header) - 2))
     return EXIT_OK
 
 
@@ -296,6 +312,7 @@ class _Parser(argparse.ArgumentParser):
         raise ScenarioError("(command line)", message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="thinmarket",
@@ -306,14 +323,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="full equilibrium report for a scenario")
     p_analyze.add_argument("--scenario", required=True, help="scenario JSON path")
     p_analyze.add_argument("--out", default=None, help="report path (stdout if omitted)")
-    p_analyze.set_defaults(func=cmd_analyze)
 
     p_sweep = sub.add_parser("sweep", help="sweep one parameter and emit CSV")
     p_sweep.add_argument("--scenario", required=True)
     p_sweep.add_argument("--param", required=True, help="INDEX:delta or INDEX:cov_es[J]")
     p_sweep.add_argument("--grid", required=True, help="comma-separated values")
     p_sweep.add_argument("--out", default=None, help="CSV path (stdout if omitted)")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_validate = sub.add_parser("validate", help="run the cross-checking oracles")
     p_validate.add_argument("--scenario", required=True)
@@ -325,14 +340,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME=VALUE",
         help="override a check tolerance (test hook); repeatable",
     )
-    p_validate.set_defaults(func=cmd_validate)
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        return globals()["cmd_" + args.command](args)
     except InvalidModelError as exc:
         for violation in exc.violations:
             print(f"invalid: {violation}", file=sys.stderr)

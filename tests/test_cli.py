@@ -473,6 +473,37 @@ class TestSweep:
         assert_one_error_line(capsys)
         assert len(solves) == 0
 
+    def test_grid_skips_blank_fields(self, tmp_path):
+        scen = write_json(tmp_path / "s.json", bilateral_scenario())
+        csv_path = tmp_path / "sweep.csv"
+        argv = ["sweep", "--scenario", scen, "--param", "0:delta", "--out", str(csv_path)]
+        for grid, values in ((" 0.5, 1 ,,2,", ["0.5", "1", "2"]), ("1_0", ["10"])):
+            assert main(argv + ["--grid=" + grid]) == 0
+            with open(csv_path, newline="") as fh:
+                assert [row["value"] for row in csv.DictReader(fh)] == values
+
+    @pytest.mark.parametrize(
+        "grid, message", [("abc", "expected a comma-separated list"), (",", "at least one grid point is required")]
+    )
+    def test_bad_grid_exit_one(self, tmp_path, capsys, grid, message):
+        scen = write_json(tmp_path / "s.json", bilateral_scenario())
+        argv = ["sweep", "--scenario", scen, "--param", "0:delta", "--grid=" + grid, "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--grid" in err and message in err
+
+    def test_stdout_matches_out_file(self, tmp_path, capsysbinary):
+        scen = write_json(tmp_path / "s.json", bilateral_scenario(deltas=(4.0, 1.0), total=3.0))
+        csv_path = tmp_path / "sweep.csv"
+        argv = ["sweep", "--scenario", scen, "--param", "0:delta", "--grid", "0.5,1,2,4,8,0"]
+        assert main(argv) == 0
+        stdout = capsysbinary.readouterr().out
+        assert main(argv + ["--out", str(csv_path)]) == 0
+        assert stdout == csv_path.read_bytes()
+        assert stdout.startswith(b"value,kind,theta_0,theta_1,k_0,k_1,p_0,du_0,du_1,inefficiency\n")
+        assert stdout.count(b"\n") == 7
+
 
 class TestValidate:
     def test_supported_scenario_passes(self, tmp_path, capsys):
@@ -549,6 +580,45 @@ class TestValidate:
         }
         scen = write_json(tmp_path / "s.json", doc)
         assert main(["validate", "--scenario", scen, "--samples", "1000"]) == 3
+
+
+class TestParser:
+    """The parser is built once per process, and main looks each command up
+    by name when it runs."""
+
+    def test_one_parser_per_process(self):
+        assert thinmarket.cli.build_parser() is thinmarket.cli.build_parser()
+
+    def test_patched_command_is_called(self, tmp_path, monkeypatch):
+        scen = write_json(tmp_path / "s.json", bilateral_scenario())
+        argv = ["sweep", "--scenario", scen, "--param", "0:delta", "--grid", "1,2", "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == 0
+        calls = []
+
+        def counted(args, _original=thinmarket.cli.cmd_sweep):
+            calls.append(args.command)
+            return _original(args)
+
+        monkeypatch.setattr(thinmarket.cli, "cmd_sweep", counted)
+        assert main(argv) == 0
+        assert calls == ["sweep"]
+
+    def test_tol_override_does_not_carry_over(self, tmp_path, capsys):
+        scen = write_json(tmp_path / "s.json", bilateral_scenario())
+        argv = ["validate", "--scenario", scen, "--samples", "20000"]
+        assert main(argv + ["--tol-override", "grid-k=1e-30"]) == 4
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_usage_error_and_help_after_a_successful_call(self, tmp_path, capsys):
+        scen = write_json(tmp_path / "s.json", bilateral_scenario())
+        assert main(["analyze", "--scenario", scen, "--out", str(tmp_path / "r.json")]) == 0
+        assert main(["sweep", "--scenario", scen, "--grid", "1"]) == 1
+        assert_one_error_line(capsys)
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
 
 
 @pytest.mark.parametrize(

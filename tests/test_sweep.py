@@ -151,6 +151,11 @@ FOUR_TRADERS = {
     ],
 }
 INVALID = [0.0, -1.0, math.nan, math.inf, -math.inf]
+NOT_PD = {
+    "schema_version": "1",
+    "securities_cov": [[1.0, 2.0], [2.0, 1.0]],
+    "traders": [{"delta": 1.0, "cov_es": [1.0, 0.0]}, {"delta": 1.0, "cov_es": [0.0, 1.0]}],
+}
 
 
 @pytest.mark.parametrize(
@@ -175,6 +180,8 @@ INVALID = [0.0, -1.0, math.nan, math.inf, -math.inf]
          0, "delta", None, [0.5, 1.0], ["solve_failed", "bilateral_closed_form"]),
         (beta_doc((0.6875, -0.9375, 3.1249999999990905, -1.8749999999990905), (0.25, 1.75, 0.25, 3.75)),
          0, "delta", None, [0.25, 0.5], ["solve_failed", "general_non_extreme"]),
+        # a covariance that is not positive definite fails at every point
+        (NOT_PD, 0, "delta", None, [0.5, 1.0, 2.0], ["validation_failed"] * 3),
     ],
 )
 def test_fixed_sweeps_match_the_per_point_pipeline(doc, index, field, component, grid, kinds):
