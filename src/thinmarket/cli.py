@@ -16,8 +16,8 @@ classified, solved, verified and compared at once, with the one-market
 arithmetic, so each CSV row is byte-identical to analyzing that point alone.
 General points are root-found one at a time.  Writing the numbers is the
 largest cost of a two-trader sweep, about half of it: CPython's 17-digit
-float formatting takes about 0.4 us a number, and the CSV body is one
-%-format of one flat tuple, with one template per row.
+float formatting takes about 0.4 us a number on a 2-vCPU Xeon VM, and the
+CSV body is one %-format of one flat tuple, with one template per row.
 
 The parser is built once per process (`build_parser` is cached), and `main`
 looks the command function up by name, `cmd_<command>`, on each call rather
