@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .competitive import EquilibriumOutcome, _quadratic_forms, competitive_equilibrium
+from .competitive import EquilibriumOutcome, _retained_risk, competitive_equilibrium
 from .errors import ConsistencyError
 from .model import ExposureProfile, derive_exposures, _frozen, _frozen_array
 from .nash import (
@@ -48,12 +48,9 @@ class ComparisonReport:
 
 
 def _payoff_gains(exposures: ExposureProfile, outcome: EquilibriumOutcome) -> np.ndarray:
-    # Random-payoff profit/loss term of the utility decomposition:
-    # <a_i, C a_i>/(2 delta_i) - <z_i, C z_i>/(2 delta_i) with z_i = q_i + a_i
-    # the retained market exposure.
-    z = outcome.allocations + exposures.a
-    retained = _quadratic_forms(z, exposures.model.securities_cov)
-    return (exposures.own_var - retained) / (2.0 * exposures.delta)
+    # Random-payoff profit/loss term of the utility decomposition: the
+    # variance shed by holding the share k_i of the market exposure.
+    return _retained_risk(exposures, outcome.post_beta)
 
 
 def _bilateral_l_factor(exposures: ExposureProfile):
@@ -180,16 +177,15 @@ class IncompletenessReport:
     competitive_sq_gain_gap: np.ndarray
 
 
-def incompleteness_effect(
-    exposures: ExposureProfile, du: np.ndarray, competitive_allocations: np.ndarray
-) -> IncompletenessReport:
+def incompleteness_effect(exposures: ExposureProfile, du: np.ndarray) -> IncompletenessReport:
     """Compare the given (incomplete) market against its complete counterpart.
 
-    du is the incomplete market's compare() result on these exposures and
-    competitive_allocations its competitive equilibrium allocations.  The
-    counterpart keeps every beta_i, lambda_i and delta_i and replaces the
-    spanned variance <a_I, C a_I> with Var(E_I); it is materialised as an
-    explicit one-security model and solved through the ordinary pipeline.
+    du is the incomplete market's compare() result on these exposures, and
+    competitive_sq_gain is <q_i, C q_i> of the competitive allocations q_i =
+    lambda_i a_I - a_i.  The counterpart keeps every beta_i, lambda_i and
+    delta_i and replaces the spanned variance <a_I, C a_I> with Var(E_I); it
+    is materialised as an explicit one-security model and solved through the
+    ordinary pipeline.
     Requires total_endowment_var and an essentially bilateral, non-trivial
     instance (exactly two traders with beta > -1).
     """
@@ -211,9 +207,8 @@ def incompleteness_effect(
     du_o = compare(exposures_o, competitive_equilibrium(exposures_o), solve(exposures_o)).du
 
     lam, beta = exposures.lam, exposures.beta
-    qhat = competitive_allocations
-    cov = model.securities_cov
-    sq_gain = _quadratic_forms(qhat, cov)
+    agg = exposures.aggregate_market_variance
+    sq_gain = lam**2 * agg - 2.0 * lam * exposures.market_cov + exposures.own_var
     sq_gain_o = lam**2 * total - 2.0 * lam * beta * total + model.endowment_vars
 
     return IncompletenessReport(

@@ -101,7 +101,7 @@ def _analyze_model(model):
     inc = None
     if model.total_endowment_var is not None:
         try:
-            inc = incompleteness_effect(exposures, comparison.du, comp.allocations)
+            inc = incompleteness_effect(exposures, comparison.du)
         except ValueError:
             inc = None  # not applicable (trivial or not essentially bilateral)
     doc = build_report(

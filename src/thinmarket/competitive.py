@@ -21,7 +21,7 @@ class EquilibriumOutcome:
     post_beta is the beta of the post-transaction position E_i + <q_i, S - p>
     (meaningless and flagged via beta_defined=False when a_I = 0); premium is
     the signed cash leg <q_i, p>; utilities are post-trade certainty
-    equivalents computed from the general quadratic formula.
+    equivalents, computed from the shares and the per-trader moments.
     """
 
     prices: np.ndarray
@@ -32,10 +32,11 @@ class EquilibriumOutcome:
     beta_defined: bool
 
 
-def _quadratic_forms(q: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """<q_i, C q_i> for every trader, as the row sums of (q C) * q.  Per point
-    these are the bits of the one-market product, also over a grid axis."""
-    return np.einsum("...ij,...ij->...i", q @ cov, q)
+def _retained_risk(exposures: ExposureProfile, k: np.ndarray) -> np.ndarray:
+    """(<a_i, C a_i> - k_i^2 <a_I, C a_I>) / (2 delta_i): the risk a trader
+    sheds by holding the share k_i of the market exposure in place of a_i."""
+    agg = np.asarray(exposures.aggregate_market_variance)[..., None]
+    return (exposures.own_var - k * k * agg) / (2.0 * exposures.delta)
 
 
 def clearing_outcome(
@@ -47,17 +48,17 @@ def clearing_outcome(
     0 (the profile is trivial, and beta_defined is False), and there every
     caller passes zero shares.  The utilities are the certainty equivalents
     of E_i + <q_i, S - p>, one code path for every equilibrium kind: mean
-    minus variance over twice the risk tolerance of the post-trade position,
-    expanded in terms of the stored covariances.  The arrays are frozen in
-    place, so the callers pass arrays they have just computed.
+    minus variance over twice the risk tolerance, minus the premium.  Trading
+    q_i replaces the hedgeable part <a_i, S> of the endowment by <k_i a_I, S>,
+    so Var(E_i + <q_i, S>) = Var(E_i) - <a_i, C a_i> + k_i^2 <a_I, C a_I>.
+    The arrays are frozen in place, so the callers pass arrays they have just
+    computed.
     """
     k = np.asarray(k_shares, dtype=float)
     q = k[..., :, None] * exposures.a_total[..., None, :] - exposures.a
     p = np.asarray(prices, dtype=float)
     premium = _matvec(q, p)  # <q_i, p>
-    cross = np.einsum("...ij,...ij->...i", q, exposures.model.cov_matrix_rows)  # <q_i, C a_i>
-    quad = _quadratic_forms(q, exposures.model.securities_cov)
-    utilities = exposures.u - cross / exposures.delta - quad / (2.0 * exposures.delta) - premium
+    utilities = exposures.u + _retained_risk(exposures, k) - premium
     return EquilibriumOutcome(
         prices=_frozen(p),
         allocations=_frozen(q),

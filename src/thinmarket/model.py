@@ -191,9 +191,10 @@ class ValidationResult:
 
 # Products over optional leading axes.  A stacked matmul makes per point the
 # BLAS call that the unstacked product makes, so each point gets the bits of
-# the one-market product; einsum, elementwise sums and one GEMM over the
-# flattened points add in other orders.  A point's vector is a one-row matrix
-# (..., 1, k), so that one market and a stack make the same call per point.
+# the one-market product; one GEMM over the flattened points adds in another
+# order.  The one einsum, derive_exposures' own_var, sums each trader's row.
+# A point's vector is a one-row matrix (..., 1, k), so that one market and a
+# stack make the same call per point.
 # BLAS needs unit strides, and a vector not contiguous along its axis sends
 # numpy to a loop of its own, so vectors are made contiguous (a no-op for one
 # market's vectors).
@@ -294,7 +295,9 @@ class ExposureProfile:
     <a_I, C a_i> / <a_I, C a_I> (None when the instance is trivial, a_I = 0);
     lam[i] = delta_i / delta_total; u[i] is the autarky certainty equivalent.
     cov_total is C a_I and market_cov[i] = <a_I, C a_i>; own_var[i] =
-    <a_i, C a_i>.  All arrays are read-only; the profile is an immutable value.
+    <a_i, C a_i>.  With aggregate_market_variance <a_I, C a_I>, these moments
+    give every post-trade variance (see competitive.clearing_outcome) and
+    best response.  All arrays are read-only; the profile is an immutable value.
 
     The profile of a stacked model has a leading grid axis on every array,
     and delta_total, aggregate_market_variance and is_trivial are arrays over

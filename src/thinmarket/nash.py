@@ -530,18 +530,14 @@ def fixed_point_deviation(exposures: ExposureProfile, thetas):
         raise ValueError(_NOT_AN_ELASTICITY)
     if one_market and exposures.is_trivial:
         raise ValueError("best response is undefined on a trivial instance (flat response)")
-    infinite = np.isinf(theta)
-    n_infinite = np.count_nonzero(infinite, axis=-1)[..., None]
-    rest = _exclusive_sums(np.where(infinite, 0.0, theta))
-    # the rest is infinite where anyone else's theta is
-    rest = np.where(n_infinite - infinite > 0, math.inf, rest)
 
     # best_response's branches as arrays: zero for beta <= -1, infinite for
     # beta >= 1 + rest/delta (never against an infinite rest), the interior
     # closed form otherwise, which is delta (1 + beta) against an infinite
     # rest; against a zero rest the response is undefined unless beta > 1.
     beta, delta = exposures.beta, exposures.delta
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # see bad_value
+        rest = _exclusive_sums(theta)  # infinite exactly where anyone else's theta is
         escalate = beta >= 1.0 + rest / delta
         br = delta * rest * (1.0 + beta) / (rest + delta * (1.0 - beta))
         br = np.where(np.isinf(rest), delta * (1.0 + beta), br)
@@ -549,13 +545,16 @@ def fixed_point_deviation(exposures: ExposureProfile, thetas):
         interior = ~(passive | escalate)
         undefined = (rest == 0.0) & (beta <= 1.0)
         bad_value = interior & ~((br > 0.0) & (br < math.inf))
-        mismatch = ((theta == 0.0) != passive) | (infinite != escalate)
-        # the verdict of the first trader that stops the check
-        stop = np.where(undefined, 1, np.where(bad_value, 2, np.where(mismatch, 3, 0)))
-        first = np.take_along_axis(stop, np.argmax(stop > 0, axis=-1)[..., None], -1)[..., 0]
-        stopped, undefined, bad_value = first > 0, first == 1, first == 2
+        mismatch = ((theta == 0.0) != passive) | (np.isinf(theta) != escalate)
         relative = np.abs(br - theta) / np.maximum(br, np.abs(theta))
-        deviation = np.where(stopped, math.inf, np.max(np.where(interior, relative, 0.0), axis=-1))
+        deviation = np.max(np.where(interior, relative, 0.0), axis=-1)
+        first = 0
+        if (undefined | bad_value | mismatch).any():
+            # the verdict of the first trader that stops the check
+            stop = np.where(undefined, 1, np.where(bad_value, 2, np.where(mismatch, 3, 0)))
+            first = np.take_along_axis(stop, np.argmax(stop > 0, axis=-1)[..., None], -1)[..., 0]
+            deviation = np.where(first > 0, math.inf, deviation)
+        undefined, bad_value = first == 1, first == 2
     if not one_market:
         raises = ~elasticities | np.asarray(exposures.is_trivial) | undefined | bad_value
         return np.where(raises, math.inf, deviation)

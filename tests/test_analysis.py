@@ -23,8 +23,8 @@ def _pipeline(model):
 
 
 def _incompleteness(model):
-    ex, comp, _, report = _pipeline(model)
-    return incompleteness_effect(ex, report.du, comp.allocations)
+    ex, _, _, report = _pipeline(model)
+    return incompleteness_effect(ex, report.du)
 
 
 class TestCompare:

@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from thinmarket import (
     Elasticity,
+    compare,
     competitive_equilibrium,
     derive_exposures,
+    incompleteness_effect,
     MarketModel,
     TraderProfile,
+    solve,
 )
 from thinmarket.competitive import aggregate_demand
-from conftest import model_from_betas, random_deltas, constrained_betas
+from thinmarket.nash import KIND_BILATERAL, KIND_EXTREME, KIND_GENERAL, KIND_TRIVIAL, solve_grid
+from conftest import model_from_betas, random_deltas, constrained_betas, spd_matrix
 
 
 def test_hand_example(two_trader_exposures):
@@ -106,3 +112,148 @@ def test_aggregate_demand_identities(two_trader_exposures):
         aggregate_demand(ex, [Elasticity.infinite(), Elasticity.finite(1.0)], price)
     with pytest.raises(ValueError):
         aggregate_demand(ex, [Elasticity.finite(1.0)], price)
+
+
+# Long-double oracle for the post-trade certainty equivalents: it takes the
+# allocations q_i as given and expands Var(E_i + <q_i, S>) = Var(E_i) +
+# 2 <q_i, Cov(E_i, S)> + <q_i, C q_i> from the model's inputs, with no use of
+# the per-trader moments the package computes the utilities from.
+EPS = np.finfo(float).eps
+LD = np.longdouble
+
+
+def _quadratic(x, cov):
+    return np.einsum("...ij,jk,...ik->...i", x, cov.astype(LD), x)
+
+
+def _oracle_utilities(model, outcome):
+    q = outcome.allocations.astype(LD)
+    rows = model.cov_matrix_rows.astype(LD)
+    cross = 2 * np.sum(q * rows, axis=-1)
+    variance = model.endowment_vars + cross + _quadratic(q, model.securities_cov)
+    premium = np.einsum("...ij,...j->...i", q, outcome.prices.astype(LD))
+    utilities = model.endowment_means - variance / (2 * model.deltas.astype(LD)) - premium
+    return utilities, np.abs(model.endowment_means) + np.abs(premium)
+
+
+def _oracle_payoff_gains(ex, outcome):
+    # <a_i, C a_i> - <z_i, C z_i> over 2 delta_i, z_i = q_i + a_i the retained exposure
+    a = ex.a.astype(LD)
+    z = outcome.allocations.astype(LD) + a
+    cov = ex.model.securities_cov
+    return (_quadratic(a, cov) - _quadratic(z, cov)) / (2 * ex.delta.astype(LD))
+
+
+def _risk_scale(ex, outcome):
+    """(Var(E_i) + k_i^2 <a_I, C a_I>) / (2 delta_i): the size of the variance terms."""
+    agg = np.asarray(ex.aggregate_market_variance)[..., None]
+    k = outcome.post_beta
+    return (ex.model.endowment_vars + k * k * agg) / (2.0 * ex.delta)
+
+
+def assert_matches_oracle(ex, outcome, payoff_gain):
+    """Utilities and payoff gains within 8 ulps of the size of their terms."""
+    risk = _risk_scale(ex, outcome)
+    want, size = _oracle_utilities(ex.model, outcome)
+    solved = np.isfinite(outcome.utilities)
+    err = np.abs(outcome.utilities - want)[solved]
+    assert np.all(err <= 8 * EPS * (size + risk)[solved])
+    err = np.abs(payoff_gain - _oracle_payoff_gains(ex, outcome))[solved]
+    assert np.all(err <= 8 * EPS * risk[solved])
+
+
+def _trivial_model(rng, n, k):
+    # rows Cov(E_i, S) summing to zero, so that a_I = 0
+    cov = spd_matrix(rng, k)
+    rows = rng.normal(size=(n, k))
+    rows[-1] = -rows[:-1].sum(axis=0)
+    own = np.sum(np.linalg.solve(cov, rows.T).T * rows, axis=1)
+    return MarketModel(
+        securities_cov=cov,
+        deltas=random_deltas(rng, n),
+        cov_matrix_rows=rows,
+        endowment_means=rng.normal(size=n),
+        endowment_vars=own * (1.0 + rng.uniform(size=n)),
+    )
+
+
+def _extreme_model(rng, n, k):
+    # trader 0 leads: followers in (-0.9, 0.5), one passive trader absorbing
+    # the rest, and delta_0 large enough for the extreme condition
+    followers = rng.uniform(-0.9, 0.5, size=n - 2)
+    passive = -1.0 - abs(followers.sum()) - rng.uniform(0.2, 1.0)
+    leader = 1.0 - followers.sum() - passive
+    deltas = random_deltas(rng, n)
+    spread = float(np.sum(deltas[1:-1] * (1.0 + followers)))
+    deltas[0] = spread / (leader - 1.0) * rng.uniform(1.2, 3.0) + 0.05
+    betas = np.concatenate([[leader], followers, [passive]])
+    return model_from_betas(rng, betas, deltas, n_securities=k)
+
+
+def _bilateral_model(rng, n, k):
+    # two active traders strictly inside both extreme thresholds, n - 2 passive
+    passive = rng.uniform(-1.5, -1.0, size=n - 2)
+    total = 1.0 - passive.sum()
+    deltas = random_deltas(rng, n)
+    d0, d1 = deltas[:2]
+    hi = min((d0 + d1 * (1.0 + total)) / (d0 + d1), total + 1.0)
+    lo = max(total - (d1 + d0 * (1.0 + total)) / (d0 + d1), -1.0)
+    beta0 = lo + (hi - lo) * rng.uniform(0.1, 0.9)
+    betas = np.concatenate([[beta0, total - beta0], passive])
+    return model_from_betas(rng, betas, deltas, n_securities=k, with_total_var=True)
+
+
+def _general_model(rng, n, k):
+    n = max(n, 3)
+    betas = constrained_betas(rng, n, low=-0.9, high=0.9)
+    return model_from_betas(rng, betas, random_deltas(rng, n), n_securities=k)
+
+
+MODELS = {
+    KIND_TRIVIAL: _trivial_model,
+    KIND_EXTREME: _extreme_model,
+    KIND_BILATERAL: _bilateral_model,
+    KIND_GENERAL: _general_model,
+}
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(sorted(MODELS)),
+    n=st.integers(2, 8),
+    k=st.integers(1, 5),
+)
+@settings(max_examples=200, deadline=None)
+def test_utilities_match_a_long_double_oracle(seed, kind, n, k):
+    rng = np.random.default_rng(seed)
+    ex = derive_exposures(MODELS[kind](rng, n, k))
+    comp = competitive_equilibrium(ex)
+    nash = solve(ex)
+    assume(nash.kind == kind)
+    report = compare(ex, comp, nash)
+    assert_matches_oracle(ex, comp, report.payoff_gain_competitive)
+    assert_matches_oracle(ex, nash.outcome, report.payoff_gain_nash)
+    if kind == KIND_BILATERAL and n == 2:
+        # <q_i, C q_i> of the competitive allocations
+        sq_gain = incompleteness_effect(ex, report.du).competitive_sq_gain
+        q = comp.allocations.astype(LD)
+        tol = 8 * EPS * 2.0 * ex.delta * _risk_scale(ex, comp)
+        assert np.all(np.abs(sq_gain - _quadratic(q, ex.model.securities_cov)) <= tol)
+
+
+def test_stacked_utilities_match_a_long_double_oracle():
+    # a four-trader market swept over trader 0's risk tolerance, across the
+    # general and extreme regimes
+    rng = np.random.default_rng(7)
+    model = model_from_betas(rng, [1.6, 0.3, 0.2, -1.1], [1.0, 1.5, 0.7, 2.0], n_securities=3)
+    grid = np.geomspace(0.01, 100.0, 64)
+    deltas = np.repeat(model.deltas[None], grid.size, axis=0)
+    deltas[:, 0] = grid
+    rows = np.broadcast_to(model.cov_matrix_rows, (grid.size,) + model.cov_matrix_rows.shape)
+    ex = derive_exposures(model.stacked(deltas, np.ascontiguousarray(rows)))
+    comp = competitive_equilibrium(ex)
+    nash = solve_grid(ex)
+    report = compare(ex, comp, nash)
+    assert {KIND_GENERAL, KIND_EXTREME} <= set(nash.kind.tolist())
+    assert_matches_oracle(ex, comp, report.payoff_gain_competitive)
+    assert_matches_oracle(ex, nash.outcome, report.payoff_gain_nash)

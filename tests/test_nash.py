@@ -512,6 +512,62 @@ class TestVerificationParity:
             for candidate in _candidates(ex, sol.thetas):
                 assert_same_verdict(ex, candidate)
 
+    def test_stacked_points_that_stop_and_points_that_do_not(self, rng):
+        # One (G, N) stack of three one-security markets, each point built to
+        # end the one-market check a given way, at various trader positions.
+        # Every point gets the one-market deviation, or inf where that raises;
+        # the stack without its stopping points takes the other branch.
+        markets = [
+            ([1.3, 0.4, -0.2, -0.5], [3.0, 2.0, 2.5, 1.5]),  # general
+            ([3.0, -0.5, -0.5, -1.0], [1.0, 1.0, 1.0, 1.0]),  # extreme, led by trader 0
+            ([-1.2, -1.3, 0.9, 2.6], [1.0, 1.0, 2.0, 2.0]),  # bilateral, two passive first
+        ]
+        models = [model_from_betas(rng, b, d, market_variance=1.0) for b, d in markets]
+        (t, kind_t), (e, kind_e), (b, kind_b) = [
+            (sol.thetas, sol.kind) for sol in (solve(derive_exposures(m)) for m in models)
+        ]
+        assert (kind_t, kind_e, kind_b) == (KIND_GENERAL, KIND_EXTREME, KIND_BILATERAL)
+        points = [
+            (0, t, "verified"),
+            (0, [t[0], t[1] * (1.0 + 1e-6), t[2], t[3]], "deviates"),
+            (0, [t[0], t[1], t[2], 0.0], "mismatch"),  # at trader 3
+            (0, [math.inf, t[1], t[2], t[3]], "mismatch"),  # at trader 0
+            (0, [1e308, t[1], t[2], t[3]], "bad_value"),  # at trader 1: the rest overflows br
+            (0, [t[0], t[1], 1e308, t[3]], "bad_value"),  # at trader 0
+            (1, e, "verified"),  # an infinite theta
+            (1, [e[0], 0.0, e[2], e[3]], "mismatch"),  # at trader 1
+            (2, b, "verified"),
+            (2, [0.0, 1.0, b[2], b[3]], "mismatch"),  # at trader 1
+            (2, [0.0, 0.0, b[2], 0.0], "undefined"),  # at trader 2
+            (2, np.zeros(4), "undefined"),  # at trader 0
+        ]
+        stacked = models[0].stacked(
+            np.array([models[m].deltas for m, _, _ in points]),
+            np.array([models[m].cov_matrix_rows for m, _, _ in points]),
+        )
+        ex = derive_exposures(stacked)
+        thetas = np.array([theta for _, theta, _ in points], dtype=float)
+        messages = {"undefined": "theta_rest = 0", "bad_value": "finite elasticity"}
+        want = []
+        for g, (_, _, verdict) in enumerate(points):
+            one = ex.point(g)
+            assert_same_verdict(one, thetas[g])
+            if verdict in messages:
+                with pytest.raises(ValueError, match=messages[verdict]):
+                    fixed_point_deviation(one, thetas[g])
+                want.append(math.inf)
+                continue
+            deviation = fixed_point_deviation(one, thetas[g])
+            assert {"verified": deviation < 1e-8, "deviates": 1e-8 < deviation < math.inf,
+                    "mismatch": deviation == math.inf}[verdict]
+            want.append(deviation)
+        assert fixed_point_deviation(ex, thetas).tolist() == want
+        go_on = [g for g, (_, _, verdict) in enumerate(points) if verdict in ("verified", "deviates")]
+        sub = derive_exposures(
+            models[0].stacked(stacked.deltas[go_on], stacked.cov_matrix_rows[go_on])
+        )
+        assert fixed_point_deviation(sub, thetas[go_on]).tolist() == [want[g] for g in go_on]
+
     @given(
         follower_deltas=st.lists(st.integers(1, 16), min_size=1, max_size=4),
         follower_betas=st.lists(st.integers(-15, 16), min_size=4, max_size=4),
