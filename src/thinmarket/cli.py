@@ -11,13 +11,14 @@ report keep their own codes: analyze's 2 and 3, validate's 3 and 4, and
 sweep's per-point failure rows.
 
 `sweep` evaluates its grid as one stacked model, whose arrays carry a leading
-grid axis: the grid is validated and derived once, and every point is
-classified, solved, verified and compared at once, with the one-market
+grid axis: the grid is validated and derived once, and `solve_grid` runs the
+Nash kernel that `solve` runs for analyze over every point at once (general
+points are root-found one at a time inside it), with the one-market
 arithmetic, so each CSV row is byte-identical to analyzing that point alone.
-General points are root-found one at a time.  Writing the numbers is the
-largest cost of a two-trader sweep, about half of it: CPython's 17-digit
-float formatting takes about 0.4 us a number on a 2-vCPU Xeon VM, and the
-CSV body is one %-format of one flat tuple, with one template per row.
+Writing the numbers is the largest cost of a two-trader sweep, about half of
+it: CPython's 17-digit float formatting takes about 0.4 us a number on a
+2-vCPU Xeon VM, and the CSV body is one %-format of one flat tuple, with one
+template per row.
 
 The parser is built once per process (`build_parser` is cached), and `main`
 looks the command function up by name, `cmd_<command>`, on each call rather

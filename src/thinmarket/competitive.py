@@ -1,4 +1,4 @@
-"""Price-taking (Walrasian) equilibrium and demand aggregation.
+"""Price-taking (Walrasian) equilibrium and the outcome of clearing allocations.
 
 The competitive equilibrium is the benchmark every comparison runs against:
 prices clear the true (risk-tolerance) demands, allocations move each trader's
@@ -34,9 +34,12 @@ class EquilibriumOutcome:
 
 def _retained_risk(exposures: ExposureProfile, k: np.ndarray) -> np.ndarray:
     """(<a_i, C a_i> - k_i^2 <a_I, C a_I>) / (2 delta_i): the risk a trader
-    sheds by holding the share k_i of the market exposure in place of a_i."""
+    sheds by holding the share k_i of the market exposure in place of a_i.
+    A risk tolerance above half the float maximum doubles to inf, and the
+    risk shed is then 0, which is right."""
     agg = np.asarray(exposures.aggregate_market_variance)[..., None]
-    return (exposures.own_var - k * k * agg) / (2.0 * exposures.delta)
+    with np.errstate(over="ignore"):
+        return (exposures.own_var - k * k * agg) / (2.0 * exposures.delta)
 
 
 def clearing_outcome(
@@ -85,20 +88,3 @@ def competitive_equilibrium(exposures: ExposureProfile) -> EquilibriumOutcome:
     shares = np.where(trivial[..., None], 0.0, exposures.lam)
     return clearing_outcome(exposures, shares, prices)
 
-
-def aggregate_demand(exposures: ExposureProfile, elasticities, price) -> np.ndarray:
-    """Sum of submitted linear demands -a_i - theta_i C^{-1} p at the price.
-
-    Used as the market-clearing oracle in tests.  Raises if any elasticity is
-    infinite (an extremely elastic demand has no finite-valued schedule).
-    """
-    thetas = []
-    for theta in elasticities:
-        value = theta.as_float if hasattr(theta, "as_float") else float(theta)
-        if np.isinf(value):
-            raise ValueError("aggregate demand is undefined for infinite elasticity")
-        thetas.append(value)
-    if len(thetas) != exposures.n_traders:
-        raise ValueError("one elasticity per trader is required")
-    p = np.asarray(price, dtype=float)
-    return -exposures.a_total - sum(thetas) * exposures.solve_cov(p)

@@ -328,11 +328,6 @@ class ExposureProfile:
     def n_securities(self) -> int:
         return self.model.n_securities
 
-    def solve_cov(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve C x = rhs against the symmetrized securities covariance, for
-        every vector on rhs's last axis."""
-        return _solve_sym(self.model.securities_cov, np.asarray(rhs, dtype=float))
-
     def point(self, g: int) -> ExposureProfile:
         """Grid point g of a stacked profile, as the profile of one market."""
         trivial = bool(self.is_trivial[g])

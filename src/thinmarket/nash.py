@@ -1,30 +1,29 @@
 """Noncompetitive (Nash) equilibrium: classification and solvers.
 
-`solve` is the one entry point for one market, and it decides the regime
-once, in the order of the theory: the trivial case a_I = 0 first, then the
+One kernel, `_equilibrium`, classifies, solves and verifies.  It decides the
+regime in the order of the theory: the trivial case a_I = 0 first, then the
 extreme regime (one trader submits infinite elasticity, prices are zero), then
 the bilateral closed form when exactly two traders are active, then the
 unsupported regime, and otherwise the general constructive solver, which
 reduces the coupled quadratic system to a single monotone scalar equation in
 the total elasticity and solves it by Brent's method on a bisection bracket.
-The per-regime solvers trust that dispatch and do not check their regime
-again.
+`solve` runs the kernel on one market and raises where it fails; `solve_grid`
+runs it on a stacked profile (one derived from `MarketModel.stacked`) and
+marks the failed points KIND_FAILED.  The kernel's arrays have the trader on
+their last axis and an optional leading grid axis; each step runs once per
+call, over every point that needs it, with the one-market arithmetic, so a
+grid point gets the bits it gets alone, and each general point is root-found
+on its own.  `solve_extreme`, `solve_bilateral` and `solve_general` are
+per-regime references that trust their documented preconditions.
 
 Configurations with two or more betas above one where the extreme condition
 fails (and more than two traders are active) are reported as an unsupported
 regime rather than guessed: uniqueness is not established there.
 
 Every solution is verified against the closed-form best response of each
-trader to the others.  The verification is O(N): the others' aggregate
-elasticity comes from prefix and suffix sums, and the best-response branches
-are evaluated as arrays, with the verdicts of a trader-by-trader check.
-
-The classification, the extreme and bilateral closed forms, the residuals and
-the verification are written over arrays whose last axis is the trader, with
-optional leading grid axes.  `solve_grid` runs them over a stacked profile
-(one derived from `MarketModel.stacked`), every point at once, and gives each
-point the kind that `solve` gives it alone, or KIND_FAILED where `solve` would
-raise; general points go through `solve` one at a time.
+trader to the others in O(N): the others' aggregate elasticity comes from
+prefix and suffix sums, and the best-response branches are evaluated as
+arrays, with the verdicts of a trader-by-trader check.
 """
 
 from __future__ import annotations
@@ -71,13 +70,13 @@ class NashSolution:
     theta_total is their sum as a float (+inf in the extreme regime).
     k_shares are theta_i / theta_total with the conventions 1 at infinity and
     0 elsewhere in the extreme regime; residuals are left-minus-right of the
-    coupled equilibrium equations for diagnostic reporting.  For the
-    unsupported regime only kind and detail are populated.
+    coupled equilibrium equations for diagnostic reporting.  Fields without
+    a value for the kind are None: all but kind and detail when unsupported,
+    and the residuals of a trivial market.
 
     solve_grid's solution has a leading grid axis: kind is an array of kinds,
-    theta_total and detail are None, and the arrays hold NaN at the points
-    without a solution (unsupported, failed) and, in residuals, the trivial
-    ones.
+    theta_total and detail are None, and the arrays hold NaN where one market
+    holds None, and at the failed points.
     """
 
     kind: str
@@ -149,34 +148,10 @@ def check_extreme_condition(exposures: ExposureProfile) -> int | None:
         raise ValueError("extreme classification is undefined on a trivial instance")
     hits, disagreement = _extreme_hits(exposures)
     leaders = hits.nonzero()[0].tolist()
-    if len(leaders) > 1:
-        raise ConsistencyError(f"extreme condition held for several traders: {leaders}")
-    if disagreement:
-        raise ConsistencyError(
-            "extreme-condition tests disagree: "
-            f"per-trader={bool(leaders)}, aggregate={not leaders}, margin={disagreement:g}"
-        )
+    code = 1 if len(leaders) > 1 else 2 if disagreement else 0
+    if code:
+        raise _failure(code, hits, disagreement)
     return leaders[0] if leaders else None
-
-
-def _n_active(exposures: ExposureProfile) -> np.ndarray:
-    return np.count_nonzero(exposures.beta > -1.0, axis=-1)
-
-
-def _regime(exposures: ExposureProfile, leader) -> np.ndarray:
-    """The regime of a non-trivial market whose extreme classification gave
-    `leader` (-1 for none): extreme, bilateral (exactly two betas > -1),
-    unsupported (two or more betas > 1) or general, in that order."""
-    unsupported = np.count_nonzero(exposures.beta > 1.0, axis=-1) >= 2
-    return np.where(
-        np.asarray(leader) >= 0,
-        KIND_EXTREME,
-        np.where(
-            _n_active(exposures) == 2,
-            KIND_BILATERAL,
-            np.where(unsupported, KIND_UNSUPPORTED, KIND_GENERAL),
-        ),
-    )
 
 
 def _extreme_parts(exposures: ExposureProfile, leader) -> tuple[np.ndarray, np.ndarray]:
@@ -189,16 +164,10 @@ def solve_extreme(exposures: ExposureProfile, k: int) -> NashSolution:
     """Extreme equilibrium: trader k submits infinite elasticity, everyone
     else submits delta_i (1 + beta_i)_+; prices are exactly zero, trader k
     absorbs the whole market exposure and all others end market-neutral."""
-    thetas, shares = _extreme_parts(exposures, k)
+    thetas, shares = map(_frozen, _extreme_parts(exposures, k))
     outcome = clearing_outcome(exposures, shares, np.zeros(exposures.n_securities))
-    return NashSolution(
-        kind=KIND_EXTREME,
-        thetas=_frozen(thetas),
-        theta_total=math.inf,
-        k_shares=_frozen(shares),
-        outcome=outcome,
-        residuals=_frozen(np.zeros(exposures.n_traders)),
-    )
+    residuals = _frozen(np.zeros(exposures.n_traders))
+    return NashSolution(KIND_EXTREME, thetas, math.inf, shares, outcome, residuals)
 
 
 def nash_residuals(exposures: ExposureProfile, thetas: np.ndarray) -> np.ndarray:
@@ -232,18 +201,12 @@ def _finite_parts(exposures: ExposureProfile, thetas: np.ndarray):
 
 
 def _finite_solution(exposures: ExposureProfile, thetas: np.ndarray, kind: str) -> NashSolution:
-    thetas = np.asarray(thetas, dtype=float)
     total, shares, prices, in_range = _finite_parts(exposures, thetas)
     if not in_range:
         raise ValueError(_BOUNDARY_MESSAGE)
-    return NashSolution(
-        kind=kind,
-        thetas=_frozen(thetas),
-        theta_total=float(total),
-        k_shares=_frozen(shares),
-        outcome=clearing_outcome(exposures, shares, prices),
-        residuals=_frozen(nash_residuals(exposures, thetas)),
-    )
+    outcome = clearing_outcome(exposures, shares, prices)
+    residuals = _frozen(nash_residuals(exposures, thetas))
+    return NashSolution(kind, _frozen(thetas), float(total), _frozen(shares), outcome, residuals)
 
 
 def _bilateral_thetas(exposures: ExposureProfile) -> np.ndarray:
@@ -274,11 +237,11 @@ def solve_bilateral(exposures: ExposureProfile) -> NashSolution:
     """Closed form when exactly two traders have beta > -1 (all others are
     passive and submit zero elasticity).
 
-    Precondition: solve assigned the bilateral regime, i.e. the instance is
+    Precondition: the instance is in the bilateral regime, i.e. it is
     non-trivial, exactly two traders are active and the extreme condition
     fails.
     """
-    if _n_active(exposures) != 2:
+    if np.count_nonzero(exposures.beta > -1.0) != 2:
         raise ValueError("the bilateral closed form needs exactly two traders with beta > -1")
     return _finite_solution(exposures, _bilateral_thetas(exposures), KIND_BILATERAL)
 
@@ -453,54 +416,38 @@ def _root_total_elasticity(system: GeneralSystem, delta_total: float) -> float:
     raise ConsistencyError("root-finder failed to reach tolerance")
 
 
-def solve_general(exposures: ExposureProfile) -> NashSolution:
-    """Constructive solver for the non-extreme equilibrium with any number of
-    traders.
-
-    Precondition: solve assigned the general regime, i.e. the instance is
-    non-trivial, the extreme condition fails and at most one beta exceeds one.
-    """
+def _general_thetas(exposures: ExposureProfile) -> np.ndarray:
+    """Elasticities of the general constructive solution of one market."""
     system = GeneralSystem(exposures)
     total = _root_total_elasticity(system, exposures.delta_total)
     thetas = np.zeros(exposures.n_traders)
     thetas[system.follower_mask] = system.follower_thetas(total)
     thetas[system.leader] = system.leader_theta(total)
-    return _finite_solution(exposures, thetas, KIND_GENERAL)
+    return thetas
 
 
-def _trivial_solution(exposures: ExposureProfile) -> NashSolution:
-    # Any elasticity vector is an equilibrium here; report the true tolerances
-    # as the representative and the common prices/allocations.
-    outcome = clearing_outcome(
-        exposures, np.zeros(exposures.n_traders), np.zeros(exposures.n_securities)
-    )
-    return NashSolution(
-        kind=KIND_TRIVIAL,
-        thetas=exposures.delta,
-        theta_total=exposures.delta_total,
-        k_shares=exposures.lam,
-        outcome=outcome,
-        residuals=None,
-        detail="a_I = 0: every elasticity vector clears at zero prices with q_i = -a_i",
-    )
+def solve_general(exposures: ExposureProfile) -> NashSolution:
+    """Constructive solver for the non-extreme equilibrium with any number of
+    traders.
+
+    Precondition: the instance is in the general regime, i.e. it is
+    non-trivial, the extreme condition fails and at most one beta exceeds one.
+    """
+    return _finite_solution(exposures, _general_thetas(exposures), KIND_GENERAL)
 
 
-def _unsupported_solution(exposures: ExposureProfile) -> NashSolution:
-    # Two or more betas above one without the extreme condition: uniqueness
-    # is only conjectured there, so report the regime instead of a guess.
+# Any elasticity vector is an equilibrium of a trivial market; the true
+# tolerances are reported as the representative.
+_TRIVIAL_DETAIL = "a_I = 0: every elasticity vector clears at zero prices with q_i = -a_i"
+
+
+def _unsupported_detail(exposures: ExposureProfile) -> str:
+    # uniqueness is only conjectured here, so the regime is reported, not guessed
     high = (exposures.beta > 1.0).nonzero()[0]
     betas = ", ".join(f"beta[{i}]={exposures.beta[i]:g}" for i in high.tolist())
-    return NashSolution(
-        kind=KIND_UNSUPPORTED,
-        thetas=None,
-        theta_total=None,
-        k_shares=None,
-        outcome=None,
-        residuals=None,
-        detail=(
-            f"{high.size} traders have beta > 1 ({betas}) and the extreme "
-            "condition fails: existence/uniqueness is not established"
-        ),
+    return (
+        f"{high.size} traders have beta > 1 ({betas}) and the extreme "
+        "condition fails: existence/uniqueness is not established"
     )
 
 
@@ -568,17 +515,7 @@ def fixed_point_deviation(exposures: ExposureProfile, thetas):
     return float(deviation)
 
 
-def _verification(exposures: ExposureProfile, thetas, residuals):
-    """Verdict on a solution, per market: 0 when verified, 1 when a residual
-    exceeds RESIDUAL_TOL, 2 when the best-response deviation exceeds
-    FIXED_POINT_RTOL; with the largest |residual| and the deviation."""
-    worst = np.max(np.abs(residuals), axis=-1)
-    deviation = fixed_point_deviation(exposures, thetas)
-    failure = np.where(worst > RESIDUAL_TOL, 1, np.where(deviation > FIXED_POINT_RTOL, 2, 0))
-    return failure, worst, deviation
-
-
-def _extreme_boundary_margin(exposures: ExposureProfile) -> float:
+def _extreme_boundary_margin(exposures: ExposureProfile) -> np.ndarray:
     """Relative distance of the betas from the extreme-condition boundary.
 
     Instances inside floating-point noise of that boundary cannot be verified
@@ -587,103 +524,165 @@ def _extreme_boundary_margin(exposures: ExposureProfile) -> float:
     """
     beta = exposures.beta
     _, thresholds = _extreme_thresholds(exposures)
-    scale = max(1.0, float(np.max(np.abs(beta))), float(np.max(np.abs(thresholds))))
-    return float(np.min(np.abs(beta - thresholds))) / scale
+    scale = np.maximum(1.0, np.abs(np.concatenate([beta, thresholds], axis=-1)).max(axis=-1))
+    return np.abs(beta - thresholds).min(axis=-1) / scale
+
+
+# Why the kernel leaves a point unsolved, by failure code in the order of
+# precedence (0: solved, or unsupported): the exception solve raises and its
+# message.  Codes 1-2 come from the classification, 3 from the boundary guard
+# on a finite total, 4-6 from the verification; _ROOT_FAILED is the
+# root-finder's own exception, kept as caught.
+_FAILURES = (
+    None,
+    (ConsistencyError, "extreme condition held for several traders: {leaders}"),
+    (ConsistencyError, "extreme-condition tests disagree: "
+                       "per-trader={hit}, aggregate={miss}, margin={margin:g}"),
+    (ValueError, _BOUNDARY_MESSAGE),
+    (ValueError, "instance lies within floating-point noise of the extreme-equilibrium "
+                 "boundary and cannot be verified to tolerance"),
+    (ConsistencyError, "equilibrium residuals exceed tolerance: {worst:g}"),
+    (ConsistencyError, "best-response verification failed: deviation {deviation:g}"),
+)
+_ROOT_FAILED = len(_FAILURES)
+
+
+def _failure(code, hits, margin, worst=math.nan, deviation=math.nan, error=None) -> Exception:
+    """One market's failure as an exception, worded from the kernel's
+    diagnostics, or the root-finder's own `error`."""
+    if code == _ROOT_FAILED:
+        return error
+    exception, message = _FAILURES[code]
+    leaders = hits.nonzero()[0].tolist()
+    return exception(message.format(
+        leaders=leaders, hit=bool(leaders), miss=not leaders, margin=float(margin),
+        worst=float(worst), deviation=float(deviation),
+    ))
+
+
+# The kernel's kinds, by index.
+_KINDS = np.array([KIND_TRIVIAL, KIND_EXTREME, KIND_BILATERAL, KIND_UNSUPPORTED, KIND_GENERAL,
+                   KIND_FAILED], dtype=object)
+_TRIVIAL, _EXTREME, _BILATERAL, _UNSUPPORTED, _GENERAL, _FAILED = range(len(_KINDS))
+
+
+def _some(mask) -> bool:
+    """Whether mask holds at some point: on one market a plain truth test,
+    about twenty times cheaper than .any() on a numpy scalar."""
+    return mask.any() if mask.ndim else bool(mask)
+
+
+def _fill(mask, *pairs) -> None:
+    """Write each (array, values) pair at the points of mask."""
+    for array, values in pairs:
+        np.copyto(array, values, where=mask[..., None])
+
+
+def _equilibrium(exposures: ExposureProfile):
+    """Classify, solve and verify one market, or every point of a stacked
+    profile at once: the one dispatch behind solve and solve_grid.
+
+    Returns the solution (KIND_FAILED and NaN at the grid points that fail),
+    each point's failure code and the diagnostics _failure words it with.  A
+    step runs only when some point needs it.  On one market,
+    fixed_point_deviation raises its own ValueError where a solution is no
+    elasticity vector."""
+    one_market = exposures.valid is None
+    valid = np.asarray(True if one_market else exposures.valid)
+    trivial = valid & exposures.is_trivial
+    live = valid & ~trivial
+    kind = np.full(valid.shape, _TRIVIAL)
+    code = np.zeros(valid.shape, dtype=int)
+    found = {"hits": None, "margin": 0.0}
+    thetas, shares, residuals = np.full((3, *exposures.delta.shape), np.nan)
+    prices = np.full(exposures.cov_total.shape, np.nan)
+    # one errstate for every step: failed or unsolved points of a grid carry
+    # NaN and inf, and risk tolerances near the float maximum overflow
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if _some(trivial):
+            _fill(trivial, (thetas, exposures.delta), (shares, 0.0), (prices, 0.0))
+        if _some(live):
+            found["hits"], found["margin"] = hits, disagreement = _extreme_hits(exposures)
+            n_hits = hits.sum(axis=-1)
+            n_active, n_high = ((exposures.beta > b).sum(axis=-1) for b in (-1.0, 1.0))
+            regime = np.where(n_high >= 2, _UNSUPPORTED, _GENERAL)
+            regime = np.where(n_hits == 1, _EXTREME, np.where(n_active == 2, _BILATERAL, regime))
+            kind = np.where(live, regime, kind)
+            code = np.where(live, np.where(n_hits > 1, 1, np.where(disagreement > 0.0, 2, 0)), 0)
+        todo = np.where(live & (code == 0), kind, _TRIVIAL)
+        extreme, bilateral, general = todo == _EXTREME, todo == _BILATERAL, todo == _GENERAL
+
+        if _some(extreme):
+            extreme_thetas, extreme_shares = _extreme_parts(exposures, hits.argmax(axis=-1))
+            _fill(extreme, (thetas, extreme_thetas), (shares, extreme_shares),
+                  (prices, 0.0), (residuals, 0.0))
+        if _some(bilateral):
+            _fill(bilateral, (thetas, _bilateral_thetas(exposures)))
+        for g in np.flatnonzero(general).tolist():
+            at = () if one_market else g
+            try:
+                thetas[at] = _general_thetas(exposures if one_market else exposures.point(g))
+            except SOLVE_ERRORS as exc:
+                code[at], found["error"] = _ROOT_FAILED, exc
+        finite = (bilateral | general) & (code == 0)
+        if _some(finite):
+            _, finite_shares, finite_prices, in_range = _finite_parts(exposures, thetas)
+            _fill(finite, (shares, finite_shares), (prices, finite_prices),
+                  (residuals, nash_residuals(exposures, thetas)))
+            code = np.where(finite & ~in_range, 3, code)
+
+        solved = (extreme | finite) & (code == 0)
+        if _some(solved):
+            # 1: a residual exceeds RESIDUAL_TOL, 2: the deviation FIXED_POINT_RTOL
+            found["worst"] = worst = np.max(np.abs(residuals), axis=-1)
+            found["deviation"] = deviation = fixed_point_deviation(exposures, thetas)
+            verdict = np.where(worst > RESIDUAL_TOL, 1, 2 * (deviation > FIXED_POINT_RTOL))
+            failed = solved & (verdict > 0)
+            if _some(failed):
+                near = _extreme_boundary_margin(exposures) < 1e-6
+                code = np.where(failed, np.where(near, 4, 4 + verdict), code)
+                solved = solved & ~failed
+        unsolved = ~(solved | trivial)
+        if _some(unsolved):
+            _fill(unsolved, *((values, np.nan) for values in (thetas, shares, prices, residuals)))
+        k_shares = np.where(trivial[..., None], exposures.lam, shares) if _some(trivial) else shares
+        outcome = clearing_outcome(exposures, shares, prices)
+
+    if not one_market:
+        kinds = _KINDS[np.where(valid & (code == 0), kind, _FAILED)]
+        thetas, k_shares, residuals = (_frozen(a) for a in (thetas, k_shares, residuals))
+        return NashSolution(_frozen(kinds), thetas, None, k_shares, outcome, residuals), code, found
+    if kind == _UNSUPPORTED:
+        detail = _unsupported_detail(exposures)
+        return NashSolution(KIND_UNSUPPORTED, None, None, None, None, None, detail), code, found
+    return NashSolution(
+        _KINDS[kind], _frozen(thetas), float(thetas.sum()), _frozen(k_shares), outcome,
+        None if trivial else _frozen(residuals), _TRIVIAL_DETAIL if trivial else None,
+    ), code, found
 
 
 def solve(exposures: ExposureProfile) -> NashSolution:
-    """Classify and solve the unique linear Nash equilibrium.
+    """Classify, solve and verify the unique linear Nash equilibrium of one
+    market.
 
-    The regime is decided here and only here: trivial, extreme, bilateral
-    (exactly two traders with beta > -1), unsupported (two or more betas
-    above one) or general, in that order.  Every solved (non-trivial,
-    supported) solution is verified coordinatewise against the closed-form
-    best response before being returned.  Instances whose betas sit within
-    floating-point noise of the extreme boundary are rejected with ValueError
-    when that verification cannot be met.
+    The kernel decides the regime: trivial, extreme, bilateral (exactly two
+    traders with beta > -1), unsupported (two or more betas above one) or
+    general, in that order, and verifies every solved (non-trivial, supported)
+    solution coordinatewise against the closed-form best response.  Where it
+    fails, solve raises one of SOLVE_ERRORS: ValueError for an instance within
+    floating-point noise of the extreme boundary, the others for failed checks.
     """
-    if exposures.is_trivial:
-        return _trivial_solution(exposures)
-    k = check_extreme_condition(exposures)
-    kind = _regime(exposures, -1 if k is None else k)
-    if kind == KIND_UNSUPPORTED:
-        return _unsupported_solution(exposures)
-    if kind == KIND_EXTREME:
-        solution = solve_extreme(exposures, k)
-    elif kind == KIND_BILATERAL:
-        solution = solve_bilateral(exposures)
-    else:
-        solution = solve_general(exposures)
-
-    failure, worst_residual, deviation = _verification(
-        exposures, solution.thetas, solution.residuals
-    )
-    if failure:
-        if _extreme_boundary_margin(exposures) < 1e-6:
-            raise ValueError(
-                "instance lies within floating-point noise of the extreme-equilibrium "
-                "boundary and cannot be verified to tolerance"
-            )
-        if failure == 1:
-            raise ConsistencyError(f"equilibrium residuals exceed tolerance: {worst_residual:g}")
-        raise ConsistencyError(f"best-response verification failed: deviation {deviation:g}")
+    solution, code, found = _equilibrium(exposures)
+    if code:
+        raise _failure(code, **found)
     return solution
 
 
 def solve_grid(exposures: ExposureProfile) -> NashSolution:
     """Classify, solve and verify every point of a stacked profile at once.
 
-    Each point gets the kind that solve gives it alone, or KIND_FAILED where
-    solve would raise; points that failed validation are KIND_FAILED too.
-    The classification, the extreme and bilateral closed forms, the residuals
-    and the best-response verification run over all points together, with
-    the one-market arithmetic and tolerances; general points go through solve
-    one at a time, on their own slice of the profile.
+    The kernel of solve, run over the grid: each point gets the kind and the
+    bits that solve gives it alone, or KIND_FAILED where solve would raise;
+    points that failed validation are KIND_FAILED too.
     """
-    valid = exposures.valid
-    trivial = valid & exposures.is_trivial
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        hits, disagreement = _extreme_hits(exposures)
-        n_hits = np.count_nonzero(hits, axis=-1)
-        leader = np.where(n_hits == 1, np.argmax(hits, axis=-1), -1)
-        kind = np.where(trivial, KIND_TRIVIAL, _regime(exposures, leader)).astype(object)
-        kind[~valid | (~trivial & ((n_hits > 1) | (disagreement > 0.0)))] = KIND_FAILED
-        extreme, bilateral = kind == KIND_EXTREME, kind == KIND_BILATERAL
-
-        extreme_thetas, extreme_shares = _extreme_parts(exposures, leader)
-        bilateral_thetas = _bilateral_thetas(exposures)
-        _, bilateral_shares, bilateral_prices, in_range = _finite_parts(exposures, bilateral_thetas)
-        column = (..., None)
-        thetas = np.where(extreme[column], extreme_thetas, bilateral_thetas)
-        thetas = np.where(trivial[column], exposures.delta, thetas)
-        shares = np.where(extreme[column], extreme_shares, bilateral_shares)
-        prices = np.where(bilateral[column], bilateral_prices, 0.0)
-        residuals = np.where(bilateral[column], nash_residuals(exposures, thetas), 0.0)
-        failure, _, _ = _verification(exposures, thetas, residuals)
-        solved = (extreme | (bilateral & in_range)) & (failure == 0)
-        kind[(extreme | bilateral) & ~solved] = KIND_FAILED
-
-    for g in (kind == KIND_GENERAL).nonzero()[0].tolist():
-        try:
-            solution = solve(exposures.point(g))
-        except SOLVE_ERRORS:
-            kind[g] = KIND_FAILED
-            continue
-        thetas[g], shares[g] = solution.thetas, solution.k_shares
-        prices[g], residuals[g] = solution.outcome.prices, solution.residuals
-        solved[g] = True
-
-    unsolved = ~(solved | trivial)
-    thetas[unsolved] = shares[unsolved] = prices[unsolved] = np.nan
-    residuals[~solved] = np.nan
-    clearing = np.where(trivial[column], 0.0, shares)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        outcome = clearing_outcome(exposures, clearing, prices)
-    return NashSolution(
-        kind=_frozen(kind),
-        thetas=_frozen(thetas),
-        theta_total=None,
-        k_shares=_frozen(np.where(trivial[column], exposures.lam, shares)),
-        outcome=outcome,
-        residuals=_frozen(residuals),
-    )
+    return _equilibrium(exposures)[0]

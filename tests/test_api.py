@@ -27,7 +27,6 @@ MODULE_LEVEL = {
         "iterate_best_responses",
         "mc_certainty_equivalent",
     ),
-    "thinmarket.competitive": ("aggregate_demand",),
     "thinmarket.best_response": ("response_value_at_share",),
 }
 

@@ -408,7 +408,8 @@ class TestSweep:
         assert set(kinds) == {
             "unsupported_regime", "general_non_extreme", "trivial", "extreme", "validation_failed"
         }
-        assert calls == {"validate": 1, "derive": 1, "solve": kinds.count("general_non_extreme")}
+        # the grid's general points are root-found inside solve_grid, not by solve
+        assert calls == {"validate": 1, "derive": 1, "solve": 0}
 
     def test_inf_token_in_csv(self, tmp_path):
         scen = write_json(tmp_path / "s.json", bilateral_scenario(beta0=1.5))
@@ -689,3 +690,28 @@ def test_analyze_imports_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     kinds = [json.loads(path.read_text())["nash"]["kind"] for path in reports]
     assert kinds == ["bilateral_closed_form", "general_non_extreme"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_risk_tolerances_fail_without_runtime_warnings(tmp_path, capsys):
+    # a third trader in the README scenario; delta_0 near the float maximum
+    # overflows the classifier's terms and the utilities' 2 delta, which the
+    # solver and the outcome absorb without a warning reaching the user
+    doc = bilateral_scenario(total=3.0)
+    doc["traders"].append({"delta": 0.5, "cov_es": [0.3]})
+    scen = write_json(tmp_path / "s.json", doc)
+    csv_path = tmp_path / "sweep.csv"
+    grid = "--grid=0,-1,inf,nan,1e-308,1e308,1"
+    assert main(["sweep", "--scenario", scen, "--param", "0:delta", grid, "--out", str(csv_path)]) == 0
+    with open(csv_path, newline="") as fh:
+        kinds = [row["kind"] for row in csv.DictReader(fh)]
+    assert kinds == ["validation_failed"] * 4 + ["general_non_extreme", "solve_failed", "general_non_extreme"]
+    assert capsys.readouterr().err == ""
+
+    doc["traders"][0]["delta"] = 1e308
+    big = write_json(tmp_path / "big.json", doc)
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--scenario", big, "--out", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert err == "error: F(1e+296) <= 1 at the lower bracket end; precondition violated\n"
+    assert not out.exists()

@@ -13,9 +13,25 @@ from thinmarket import (
     TraderProfile,
     solve,
 )
-from thinmarket.competitive import aggregate_demand
 from thinmarket.nash import KIND_BILATERAL, KIND_EXTREME, KIND_GENERAL, KIND_TRIVIAL, solve_grid
 from conftest import model_from_betas, random_deltas, constrained_betas, spd_matrix
+
+
+def aggregate_demand(exposures, elasticities, price) -> np.ndarray:
+    """Sum of submitted linear demands -a_i - theta_i C^{-1} p at the price:
+    the market-clearing reference of these tests.  Raises if any elasticity
+    is infinite (an extremely elastic demand has no finite-valued schedule).
+    """
+    thetas = []
+    for theta in elasticities:
+        value = theta.as_float if hasattr(theta, "as_float") else float(theta)
+        if np.isinf(value):
+            raise ValueError("aggregate demand is undefined for infinite elasticity")
+        thetas.append(value)
+    if len(thetas) != exposures.n_traders:
+        raise ValueError("one elasticity per trader is required")
+    p = np.asarray(price, dtype=float)
+    return -exposures.a_total - sum(thetas) * np.linalg.solve(exposures.model.securities_cov, p)
 
 
 def test_hand_example(two_trader_exposures):

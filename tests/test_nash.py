@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thinmarket import (
+    BracketError,
     ConsistencyError,
     Elasticity,
     KIND_BILATERAL,
@@ -27,6 +28,8 @@ from thinmarket import (
 )
 import thinmarket.nash
 from thinmarket.nash import (
+    KIND_FAILED,
+    SOLVE_ERRORS,
     GeneralSystem,
     check_extreme_condition,
     fixed_point_deviation,
@@ -34,6 +37,7 @@ from thinmarket.nash import (
     solve_bilateral,
     solve_extreme,
     solve_general,
+    solve_grid,
 )
 from conftest import (
     bilateral_model,
@@ -268,6 +272,104 @@ class TestSolveGeneral:
         assert np.allclose(thetas, thetas_sw[[1, 0, 2]], rtol=1e-9)
 
 
+def _one_security_market(deltas, cov_es):
+    # with C = [[1]], a_i is cov_es[i] and beta_i is cov_es[i] / sum(cov_es);
+    # the endowment variance covers every hedge portfolio's, so a stack of
+    # these markets is valid at every point
+    traders = tuple(
+        TraderProfile(float(d), np.array([float(c)]), endowment_mean=0.0, endowment_var=100.0)
+        for d, c in zip(deltas, cov_es)
+    )
+    return MarketModel(np.array([[1.0]]), traders)
+
+
+_TOO_LARGE = (
+    "instance lies within floating-point noise of the extreme-equilibrium boundary; "
+    "the non-extreme elasticities are too large to compute reliably"
+)
+_UNVERIFIABLE = (
+    "instance lies within floating-point noise of the extreme-equilibrium boundary "
+    "and cannot be verified to tolerance"
+)
+_HAIRLINE = float(np.nextafter(1.5, 0.0))
+
+# One instance per failure that solve reaches, as (deltas, cov_es, exception,
+# message): the root beyond the boundary guard of the root-finder, a
+# bilateral total out of range, a verification that fails next to the
+# boundary (bilateral and general), and a lower bracket end where F <= 1 (a
+# risk tolerance near the float maximum).
+FAILURES = {
+    "root_beyond_guard": ((1.75, 1.75, 2.5, 2.75), (3.0625, -1.5 + 2**-52, 0.375, -0.9375),
+                          ValueError, _TOO_LARGE),
+    "bilateral_total_out_of_range": ((1.0, 1.0), (_HAIRLINE, 1.0 - _HAIRLINE),
+                                     ValueError, _TOO_LARGE),
+    "unverifiable_bilateral": ((0.5, 1.75, 0.25), (0.75, 1.4999999999990905, -1.2499999999990905),
+                               ValueError, _UNVERIFIABLE),
+    "unverifiable_general": ((0.25, 1.75, 0.25, 3.75),
+                             (0.6875, -0.9375, 3.1249999999990905, -1.8749999999990905),
+                             ValueError, _UNVERIFIABLE),
+    "lower_bracket_end": ((1e308, 1.0, 0.5), (1.2, -0.2, 0.3),
+                          BracketError, "F(1e+296) <= 1 at the lower bracket end; precondition violated"),
+}
+
+# Solved points (deltas, cov_es) stacked with the failures of their trader count.
+SOLVED = {
+    2: [((1.0, 2.0), (1.0, -1.0)), ((1.0, 1.0), (1.8, -0.8)), ((1.0, 1.0), (1.2, -0.2))],
+    3: [((1.0, 2.0, 1.0), (1.0, -1.0, 0.0)), ((1.0, 1.0, 1.0), (2.5, -0.5, -1.0)),
+        ((1.0, 1.0, 1.0), (1.2, 0.8, -1.0)), ((1.0, 1.0, 1.0), (1.2, 0.2, -0.4))],
+    4: [((1.0,) * 4, (1.0, -1.0, 0.5, -0.5)), ((1.0,) * 4, (3.0, -0.5, -0.5, -1.0)),
+        ((1.0,) * 4, (1.5, 1.5, -1.0, -1.0)), ((1.0, 2.0, 0.5, 1.5), (0.5, 0.3, 0.1, 0.1)),
+        ((1.0,) * 4, (2.0, 2.0, 0.0, -3.0))],
+}
+
+
+class TestFailureParity:
+    @pytest.mark.parametrize("name", sorted(FAILURES))
+    def test_solve_raises_the_exact_exception(self, name):
+        deltas, cov_es, error, message = FAILURES[name]
+        with pytest.raises(SOLVE_ERRORS) as info:
+            solve(derive_exposures(_one_security_market(deltas, cov_es)))
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    def test_grid_fails_where_solve_raises_and_is_bit_equal_elsewhere(self):
+        kinds = []
+        for n, solved in SOLVED.items():
+            points = [(d, c) for d, c, _, _ in FAILURES.values() if len(d) == n] + solved
+            model = _one_security_market(*points[0]).stacked(
+                np.array([d for d, _ in points]), np.array([c for _, c in points])[..., None]
+            )
+            grid = solve_grid(derive_exposures(model))
+            for g in range(len(points)):
+                try:
+                    alone = solve(derive_exposures(model.point(g)))
+                except SOLVE_ERRORS:
+                    assert grid.kind[g] == KIND_FAILED, (n, g)
+                    kinds.append(KIND_FAILED)
+                    continue
+                kinds.append(alone.kind)
+                assert grid.kind[g] == alone.kind, (n, g)
+                outcome = alone.outcome
+                pairs = {
+                    "thetas": (grid.thetas, alone.thetas),
+                    "k_shares": (grid.k_shares, alone.k_shares),
+                    "residuals": (grid.residuals, alone.residuals),
+                    **{
+                        name: (getattr(grid.outcome, name), getattr(outcome, name, None))
+                        for name in ("prices", "allocations", "post_beta", "utilities", "premium")
+                    },
+                }
+                for name, (stacked, one) in pairs.items():
+                    if one is None:  # None on one market is NaN on the grid
+                        assert np.isnan(stacked[g]).all(), (n, g, name)
+                    else:
+                        assert stacked[g].tobytes() == np.asarray(one).tobytes(), (n, g, name)
+        assert kinds.count(KIND_FAILED) == len(FAILURES)
+        assert set(kinds) == {
+            KIND_FAILED, KIND_TRIVIAL, KIND_EXTREME, KIND_BILATERAL, KIND_GENERAL, KIND_UNSUPPORTED
+        }
+
+
 class TestDispatch:
     def test_trivial(self):
         model = MarketModel(
@@ -281,14 +383,15 @@ class TestDispatch:
         assert not sol.outcome.beta_defined
 
     def test_classifies_once_per_solve(self, rng, monkeypatch):
+        # _extreme_hits is the kernel's one classification step
         calls = []
-        classify = thinmarket.nash.check_extreme_condition
+        classify = thinmarket.nash._extreme_hits
 
         def counted(exposures):
             calls.append(exposures)
             return classify(exposures)
 
-        monkeypatch.setattr(thinmarket.nash, "check_extreme_condition", counted)
+        monkeypatch.setattr(thinmarket.nash, "_extreme_hits", counted)
         trivial = MarketModel(
             np.array([[1.0]]),
             (TraderProfile(1.0, np.array([1.0])), TraderProfile(2.0, np.array([-1.0]))),
@@ -304,6 +407,18 @@ class TestDispatch:
             calls.clear()
             assert solve(ex).kind == kind
             assert len(calls) == expected, kind
+
+        # a grid of G points of every kind is classified once per call
+        model = model_from_betas(rng, [1.2, 0.2, -0.4], [1.0, 1.0, 1.0], market_variance=1.0)
+        cov_rows = np.array([[[b] for b in betas] for betas in (
+            [1.2, 0.2, -0.4], [2.5, -0.5, -1.0], [1.2, 0.8, -1.0], [1.0, -1.0, 0.0], [0.5, 0.3, 0.2],
+        )])
+        grid = derive_exposures(model.stacked(np.ones((5, 3)), cov_rows))
+        calls.clear()
+        assert thinmarket.nash.solve_grid(grid).kind.tolist() == [
+            KIND_GENERAL, KIND_EXTREME, KIND_BILATERAL, KIND_TRIVIAL, KIND_GENERAL
+        ]
+        assert len(calls) == 1
 
     def test_fixed_point_on_random_instances(self, rng):
         kinds = set()
