@@ -114,12 +114,13 @@ def compare(
 
     du comes from direct utility subtraction; for two-trader non-extreme and
     for extreme instances the known closed forms are recomputed and any
-    disagreement raises ConsistencyError.  Given a stacked profile and
-    solve_grid's solution, every point at once: a disagreement marks the
-    point in `failed` instead of raising, and points without a solution get
-    NaN.
+    disagreement raises ConsistencyError.  Like solve, compare takes one
+    market or a stacked profile and raises only on one market: given a
+    stacked profile and solve's solution of it, it compares every point at
+    once, marks a disagreement in `failed` and gives NaN where a point has
+    no solution.
     """
-    one_market = np.ndim(nash.kind) == 0
+    one_market = exposures.valid is None
     if one_market and nash.kind == KIND_UNSUPPORTED:
         raise ValueError("cannot compare against an unsupported-regime result")
 

@@ -11,10 +11,12 @@ report keep their own codes: analyze's 2 and 3, validate's 3 and 4, and
 sweep's per-point failure rows.
 
 `sweep` evaluates its grid as one stacked model, whose arrays carry a leading
-grid axis: the grid is validated and derived once, and `solve_grid` runs the
-Nash kernel that `solve` runs for analyze over every point at once (general
-points are root-found one at a time inside it), with the one-market
-arithmetic, so each CSV row is byte-identical to analyzing that point alone.
+grid axis.  Every pipeline step takes one market or a stacked profile under
+one name, and raises where one market fails but marks the failed points of a
+grid, so the grid is validated and derived once, and `solve` and `compare`
+run once over every point (general points are root-found one at a time
+inside `solve`), with the one-market arithmetic: each CSV row is
+byte-identical to analyzing that point alone.
 Writing the numbers is the largest cost of a two-trader sweep, about half of
 it: CPython's 17-digit float formatting takes about 0.4 us a number on a
 2-vCPU Xeon VM, and the CSV body is one %-format of one flat tuple, with one
@@ -52,7 +54,6 @@ from .nash import (
     RESIDUAL_TOL,
     SOLVE_ERRORS,
     solve,
-    solve_grid,
 )
 from .oracles import McConfig, grid_best_response_share, iterate_best_responses, mc_certainty_equivalent
 from .scenario import (
@@ -160,7 +161,7 @@ def _sweep_body(model, grid: list[float], width: int) -> str:
     except InvalidModelError:  # the covariance itself fails, at every point
         kinds, numbers = ["validation_failed"] * len(grid), np.array(grid)[:, None]
     else:
-        nash = solve_grid(exposures)
+        nash = solve(exposures)
         # unsolved points carry inf and NaN through the row-wise arithmetic
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             comparison = compare(exposures, competitive_equilibrium(exposures), nash)

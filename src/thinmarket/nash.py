@@ -1,15 +1,15 @@
 """Noncompetitive (Nash) equilibrium: classification and solvers.
 
-One kernel, `_equilibrium`, classifies, solves and verifies.  It decides the
-regime in the order of the theory: the trivial case a_I = 0 first, then the
-extreme regime (one trader submits infinite elasticity, prices are zero), then
-the bilateral closed form when exactly two traders are active, then the
-unsupported regime, and otherwise the general constructive solver, which
-reduces the coupled quadratic system to a single monotone scalar equation in
-the total elasticity and solves it by Brent's method on a bisection bracket.
-`solve` runs the kernel on one market and raises where it fails; `solve_grid`
-runs it on a stacked profile (one derived from `MarketModel.stacked`) and
-marks the failed points KIND_FAILED.  The kernel's arrays have the trader on
+`solve` classifies, solves and verifies.  It decides the regime in the order
+of the theory: the trivial case a_I = 0 first, then the extreme regime (one
+trader submits infinite elasticity, prices are zero), then the bilateral
+closed form when exactly two traders are active, then the unsupported regime,
+and otherwise the general constructive solver, which reduces the coupled
+quadratic system to a single monotone scalar equation in the total elasticity
+and solves it by Brent's method on a bisection bracket.  Like every pipeline
+step, `solve` takes one market or a stacked profile (one derived from
+`MarketModel.stacked`) under one name, and raises only on one market: on a
+stack it marks the failed points KIND_FAILED.  Its arrays have the trader on
 their last axis and an optional leading grid axis; each step runs once per
 call, over every point that needs it, with the one-market arithmetic, so a
 grid point gets the bits it gets alone, and each general point is root-found
@@ -43,7 +43,7 @@ KIND_EXTREME = "extreme"
 KIND_BILATERAL = "bilateral_closed_form"
 KIND_GENERAL = "general_non_extreme"
 KIND_UNSUPPORTED = "unsupported_regime"
-# A grid point that solve would reject with one of SOLVE_ERRORS.
+# A grid point that solve would reject alone with one of SOLVE_ERRORS.
 KIND_FAILED = "solve_failed"
 
 # What solve and compare raise on an instance they cannot solve or verify:
@@ -74,9 +74,9 @@ class NashSolution:
     a value for the kind are None: all but kind and detail when unsupported,
     and the residuals of a trivial market.
 
-    solve_grid's solution has a leading grid axis: kind is an array of kinds,
-    theta_total and detail are None, and the arrays hold NaN where one market
-    holds None, and at the failed points.
+    The solution of a stacked profile has a leading grid axis: kind is an
+    array of kinds, theta_total and detail are None, and the arrays hold NaN
+    where one market holds None, and at the failed points.
     """
 
     kind: str
@@ -210,27 +210,20 @@ def _finite_solution(exposures: ExposureProfile, thetas: np.ndarray, kind: str) 
 
 
 def _bilateral_thetas(exposures: ExposureProfile) -> np.ndarray:
-    """The bilateral closed form, for markets with exactly two traders with
-    beta > -1 (the first and the last such trader are taken; everyone else is
-    passive with zero elasticity)."""
+    """The bilateral closed form theta_i = 2 delta_i lam_j (beta_i + beta_j) /
+    ((lam_i + lam_j) - (lam_i beta_i - lam_j beta_j)), j the other of the two
+    traders with beta > -1, for markets with exactly two such traders; the
+    passive traders get zero elasticity.  lam_j and beta_j are exclusive sums
+    with one nonzero term, so each trader's formula is the other's with the
+    pair swapped, bit for bit."""
     beta, lam, delta = exposures.beta, exposures.lam, exposures.delta
     active = beta > -1.0
-    n = active.shape[-1]
-    i0 = np.argmax(active, axis=-1)[..., None]
-    i1 = n - 1 - np.argmax(active[..., ::-1], axis=-1)[..., None]
-    pair = np.concatenate([i0, i1], axis=-1)
-    lams, betas, deltas = (np.take_along_axis(x, pair, -1) for x in (lam, beta, delta))
-    lam0, lam1, b0, b1 = lams[..., :1], lams[..., 1:], betas[..., :1], betas[..., 1:]
-    d0, d1 = deltas[..., :1], deltas[..., 1:]
-    beta_sum = b0 + b1
-    lam_sum = lam0 + lam1
-    gap = lam0 * b0 - lam1 * b1
+    lam_j, beta_j = (_exclusive_sums(np.where(active, x, 0.0)) for x in (lam, beta))
     # a denominator can round to zero on the boundary; _finite_parts rejects it
     with np.errstate(divide="ignore", invalid="ignore"):
-        theta0 = d0 * 2.0 * lam1 * beta_sum / (lam_sum - gap)
-        theta1 = d1 * 2.0 * lam0 * beta_sum / (lam_sum + gap)
-    trader = np.arange(n)
-    return np.where(trader == i0, theta0, np.where(trader == i1, theta1, 0.0))
+        gap = lam * beta - lam_j * beta_j
+        theta = delta * 2.0 * lam_j * (beta + beta_j) / ((lam + lam_j) - gap)
+    return np.where(active, theta, 0.0)
 
 
 def solve_bilateral(exposures: ExposureProfile) -> NashSolution:
@@ -528,7 +521,7 @@ def _extreme_boundary_margin(exposures: ExposureProfile) -> np.ndarray:
     return np.abs(beta - thresholds).min(axis=-1) / scale
 
 
-# Why the kernel leaves a point unsolved, by failure code in the order of
+# Why solve leaves a point unsolved, by failure code in the order of
 # precedence (0: solved, or unsupported): the exception solve raises and its
 # message.  Codes 1-2 come from the classification, 3 from the boundary guard
 # on a finite total, 4-6 from the verification; _ROOT_FAILED is the
@@ -548,8 +541,8 @@ _ROOT_FAILED = len(_FAILURES)
 
 
 def _failure(code, hits, margin, worst=math.nan, deviation=math.nan, error=None) -> Exception:
-    """One market's failure as an exception, worded from the kernel's
-    diagnostics, or the root-finder's own `error`."""
+    """One market's failure as an exception, worded from solve's diagnostics,
+    or the root-finder's own `error`."""
     if code == _ROOT_FAILED:
         return error
     exception, message = _FAILURES[code]
@@ -560,7 +553,7 @@ def _failure(code, hits, margin, worst=math.nan, deviation=math.nan, error=None)
     ))
 
 
-# The kernel's kinds, by index.
+# The kinds solve assigns, by index.
 _KINDS = np.array([KIND_TRIVIAL, KIND_EXTREME, KIND_BILATERAL, KIND_UNSUPPORTED, KIND_GENERAL,
                    KIND_FAILED], dtype=object)
 _TRIVIAL, _EXTREME, _BILATERAL, _UNSUPPORTED, _GENERAL, _FAILED = range(len(_KINDS))
@@ -578,22 +571,30 @@ def _fill(mask, *pairs) -> None:
         np.copyto(array, values, where=mask[..., None])
 
 
-def _equilibrium(exposures: ExposureProfile):
-    """Classify, solve and verify one market, or every point of a stacked
-    profile at once: the one dispatch behind solve and solve_grid.
+def solve(exposures: ExposureProfile) -> NashSolution:
+    """Classify, solve and verify the unique linear Nash equilibrium of one
+    market, or of every point of a stacked profile at once.
 
-    Returns the solution (KIND_FAILED and NaN at the grid points that fail),
-    each point's failure code and the diagnostics _failure words it with.  A
-    step runs only when some point needs it.  On one market,
-    fixed_point_deviation raises its own ValueError where a solution is no
-    elasticity vector."""
+    The regime is decided in order: trivial, extreme, bilateral (exactly two
+    traders with beta > -1), unsupported (two or more betas above one) or
+    general, and every solved (non-trivial, supported) solution is verified
+    coordinatewise against the closed-form best response.  A step runs only
+    when some point needs it.  Where one market fails, solve raises one of
+    SOLVE_ERRORS: ValueError for an instance within floating-point noise of
+    the extreme boundary (or fixed_point_deviation's own, for a solution that
+    is no elasticity vector), the others for failed checks.  On a stacked
+    profile each point gets the kind and the bits it gets alone, or
+    KIND_FAILED and NaN where that would raise; points that failed validation
+    are KIND_FAILED too.
+    """
     one_market = exposures.valid is None
     valid = np.asarray(True if one_market else exposures.valid)
     trivial = valid & exposures.is_trivial
     live = valid & ~trivial
     kind = np.full(valid.shape, _TRIVIAL)
     code = np.zeros(valid.shape, dtype=int)
-    found = {"hits": None, "margin": 0.0}
+    # the diagnostics _failure words one market's failure with
+    hits, margin, worst, deviation, error = None, 0.0, math.nan, math.nan, None
     thetas, shares, residuals = np.full((3, *exposures.delta.shape), np.nan)
     prices = np.full(exposures.cov_total.shape, np.nan)
     # one errstate for every step: failed or unsolved points of a grid carry
@@ -602,13 +603,13 @@ def _equilibrium(exposures: ExposureProfile):
         if _some(trivial):
             _fill(trivial, (thetas, exposures.delta), (shares, 0.0), (prices, 0.0))
         if _some(live):
-            found["hits"], found["margin"] = hits, disagreement = _extreme_hits(exposures)
+            hits, margin = _extreme_hits(exposures)
             n_hits = hits.sum(axis=-1)
             n_active, n_high = ((exposures.beta > b).sum(axis=-1) for b in (-1.0, 1.0))
             regime = np.where(n_high >= 2, _UNSUPPORTED, _GENERAL)
             regime = np.where(n_hits == 1, _EXTREME, np.where(n_active == 2, _BILATERAL, regime))
             kind = np.where(live, regime, kind)
-            code = np.where(live, np.where(n_hits > 1, 1, np.where(disagreement > 0.0, 2, 0)), 0)
+            code = np.where(live, np.where(n_hits > 1, 1, np.where(margin > 0.0, 2, 0)), 0)
         todo = np.where(live & (code == 0), kind, _TRIVIAL)
         extreme, bilateral, general = todo == _EXTREME, todo == _BILATERAL, todo == _GENERAL
 
@@ -623,7 +624,7 @@ def _equilibrium(exposures: ExposureProfile):
             try:
                 thetas[at] = _general_thetas(exposures if one_market else exposures.point(g))
             except SOLVE_ERRORS as exc:
-                code[at], found["error"] = _ROOT_FAILED, exc
+                code[at], error = _ROOT_FAILED, exc
         finite = (bilateral | general) & (code == 0)
         if _some(finite):
             _, finite_shares, finite_prices, in_range = _finite_parts(exposures, thetas)
@@ -634,8 +635,8 @@ def _equilibrium(exposures: ExposureProfile):
         solved = (extreme | finite) & (code == 0)
         if _some(solved):
             # 1: a residual exceeds RESIDUAL_TOL, 2: the deviation FIXED_POINT_RTOL
-            found["worst"] = worst = np.max(np.abs(residuals), axis=-1)
-            found["deviation"] = deviation = fixed_point_deviation(exposures, thetas)
+            worst = np.max(np.abs(residuals), axis=-1)
+            deviation = fixed_point_deviation(exposures, thetas)
             verdict = np.where(worst > RESIDUAL_TOL, 1, 2 * (deviation > FIXED_POINT_RTOL))
             failed = solved & (verdict > 0)
             if _some(failed):
@@ -651,38 +652,13 @@ def _equilibrium(exposures: ExposureProfile):
     if not one_market:
         kinds = _KINDS[np.where(valid & (code == 0), kind, _FAILED)]
         thetas, k_shares, residuals = (_frozen(a) for a in (thetas, k_shares, residuals))
-        return NashSolution(_frozen(kinds), thetas, None, k_shares, outcome, residuals), code, found
+        return NashSolution(_frozen(kinds), thetas, None, k_shares, outcome, residuals)
+    if code:
+        raise _failure(code, hits, margin, worst, deviation, error)
     if kind == _UNSUPPORTED:
         detail = _unsupported_detail(exposures)
-        return NashSolution(KIND_UNSUPPORTED, None, None, None, None, None, detail), code, found
+        return NashSolution(KIND_UNSUPPORTED, None, None, None, None, None, detail)
     return NashSolution(
         _KINDS[kind], _frozen(thetas), float(thetas.sum()), _frozen(k_shares), outcome,
         None if trivial else _frozen(residuals), _TRIVIAL_DETAIL if trivial else None,
-    ), code, found
-
-
-def solve(exposures: ExposureProfile) -> NashSolution:
-    """Classify, solve and verify the unique linear Nash equilibrium of one
-    market.
-
-    The kernel decides the regime: trivial, extreme, bilateral (exactly two
-    traders with beta > -1), unsupported (two or more betas above one) or
-    general, in that order, and verifies every solved (non-trivial, supported)
-    solution coordinatewise against the closed-form best response.  Where it
-    fails, solve raises one of SOLVE_ERRORS: ValueError for an instance within
-    floating-point noise of the extreme boundary, the others for failed checks.
-    """
-    solution, code, found = _equilibrium(exposures)
-    if code:
-        raise _failure(code, **found)
-    return solution
-
-
-def solve_grid(exposures: ExposureProfile) -> NashSolution:
-    """Classify, solve and verify every point of a stacked profile at once.
-
-    The kernel of solve, run over the grid: each point gets the kind and the
-    bits that solve gives it alone, or KIND_FAILED where solve would raise;
-    points that failed validation are KIND_FAILED too.
-    """
-    return _equilibrium(exposures)[0]
+    )

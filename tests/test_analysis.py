@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from thinmarket import (
+    KIND_BILATERAL,
     KIND_EXTREME,
+    KIND_UNSUPPORTED,
+    ConsistencyError,
+    MarketModel,
+    TraderProfile,
     compare,
     competitive_equilibrium,
     derive_exposures,
@@ -126,6 +131,30 @@ class TestCompare:
         _, _, _, rep_1 = _pipeline(model_1)
         _, _, _, rep_2 = _pipeline(model_2)
         assert np.allclose(rep_2.du * 0.8, rep_1.du * 2.0, atol=1e-12)
+
+
+    def test_one_market_raises_where_a_grid_marks_the_point(self, rng):
+        model = model_from_betas(rng, [2.0, 2.0, 0.0, -3.0], [1.0] * 4)
+        ex = derive_exposures(model)
+        nash = solve(ex)
+        assert nash.kind == KIND_UNSUPPORTED
+        with pytest.raises(ValueError, match="unsupported-regime"):
+            compare(ex, competitive_equilibrium(ex), nash)
+
+        # the README market, with trader 0's Nash utility moved off the
+        # bilateral closed form
+        readme = MarketModel(np.array([[1.0]]), (
+            TraderProfile(1.0, np.array([1.2]), endowment_mean=0.5, endowment_var=2.0),
+            TraderProfile(1.0, np.array([-0.2]), endowment_mean=0.0, endowment_var=1.5),
+        ), total_endowment_var=3.0)
+        ex, comp, nash, _ = _pipeline(readme)
+        assert nash.kind == KIND_BILATERAL
+        shifted = replace(nash, outcome=replace(
+            nash.outcome, utilities=nash.outcome.utilities + np.array([1e-3, 0.0])
+        ))
+        with pytest.raises(ConsistencyError) as info:
+            compare(ex, comp, shifted)
+        assert str(info.value) == "bilateral utility-gain closed form disagrees with direct du"
 
 
 class TestRiskNeutralLimit:

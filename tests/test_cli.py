@@ -125,6 +125,27 @@ class TestAnalyze:
         assert "incompleteness" in json.loads(out.read_text())
         assert len(calls) == 2
 
+    def test_stdout_matches_out_file(self, tmp_path, capsysbinary):
+        scen = write_json(tmp_path / "s.json", bilateral_scenario(total=3.0))
+        out = tmp_path / "report.json"
+        argv = ["analyze", "--scenario", scen]
+        assert main(argv) == 0
+        stdout = capsysbinary.readouterr().out
+        assert main(argv + ["--out", str(out)]) == 0
+        assert stdout == out.read_bytes()
+        assert json.loads(stdout)["nash"]["kind"] == "bilateral_closed_form"
+
+    def test_incompleteness_not_applicable_is_left_out(self, tmp_path):
+        # three active traders: the comparison needs an essentially bilateral market
+        doc = bilateral_scenario(total=10.0)
+        doc["traders"].append({"delta": 0.5, "cov_es": [0.3], "endowment_var": 1.0})
+        scen = write_json(tmp_path / "s.json", doc)
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--scenario", scen, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["nash"]["kind"] == "general_non_extreme"
+        assert "comparison" in report and "incompleteness" not in report
+
     def test_unsolvable_instance_exit_five(self, tmp_path, capsys):
         scen = write_json(tmp_path / "s.json", bilateral_scenario(beta0=HAIRLINE))
         out = tmp_path / "report.json"
@@ -398,7 +419,7 @@ class TestSweep:
         monkeypatch.setattr(
             thinmarket.cli, "derive_exposures", counted("derive", thinmarket.cli.derive_exposures)
         )
-        monkeypatch.setattr(thinmarket.nash, "solve", counted("solve", thinmarket.nash.solve))
+        monkeypatch.setattr(thinmarket.cli, "solve", counted("solve", thinmarket.cli.solve))
         scen = write_json(tmp_path / "s.json", four_trader_scenario())
         csv_path = tmp_path / "sweep.csv"
         grid = "--grid=-3.0,1.0,0.5,-4.0,-0.5,-6.0,2.0,nan,-1.5"
@@ -408,8 +429,8 @@ class TestSweep:
         assert set(kinds) == {
             "unsupported_regime", "general_non_extreme", "trivial", "extreme", "validation_failed"
         }
-        # the grid's general points are root-found inside solve_grid, not by solve
-        assert calls == {"validate": 1, "derive": 1, "solve": 0}
+        # one solve for the whole grid; its general points are root-found inside it
+        assert calls == {"validate": 1, "derive": 1, "solve": 1}
 
     def test_inf_token_in_csv(self, tmp_path):
         scen = write_json(tmp_path / "s.json", bilateral_scenario(beta0=1.5))
@@ -466,8 +487,7 @@ class TestSweep:
 
             return wrapper
 
-        monkeypatch.setattr(thinmarket.cli, "solve_grid", counted(thinmarket.cli.solve_grid))
-        monkeypatch.setattr(thinmarket.nash, "solve", counted(thinmarket.nash.solve))
+        monkeypatch.setattr(thinmarket.cli, "solve", counted(thinmarket.cli.solve))
         scen = write_json(tmp_path / "s.json", bilateral_scenario())
         out = tmp_path / "no_such_dir" / "s.csv"
         assert main(["sweep", "--scenario", scen, "--param", "0:delta", "--grid", "1", "--out", str(out)]) == 1
@@ -635,12 +655,15 @@ class TestParser:
         ),
         ["validate", "--scenario", "{good}", "--samples", "10000000000000000000000"],
         ["validate", "--scenario", "{good}", "--samples", "10", "--tol-override", "grid-k=abc"],
+        ["validate", "--scenario", "{good}", "--samples", "10", "--tol-override", "nosuch=1"],
+        ["sweep", "--scenario", "{good}", "--param", "0:cov_es[5]", "--grid", "1"],
         ["analyze"],
         ["frobnicate"],
     ],
     ids=[
         "analyze-not-utf8", "sweep-not-utf8", "validate-not-utf8", "deep-json", "sweep-disk-full",
-        "samples-too-large", "tol-override-not-a-number", "missing-scenario", "unknown-command",
+        "samples-too-large", "tol-override-not-a-number", "tol-override-unknown-name",
+        "cov-es-component-out-of-range", "missing-scenario", "unknown-command",
     ],
 )
 def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, argv):

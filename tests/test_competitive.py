@@ -13,7 +13,7 @@ from thinmarket import (
     TraderProfile,
     solve,
 )
-from thinmarket.nash import KIND_BILATERAL, KIND_EXTREME, KIND_GENERAL, KIND_TRIVIAL, solve_grid
+from thinmarket.nash import KIND_BILATERAL, KIND_EXTREME, KIND_GENERAL, KIND_TRIVIAL
 from conftest import model_from_betas, random_deltas, constrained_betas, spd_matrix
 
 
@@ -268,7 +268,7 @@ def test_stacked_utilities_match_a_long_double_oracle():
     rows = np.broadcast_to(model.cov_matrix_rows, (grid.size,) + model.cov_matrix_rows.shape)
     ex = derive_exposures(model.stacked(deltas, np.ascontiguousarray(rows)))
     comp = competitive_equilibrium(ex)
-    nash = solve_grid(ex)
+    nash = solve(ex)
     report = compare(ex, comp, nash)
     assert {KIND_GENERAL, KIND_EXTREME} <= set(nash.kind.tolist())
     assert_matches_oracle(ex, comp, report.payoff_gain_competitive)

@@ -22,7 +22,6 @@ from thinmarket import (
     solve,
     validate_model,
 )
-from thinmarket.nash import solve_grid
 from conftest import (
     constrained_betas,
     model_from_betas,
@@ -277,7 +276,7 @@ class TestColumns:
             report = compare(exposures, competitive, solution)
             values += [exposures, competitive, solution, solution.outcome, report]
         grid = derive_exposures(model.stacked(model.deltas[None], model.cov_matrix_rows[None]))
-        grid_solution = solve_grid(grid)
+        grid_solution = solve(grid)
         values += [grid, competitive_equilibrium(grid), grid_solution, grid_solution.outcome]
         assert kinds == [KIND_GENERAL, KIND_BILATERAL, KIND_EXTREME, KIND_TRIVIAL]
         for value in values:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 from dataclasses import replace
@@ -37,7 +38,6 @@ from thinmarket.nash import (
     solve_bilateral,
     solve_extreme,
     solve_general,
-    solve_grid,
 )
 from conftest import (
     bilateral_model,
@@ -107,6 +107,28 @@ class TestSolveExtreme:
         assert fixed_point_deviation(ex, sol.thetas) == 0.0
 
 
+def _per_trader_bilateral_thetas(exposures):
+    """The bilateral closed form written once per trader of the pair, which is
+    found by index (the first and the last trader with beta > -1): the
+    reference for the symmetric form solve uses."""
+    beta, lam, delta = exposures.beta, exposures.lam, exposures.delta
+    active = beta > -1.0
+    n = active.shape[-1]
+    i0 = np.argmax(active, axis=-1)[..., None]
+    i1 = n - 1 - np.argmax(active[..., ::-1], axis=-1)[..., None]
+    pair = np.concatenate([i0, i1], axis=-1)
+    lams, betas, deltas = (np.take_along_axis(x, pair, -1) for x in (lam, beta, delta))
+    lam0, lam1, b0, b1 = lams[..., :1], lams[..., 1:], betas[..., :1], betas[..., 1:]
+    d0, d1 = deltas[..., :1], deltas[..., 1:]
+    beta_sum = b0 + b1
+    lam_sum = lam0 + lam1
+    gap = lam0 * b0 - lam1 * b1
+    theta0 = d0 * 2.0 * lam1 * beta_sum / (lam_sum - gap)
+    theta1 = d1 * 2.0 * lam0 * beta_sum / (lam_sum + gap)
+    trader = np.arange(n)
+    return np.where(trader == i0, theta0, np.where(trader == i1, theta1, 0.0))
+
+
 class TestSolveBilateral:
     def test_hand_case(self, rng):
         ex = _exposures(rng, [1.2, -0.2], [1.0, 1.0])
@@ -164,6 +186,31 @@ class TestSolveBilateral:
         ex = _exposures(rng, [0.3, 0.3, 0.4], [1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
             solve_bilateral(ex)  # three active traders
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_symmetric_form_is_bit_equal_to_the_per_trader_reference(self, rng, n):
+        # the active pair at every pair of positions, the passive traders
+        # everywhere else
+        models = []
+        for pair in itertools.combinations(range(n), 2):
+            betas = -1.0 - rng.uniform(0.1, 1.0, n)
+            betas[pair[0]] = rng.uniform(-0.5, 1.5)
+            betas[pair[1]] = 0.0
+            betas[pair[1]] = 1.0 - betas.sum()
+            models.append(model_from_betas(rng, betas, random_deltas(rng, n)))
+        for model in models:
+            ex = derive_exposures(model)
+            assert np.count_nonzero(ex.beta > -1.0) == 2
+            assert np.array_equal(
+                thinmarket.nash._bilateral_thetas(ex), _per_trader_bilateral_thetas(ex)
+            )
+        stacked = models[0].stacked(
+            np.array([m.deltas for m in models]), np.array([m.cov_matrix_rows for m in models])
+        )
+        grid = derive_exposures(stacked)
+        expected = _per_trader_bilateral_thetas(grid)
+        assert np.array_equal(thinmarket.nash._bilateral_thetas(grid), expected)
+        assert np.isfinite(expected).all() and (expected[grid.beta <= -1.0] == 0.0).all()
 
     def test_hairline_boundary_rejected(self, rng):
         # one ulp inside the extreme boundary: the equilibrium elasticity is an
@@ -339,7 +386,7 @@ class TestFailureParity:
             model = _one_security_market(*points[0]).stacked(
                 np.array([d for d, _ in points]), np.array([c for _, c in points])[..., None]
             )
-            grid = solve_grid(derive_exposures(model))
+            grid = solve(derive_exposures(model))
             for g in range(len(points)):
                 try:
                     alone = solve(derive_exposures(model.point(g)))
@@ -383,7 +430,7 @@ class TestDispatch:
         assert not sol.outcome.beta_defined
 
     def test_classifies_once_per_solve(self, rng, monkeypatch):
-        # _extreme_hits is the kernel's one classification step
+        # _extreme_hits is solve's one classification step
         calls = []
         classify = thinmarket.nash._extreme_hits
 
@@ -415,7 +462,7 @@ class TestDispatch:
         )])
         grid = derive_exposures(model.stacked(np.ones((5, 3)), cov_rows))
         calls.clear()
-        assert thinmarket.nash.solve_grid(grid).kind.tolist() == [
+        assert solve(grid).kind.tolist() == [
             KIND_GENERAL, KIND_EXTREME, KIND_BILATERAL, KIND_TRIVIAL, KIND_GENERAL
         ]
         assert len(calls) == 1
