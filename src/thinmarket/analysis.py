@@ -47,12 +47,6 @@ class ComparisonReport:
     failed: np.ndarray | None = None
 
 
-def _payoff_gains(exposures: ExposureProfile, outcome: EquilibriumOutcome) -> np.ndarray:
-    # Random-payoff profit/loss term of the utility decomposition: the
-    # variance shed by holding the share k_i of the market exposure.
-    return _retained_risk(exposures, outcome.post_beta)
-
-
 def _bilateral_l_factor(exposures: ExposureProfile):
     lam, beta = exposures.lam, exposures.beta
     factor = (beta[..., 0] + lam[..., 0]) * (beta[..., 1] + lam[..., 1]) / (
@@ -134,8 +128,10 @@ def compare(
         inefficiency=float(inefficiency) if one_market else _frozen(inefficiency),
         premium_competitive=_frozen_array(competitive.premium),
         premium_nash=_frozen_array(nash.outcome.premium),
-        payoff_gain_competitive=_frozen(_payoff_gains(exposures, competitive)),
-        payoff_gain_nash=_frozen(_payoff_gains(exposures, nash.outcome)),
+        # Random-payoff profit/loss terms of the utility decomposition: the
+        # variance shed by holding the share k_i of the market exposure.
+        payoff_gain_competitive=_frozen(_retained_risk(exposures, competitive.post_beta)),
+        payoff_gain_nash=_frozen(_retained_risk(exposures, nash.outcome.post_beta)),
         L=L,
     )
     if one_market and exposures.is_trivial:
@@ -178,6 +174,22 @@ class IncompletenessReport:
     competitive_sq_gain_gap: np.ndarray
 
 
+def _incompleteness_inapplicable(exposures: ExposureProfile) -> str | None:
+    """Why the incompleteness comparison does not apply to these exposures,
+    or None when it does."""
+    total = exposures.model.total_endowment_var
+    if total is None:
+        return "total_endowment_var is required for the incompleteness comparison"
+    if exposures.is_trivial:
+        return "incompleteness comparison is undefined on a trivial instance"
+    if np.count_nonzero(exposures.beta > -1.0) != 2:
+        return "incompleteness comparison needs exactly two active traders"
+    if not total > 0.0:
+        # the complete counterpart's covariance [[total]] must be positive definite
+        return "total_endowment_var must be positive for the incompleteness comparison"
+    return None
+
+
 def incompleteness_effect(exposures: ExposureProfile, du: np.ndarray) -> IncompletenessReport:
     """Compare the given (incomplete) market against its complete counterpart.
 
@@ -187,16 +199,15 @@ def incompleteness_effect(exposures: ExposureProfile, du: np.ndarray) -> Incompl
     delta_i and replaces the spanned variance <a_I, C a_I> with Var(E_I); it
     is materialised as an explicit one-security model and solved through the
     ordinary pipeline.
-    Requires total_endowment_var and an essentially bilateral, non-trivial
-    instance (exactly two traders with beta > -1).
+    Requires a positive total_endowment_var (the counterpart's covariance
+    [[Var(E_I)]] must be positive definite) and an essentially bilateral,
+    non-trivial instance (exactly two traders with beta > -1); raises
+    ValueError saying which requirement fails otherwise.
     """
+    reason = _incompleteness_inapplicable(exposures)
+    if reason is not None:
+        raise ValueError(reason)
     model = exposures.model
-    if model.total_endowment_var is None:
-        raise ValueError("total_endowment_var is required for the incompleteness comparison")
-    if exposures.is_trivial:
-        raise ValueError("incompleteness comparison is undefined on a trivial instance")
-    if np.count_nonzero(exposures.beta > -1.0) != 2:
-        raise ValueError("incompleteness comparison needs exactly two active traders")
     total = float(model.total_endowment_var)
 
     # Complete counterpart: single security with variance Var(E_I) and hedge

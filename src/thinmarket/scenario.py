@@ -12,8 +12,6 @@ import json
 import math
 from typing import Any
 
-import numpy as np
-
 from .errors import ScenarioError
 from .model import MarketModel, ValidationResult
 
@@ -123,16 +121,11 @@ def scenario_to_dict(model: MarketModel) -> dict:
 
 
 def save_scenario(model: MarketModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(document_json(scenario_to_dict(model)))
+    write_report(scenario_to_dict(model), path)
 
 
 def elasticity_token(theta: float):
     return INF_TOKEN if math.isinf(theta) else theta
-
-
-def _floats(values) -> list[float]:
-    return [float(v) for v in np.asarray(values).ravel()]
 
 
 def build_report(
@@ -153,14 +146,14 @@ def build_report(
     }
     if exposures is not None:
         doc["exposures"] = {
-            "a": [_floats(row) for row in exposures.a],
-            "a_total": _floats(exposures.a_total),
-            "beta": None if exposures.beta is None else _floats(exposures.beta),
-            "lambda": _floats(exposures.lam),
+            "a": exposures.a.tolist(),
+            "a_total": exposures.a_total.tolist(),
+            "beta": None if exposures.beta is None else exposures.beta.tolist(),
+            "lambda": exposures.lam.tolist(),
             "delta_total": float(exposures.delta_total),
             "aggregate_market_variance": float(exposures.aggregate_market_variance),
             "is_trivial": bool(exposures.is_trivial),
-            "autarky_utilities": _floats(exposures.u),
+            "autarky_utilities": exposures.u.tolist(),
         }
     if competitive is not None:
         doc["competitive"] = _outcome_block(competitive)
@@ -169,47 +162,47 @@ def build_report(
         if nash.thetas is not None:
             block["elasticities"] = [elasticity_token(t) for t in nash.thetas.tolist()]
             block["theta_total"] = elasticity_token(nash.theta_total)
-            block["k_shares"] = _floats(nash.k_shares)
+            block["k_shares"] = nash.k_shares.tolist()
         if nash.outcome is not None:
             block.update(_outcome_block(nash.outcome))
         if nash.residuals is not None:
-            block["residuals"] = _floats(nash.residuals)
+            block["residuals"] = nash.residuals.tolist()
         if nash.detail is not None:
             block["detail"] = nash.detail
         doc["nash"] = block
     if comparison is not None:
         block = {
-            "du": _floats(comparison.du),
+            "du": comparison.du.tolist(),
             "inefficiency": float(comparison.inefficiency),
-            "premium_competitive": _floats(comparison.premium_competitive),
-            "premium_nash": _floats(comparison.premium_nash),
-            "payoff_gain_competitive": _floats(comparison.payoff_gain_competitive),
-            "payoff_gain_nash": _floats(comparison.payoff_gain_nash),
+            "premium_competitive": comparison.premium_competitive.tolist(),
+            "premium_nash": comparison.premium_nash.tolist(),
+            "payoff_gain_competitive": comparison.payoff_gain_competitive.tolist(),
+            "payoff_gain_nash": comparison.payoff_gain_nash.tolist(),
         }
         if comparison.L is not None:
             block["L"] = float(comparison.L)
         doc["comparison"] = block
     if incompleteness is not None:
         doc["incompleteness"] = {
-            "du": _floats(incompleteness.du),
-            "du_complete": _floats(incompleteness.du_complete),
-            "du_gap": _floats(incompleteness.du_gap),
+            "du": incompleteness.du.tolist(),
+            "du_complete": incompleteness.du_complete.tolist(),
+            "du_gap": incompleteness.du_gap.tolist(),
             "aggregate_gap": float(incompleteness.aggregate_gap),
-            "competitive_sq_gain": _floats(incompleteness.competitive_sq_gain),
-            "competitive_sq_gain_complete": _floats(incompleteness.competitive_sq_gain_complete),
-            "competitive_sq_gain_gap": _floats(incompleteness.competitive_sq_gain_gap),
+            "competitive_sq_gain": incompleteness.competitive_sq_gain.tolist(),
+            "competitive_sq_gain_complete": incompleteness.competitive_sq_gain_complete.tolist(),
+            "competitive_sq_gain_gap": incompleteness.competitive_sq_gain_gap.tolist(),
         }
     return doc
 
 
 def _outcome_block(outcome) -> dict:
     return {
-        "prices": _floats(outcome.prices),
-        "allocations": [_floats(row) for row in outcome.allocations],
-        "post_beta": _floats(outcome.post_beta),
+        "prices": outcome.prices.tolist(),
+        "allocations": outcome.allocations.tolist(),
+        "post_beta": outcome.post_beta.tolist(),
         "beta_defined": bool(outcome.beta_defined),
-        "utilities": _floats(outcome.utilities),
-        "premium": _floats(outcome.premium),
+        "utilities": outcome.utilities.tolist(),
+        "premium": outcome.premium.tolist(),
     }
 
 

@@ -11,6 +11,7 @@ import pytest
 
 import thinmarket.analysis
 import thinmarket.cli
+import thinmarket.errors
 import thinmarket.model
 import thinmarket.nash
 from thinmarket import load_scenario, save_scenario, scenario_to_dict
@@ -58,6 +59,12 @@ def bilateral_scenario(beta0=1.2, deltas=(1.0, 1.0), total=None):
     }
     if total is not None:
         doc["total_endowment_var"] = total
+    return doc
+
+
+def readme_with_a_third_trader():
+    doc = bilateral_scenario(total=3.0)
+    doc["traders"].append({"delta": 0.5, "cov_es": [0.3]})
     return doc
 
 
@@ -145,6 +152,42 @@ class TestAnalyze:
         report = json.loads(out.read_text())
         assert report["nash"]["kind"] == "general_non_extreme"
         assert "comparison" in report and "incompleteness" not in report
+
+    def test_zero_total_endowment_var_leaves_incompleteness_out(self, tmp_path):
+        # valid (the spanned variance, 1.21e-10, is within validation's slack
+        # of 0), but the complete counterpart's covariance [[0]] is not
+        # positive definite, so the comparison does not apply
+        doc = {
+            "schema_version": "1",
+            "securities_cov": [[1.0]],
+            "traders": [
+                {"delta": 1.0, "cov_es": [1e-5], "endowment_var": 1.0},
+                {"delta": 1.0, "cov_es": [1e-6], "endowment_var": 1.0},
+            ],
+            "total_endowment_var": 0.0,
+        }
+        scen = write_json(tmp_path / "s.json", doc)
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--scenario", scen, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["nash"]["kind"] == "bilateral_closed_form"
+        assert "comparison" in report and "incompleteness" not in report
+        exposures = thinmarket.model.derive_exposures(load_scenario(scen))
+        with pytest.raises(ValueError, match="total_endowment_var"):
+            thinmarket.analysis.incompleteness_effect(exposures, np.zeros(2))
+
+    def test_counterpart_failure_is_not_swallowed(self, tmp_path, capsys, monkeypatch):
+        # the counterpart goes through the ordinary pipeline; a failure there
+        # is an error, not a missing block
+        def rejecting(model):
+            raise thinmarket.errors.InvalidModelError(["counterpart rejected"])
+
+        monkeypatch.setattr(thinmarket.analysis, "derive_exposures", rejecting)
+        scen = write_json(tmp_path / "s.json", bilateral_scenario(total=3.0))
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--scenario", scen, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "invalid: counterpart rejected\n"
+        assert not out.exists()
 
     def test_unsolvable_instance_exit_five(self, tmp_path, capsys):
         scen = write_json(tmp_path / "s.json", bilateral_scenario(beta0=HAIRLINE))
@@ -539,22 +582,30 @@ class TestValidate:
         code = main(["validate", "--scenario", scen, "--samples", "50000", "--seed", "42"])
         assert code == 0
 
-    def test_tolerance_override_fails_named_check(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "doc",
+        [bilateral_scenario(), bilateral_scenario(beta0=1.5), readme_with_a_third_trader()],
+        ids=["bilateral", "extreme", "three-traders"],
+    )
+    def test_table_rows_in_order_all_pass(self, tmp_path, capsys, doc):
+        scen = write_json(tmp_path / "s.json", doc)
+        assert main(["validate", "--scenario", scen, "--samples", "50000", "--seed", "42"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        n = len(doc["traders"])
+        names = [f"mc-ce[{i}]" for i in range(n)] + [f"grid-k[{i}]" for i in range(n)]
+        assert [row[0] for row in rows] == names + ["iteration", "nash-residual"]
+        assert all(row[1] == "PASS" for row in rows)
+
+    def test_tolerance_override_fails_named_check(self, tmp_path, capsys, monkeypatch):
+        # no deviation is below a negative limit
         scen = write_json(tmp_path / "s.json", bilateral_scenario())
-        code = main(
-            [
-                "validate",
-                "--scenario",
-                scen,
-                "--samples",
-                "20000",
-                "--tol-override",
-                "grid-k=1e-30",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 4
-        assert any("grid-k" in line and "FAIL" in line for line in out.splitlines())
+        for limit, failing in (("grid-k", ["grid-k[0]", "grid-k[1]"]), ("iteration", ["iteration"])):
+            monkeypatch.setattr(thinmarket.cli, "_LIMITS", {**thinmarket.cli._LIMITS, limit: -1.0})
+            assert main(["validate", "--scenario", scen, "--samples", "20000"]) == 4
+            rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+            assert [row[0] for row in rows if row[1] == "FAIL"] == failing
+            assert all(row[1] == "PASS" for row in rows if row[0] not in failing)
+            monkeypatch.undo()
 
     def test_trivial_scenario_notes_flat_response(self, tmp_path, capsys):
         doc = {
@@ -623,14 +674,6 @@ class TestParser:
         monkeypatch.setattr(thinmarket.cli, "cmd_sweep", counted)
         assert main(argv) == 0
         assert calls == ["sweep"]
-
-    def test_tol_override_does_not_carry_over(self, tmp_path, capsys):
-        scen = write_json(tmp_path / "s.json", bilateral_scenario())
-        argv = ["validate", "--scenario", scen, "--samples", "20000"]
-        assert main(argv + ["--tol-override", "grid-k=1e-30"]) == 4
-        capsys.readouterr()
-        assert main(argv) == 0
-        assert "FAIL" not in capsys.readouterr().out
 
     def test_usage_error_and_help_after_a_successful_call(self, tmp_path, capsys):
         scen = write_json(tmp_path / "s.json", bilateral_scenario())
@@ -720,8 +763,7 @@ def test_huge_risk_tolerances_fail_without_runtime_warnings(tmp_path, capsys):
     # a third trader in the README scenario; delta_0 near the float maximum
     # overflows the classifier's terms and the utilities' 2 delta, which the
     # solver and the outcome absorb without a warning reaching the user
-    doc = bilateral_scenario(total=3.0)
-    doc["traders"].append({"delta": 0.5, "cov_es": [0.3]})
+    doc = readme_with_a_third_trader()
     scen = write_json(tmp_path / "s.json", doc)
     csv_path = tmp_path / "sweep.csv"
     grid = "--grid=0,-1,inf,nan,1e-308,1e308,1"
