@@ -150,16 +150,6 @@ class MarketModel:
             endowment_vars=np.broadcast_to(self.endowment_vars, shape),
         )
 
-    def point(self, g: int) -> MarketModel:
-        """Grid point g of a stacked model, as one market."""
-        return replace(
-            self,
-            deltas=self.deltas[g],
-            cov_matrix_rows=self.cov_matrix_rows[g],
-            endowment_means=self.endowment_means[g],
-            endowment_vars=self.endowment_vars[g],
-        )
-
     @property
     def n_traders(self) -> int:
         return self.deltas.shape[-1]
@@ -327,25 +317,6 @@ class ExposureProfile:
     @property
     def n_securities(self) -> int:
         return self.model.n_securities
-
-    def point(self, g: int) -> ExposureProfile:
-        """Grid point g of a stacked profile, as the profile of one market."""
-        trivial = bool(self.is_trivial[g])
-        return ExposureProfile(
-            model=self.model.point(g),
-            a=self.a[g],
-            a_total=self.a_total[g],
-            beta=None if trivial else self.beta[g],
-            lam=self.lam[g],
-            delta=self.delta[g],
-            delta_total=float(self.delta_total[g]),
-            u=self.u[g],
-            aggregate_market_variance=float(self.aggregate_market_variance[g]),
-            is_trivial=trivial,
-            cov_total=self.cov_total[g],
-            market_cov=self.market_cov[g],
-            own_var=self.own_var[g],
-        )
 
 
 def derive_exposures(model: MarketModel) -> ExposureProfile:

@@ -12,8 +12,9 @@ step, `solve` takes one market or a stacked profile (one derived from
 stack it marks the failed points KIND_FAILED.  Its arrays have the trader on
 their last axis and an optional leading grid axis; each step runs once per
 call, over every point that needs it, with the one-market arithmetic, so a
-grid point gets the bits it gets alone, and each general point is root-found
-on its own.  `solve_extreme`, `solve_bilateral` and `solve_general` are
+grid point gets the bits it gets alone.  Each general point is root-found on
+its own, by a `GeneralSystem` built from its row of the risk tolerances and
+betas.  `solve_extreme`, `solve_bilateral` and `solve_general` are
 per-regime references that trust their documented preconditions.
 
 Configurations with two or more betas above one where the extreme condition
@@ -239,79 +240,53 @@ def solve_bilateral(exposures: ExposureProfile) -> NashSolution:
     return _finite_solution(exposures, _bilateral_thetas(exposures), KIND_BILATERAL)
 
 
-class _FollowerPhi:
-    """phi(x, delta_i, beta_i) over arrays of traders, with what depends only
-    on (delta_i, beta_i) computed once.
-
-    Each entry takes exactly the floating-point operations of the scalar
-    product form, so a value does not depend on how many are evaluated
-    together.  For beta_i <= 1 the discriminant is at least (delta_i - x/2)^2
-    and rounds below zero by a few ulps of half^2 at most, so only betas above
-    one can fail the discriminant check.
-    """
-
-    def __init__(self, delta: np.ndarray, beta: np.ndarray):
-        self.delta, self.beta = delta, beta
-        self.scale = delta * (1.0 + beta)
-        self.kink = (beta == 1.0).nonzero()[0]  # where the discriminant cancels
-        self.above = (beta > 1.0).nonzero()[0]
-        self._half, self._scaled, self._disc = (np.empty(delta.size) for _ in range(3))
-
-    def __call__(self, x: float) -> np.ndarray:
-        if x <= 0.0:
-            return np.zeros(self.delta.size)
-        # scaled / (half + sqrt(max(half^2 - scaled, 0))), in scratch buffers
-        half = np.add(self.delta, 0.5 * x, out=self._half)
-        scaled = np.multiply(self.scale, x, out=self._scaled)
-        disc = np.multiply(half, half, out=self._disc)
-        disc -= scaled
-        if self.above.size:
-            h = half[self.above]
-            low = disc[self.above] < -1e-14 * h * h
-            if np.count_nonzero(low):
-                beta_i = self.beta[self.above[low.argmax()]]
-                raise ValueError(f"negative discriminant for beta={beta_i}; outside (-1, 1]")
-        root = np.sqrt(np.maximum(disc, 0.0, out=disc), out=disc)
-        theta = scaled / np.add(half, root, out=root)
-        if self.kink.size:
-            theta[self.kink] = np.minimum(x, 2.0 * self.delta[self.kink])
-        return theta
-
-
-def phi(x: float, delta_i: float, beta_i: float) -> float:
-    """Follower elasticity delta_i + x/2 - sqrt((delta_i + x/2)^2 -
-    delta_i (1 + beta_i) x) given total elasticity x, for -1 < beta_i <= 1.
-
-    Evaluated in the algebraically equivalent product form
-    delta_i (1 + beta_i) x / (delta_i + x/2 + sqrt(disc)), which is free of
-    cancellation for large x; the kinked exact form min(x, 2 delta_i) is used
-    at beta_i = 1 where the discriminant itself cancels.
-    """
-    one = _FollowerPhi(np.array([float(delta_i)]), np.array([float(beta_i)]))
-    return float(one(x)[0])
-
-
 class GeneralSystem:
-    """Scalar reduction of the coupled equilibrium system.
+    """Scalar reduction of the coupled equilibrium system of one market,
+    built from its risk tolerances and betas (a row of a stacked profile
+    will do).
 
     leader is a maximal-beta trader (lowest index on ties); followers are the
     remaining traders with beta in (-1, 1]; everyone else is passive with zero
-    elasticity.  F is strictly decreasing with F(0+) > 1, so the equilibrium
-    total elasticity is the unique root of F(x) = 1.
+    elasticity.  Given the total elasticity x, follower i submits
+    phi_i(x) = delta_i + x/2 - sqrt((delta_i + x/2)^2 - delta_i (1 + beta_i) x),
+    evaluated in the algebraically equivalent product form
+    delta_i (1 + beta_i) x / (delta_i + x/2 + sqrt(disc)), which is free of
+    cancellation for large x; at beta_i = 1, where the discriminant itself
+    cancels, the kinked exact form min(x, 2 delta_i) is used.  Each follower
+    takes exactly the floating-point operations of the scalar form, so a
+    value does not depend on how many are evaluated together.  F is strictly
+    decreasing with F(0+) > 1, so the equilibrium total elasticity is the
+    unique root of F(x) = 1.
     """
 
-    def __init__(self, exposures: ExposureProfile):
-        beta = exposures.beta
+    def __init__(self, delta: np.ndarray, beta: np.ndarray):
         self.leader = int(np.argmax(beta))
         follower = (beta > -1.0) & (beta <= 1.0)
         follower[self.leader] = False
         self.follower_mask = follower
-        self._phi = _FollowerPhi(exposures.delta[follower], beta[follower])
-        self.delta0 = float(exposures.delta[self.leader])
+        self.delta0 = float(delta[self.leader])
         self.beta0 = float(beta[self.leader])
+        self._delta, follower_beta = delta[follower], beta[follower]
+        self._scale = self._delta * (1.0 + follower_beta)
+        self._kink = (follower_beta == 1.0).nonzero()[0]  # where the discriminant cancels
+        self._half, self._scaled, self._disc = (np.empty(self._delta.size) for _ in range(3))
         # x -> (follower thetas, sigma) of the last two evaluations: Brent's
         # method ends on one of them, mostly the one before last
         self._recent: dict[float, tuple[np.ndarray, float]] = {}
+
+    def _phi(self, x: float) -> np.ndarray:
+        # scaled / (half + sqrt(max(half^2 - scaled, 0))), in scratch buffers;
+        # for beta <= 1 the discriminant is at least (delta - x/2)^2 and rounds
+        # below zero by a few ulps of half^2 at most
+        half = np.add(self._delta, 0.5 * x, out=self._half)
+        scaled = np.multiply(self._scale, x, out=self._scaled)
+        disc = np.multiply(half, half, out=self._disc)
+        disc -= scaled
+        root = np.sqrt(np.maximum(disc, 0.0, out=disc), out=disc)
+        theta = scaled / np.add(half, root, out=root)
+        if self._kink.size:
+            theta[self._kink] = np.minimum(x, 2.0 * self._delta[self._kink])
+        return theta
 
     def _evaluate(self, x: float) -> tuple[np.ndarray, float]:
         recent = self._recent.get(x)
@@ -326,13 +301,8 @@ class GeneralSystem:
             self._recent[x] = recent
         return recent
 
-    @property
-    def followers(self) -> list[int]:
-        """The followers' indices, ascending."""
-        return self.follower_mask.nonzero()[0].tolist()
-
     def follower_thetas(self, x: float) -> np.ndarray:
-        """phi(x, delta_i, beta_i) of every follower, in order (read-only)."""
+        """phi_i(x) of every follower, in order (read-only)."""
         return self._evaluate(x)[0]
 
     def sigma(self, x: float) -> float:
@@ -409,11 +379,12 @@ def _root_total_elasticity(system: GeneralSystem, delta_total: float) -> float:
     raise ConsistencyError("root-finder failed to reach tolerance")
 
 
-def _general_thetas(exposures: ExposureProfile) -> np.ndarray:
-    """Elasticities of the general constructive solution of one market."""
-    system = GeneralSystem(exposures)
-    total = _root_total_elasticity(system, exposures.delta_total)
-    thetas = np.zeros(exposures.n_traders)
+def _general_thetas(delta: np.ndarray, beta: np.ndarray, delta_total: float) -> np.ndarray:
+    """Elasticities of the general constructive solution of one market, from
+    its risk tolerances, betas and total risk tolerance."""
+    system = GeneralSystem(delta, beta)
+    total = _root_total_elasticity(system, delta_total)
+    thetas = np.zeros(delta.shape)
     thetas[system.follower_mask] = system.follower_thetas(total)
     thetas[system.leader] = system.leader_theta(total)
     return thetas
@@ -426,7 +397,8 @@ def solve_general(exposures: ExposureProfile) -> NashSolution:
     Precondition: the instance is in the general regime, i.e. it is
     non-trivial, the extreme condition fails and at most one beta exceeds one.
     """
-    return _finite_solution(exposures, _general_thetas(exposures), KIND_GENERAL)
+    thetas = _general_thetas(exposures.delta, exposures.beta, exposures.delta_total)
+    return _finite_solution(exposures, thetas, KIND_GENERAL)
 
 
 # Any elasticity vector is an equilibrium of a trivial market; the true
@@ -619,10 +591,13 @@ def solve(exposures: ExposureProfile) -> NashSolution:
                   (prices, 0.0), (residuals, 0.0))
         if _some(bilateral):
             _fill(bilateral, (thetas, _bilateral_thetas(exposures)))
+        delta_total = np.asarray(exposures.delta_total)
         for g in np.flatnonzero(general).tolist():
-            at = () if one_market else g
+            at = () if one_market else g  # the market, or grid point g
             try:
-                thetas[at] = _general_thetas(exposures if one_market else exposures.point(g))
+                thetas[at] = _general_thetas(
+                    exposures.delta[at], exposures.beta[at], float(delta_total[at])
+                )
             except SOLVE_ERRORS as exc:
                 code[at], error = _ROOT_FAILED, exc
         finite = (bilateral | general) & (code == 0)

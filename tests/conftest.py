@@ -5,10 +5,13 @@ C-orthogonal to a_I and summing to zero across traders, so the requested betas
 are exact while the hedge portfolios stay generic.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from thinmarket import MarketModel, TraderProfile, derive_exposures
+from thinmarket.nash import GeneralSystem
 
 
 def spd_matrix(rng, k):
@@ -73,6 +76,25 @@ def model_from_betas(
             )
         )
     return MarketModel(securities_cov=cov, traders=tuple(traders), total_endowment_var=total)
+
+
+def point_model(model, g):
+    """Grid point g of a model from MarketModel.stacked, as one market built
+    from the stacked columns' row g."""
+    return replace(
+        model,
+        deltas=model.deltas[g],
+        cov_matrix_rows=model.cov_matrix_rows[g],
+        endowment_means=model.endowment_means[g],
+        endowment_vars=model.endowment_vars[g],
+    )
+
+
+def follower_system(deltas, betas):
+    """A GeneralSystem whose followers have the given risk tolerances and
+    betas (each beta in (-1, 1]), in order: its leader, a first trader with
+    beta 2, takes no part in follower_thetas."""
+    return GeneralSystem(np.r_[1.0, deltas], np.r_[2.0, betas])
 
 
 def constrained_betas(rng, n, low=-1.8, high=0.9):

@@ -25,7 +25,6 @@ from thinmarket.nash import (
     GeneralSystem,
     check_extreme_condition,
     fixed_point_deviation,
-    phi,
     solve_bilateral,
     solve_general,
 )
@@ -34,6 +33,7 @@ from thinmarket.cli import main
 from conftest import (
     bilateral_model,
     constrained_betas,
+    follower_system,
     model_from_betas,
     random_deltas,
     unconstrained_betas,
@@ -257,15 +257,18 @@ def test_criterion_09_scalar_equation_structure():
     rng = np.random.default_rng(109)
     start = time.perf_counter()
     xs = np.geomspace(1e-6, 1e6, 300)
+    draws = []
     for trial in range(100):
         delta = float(rng.uniform(0.2, 5.0))
-        beta = 1.0 if trial % 10 == 0 else float(rng.uniform(-0.999, 1.0))
-        values = np.array([phi(x, delta, beta) for x in xs])
-        slopes = np.diff(values) / np.diff(xs)
-        assert values[0] < 1e-5
-        assert np.all(np.diff(values) >= -1e-12)
-        assert np.all(np.diff(slopes) <= 1e-10)
-        assert values[-1] == pytest.approx(delta * (1.0 + beta), rel=1e-4)
+        draws.append((delta, 1.0 if trial % 10 == 0 else float(rng.uniform(-0.999, 1.0))))
+    deltas, betas = np.array(draws).T
+    system = follower_system(deltas, betas)
+    values = np.array([system.follower_thetas(x) for x in xs])  # (x, follower)
+    slopes = np.diff(values, axis=0) / np.diff(xs)[:, None]
+    assert np.all(values[0] < 1e-5)
+    assert np.all(np.diff(values, axis=0) >= -1e-12)
+    assert np.all(np.diff(slopes, axis=0) <= 1e-10)
+    assert values[-1] == pytest.approx(deltas * (1.0 + betas), rel=1e-4)
     checked = 0
     while checked < 100:
         n = int(rng.integers(3, 6))
@@ -275,7 +278,7 @@ def test_criterion_09_scalar_equation_structure():
         if check_extreme_condition(ex) is not None:
             continue
         checked += 1
-        system = GeneralSystem(ex)
+        system = GeneralSystem(ex.delta, ex.beta)
         lo = 1e-6 * ex.delta_total
         hi = ex.delta_total
         while system.F(hi) >= 1.0:

@@ -11,7 +11,6 @@ import thinmarket
 MODULE_LEVEL = {
     "thinmarket.nash": (
         "GeneralSystem",
-        "phi",
         "check_extreme_condition",
         "fixed_point_deviation",
         "nash_residuals",

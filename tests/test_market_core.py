@@ -25,6 +25,7 @@ from thinmarket import (
 from conftest import (
     constrained_betas,
     model_from_betas,
+    point_model,
     random_deltas,
     spd_matrix,
     unconstrained_betas,
@@ -226,7 +227,7 @@ class TestColumns:
             )
         others = (
             scenario_from_dict(scenario_to_dict(model)),
-            model.stacked(model.deltas[None], model.cov_matrix_rows[None]).point(0),
+            point_model(model.stacked(model.deltas[None], model.cov_matrix_rows[None]), 0),
         )
         ex = derive_exposures(model)
         for other in others:

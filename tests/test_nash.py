@@ -34,7 +34,6 @@ from thinmarket.nash import (
     GeneralSystem,
     check_extreme_condition,
     fixed_point_deviation,
-    phi,
     solve_bilateral,
     solve_extreme,
     solve_general,
@@ -42,7 +41,9 @@ from thinmarket.nash import (
 from conftest import (
     bilateral_model,
     constrained_betas,
+    follower_system,
     model_from_betas,
+    point_model,
     random_deltas,
     unconstrained_betas,
 )
@@ -238,7 +239,7 @@ class TestSolveGeneral:
             sol.k_shares, [0.6514854357435432, 0.2398473374578331, 0.10866722679862394],
             rtol=1e-9,
         )
-        system = GeneralSystem(ex)
+        system = GeneralSystem(ex.delta, ex.beta)
         assert system.F(3.9) > 1.0 > system.F(4.0)
 
     def test_matches_bilateral_closed_form(self, rng):
@@ -389,7 +390,7 @@ class TestFailureParity:
             grid = solve(derive_exposures(model))
             for g in range(len(points)):
                 try:
-                    alone = solve(derive_exposures(model.point(g)))
+                    alone = solve(derive_exposures(point_model(model, g)))
                 except SOLVE_ERRORS:
                     assert grid.kind[g] == KIND_FAILED, (n, g)
                     kinds.append(KIND_FAILED)
@@ -518,20 +519,22 @@ class TestDispatch:
 class TestScalarEquation:
     def test_phi_properties(self, rng):
         xs = np.geomspace(1e-6, 1e6, 400)
-        for _ in range(50):
-            delta = float(rng.uniform(0.2, 5.0))
-            beta = float(rng.uniform(-0.999, 1.0))
-            values = np.array([phi(x, delta, beta) for x in xs])
-            slopes = np.diff(values) / np.diff(xs)
-            assert values[0] < 1e-5  # phi(0+) -> 0
-            assert np.all(np.diff(values) >= -1e-12)  # nondecreasing
-            assert np.all(np.diff(slopes) <= 1e-10)  # concave
-            assert values[-1] == pytest.approx(delta * (1.0 + beta), rel=1e-4)
+        draws = [(float(rng.uniform(0.2, 5.0)), float(rng.uniform(-0.999, 1.0))) for _ in range(50)]
+        deltas, betas = np.array(draws).T
+        system = follower_system(deltas, betas)
+        values = np.array([system.follower_thetas(x) for x in xs])  # (x, follower)
+        slopes = np.diff(values, axis=0) / np.diff(xs)[:, None]
+        assert np.all(values[0] < 1e-5)  # phi(0+) -> 0
+        assert np.all(np.diff(values, axis=0) >= -1e-12)  # nondecreasing
+        assert np.all(np.diff(slopes, axis=0) <= 1e-10)  # concave
+        assert values[-1] == pytest.approx(deltas * (1.0 + betas), rel=1e-4)
 
     def test_phi_kink_at_beta_one(self, rng):
-        for delta in (0.3, 1.0, 4.0):
+        deltas = np.array([0.3, 1.0, 4.0])
+        system = follower_system(deltas, np.ones(3))
+        for delta in deltas.tolist():
             for x in (0.1, 2 * delta, 5 * delta, 1e8):
-                assert phi(x, delta, 1.0) == min(x, 2 * delta)
+                assert system.follower_thetas(x).tolist() == np.minimum(x, 2 * deltas).tolist()
 
     def test_key_equation_monotone_and_bracketed(self, rng):
         for _ in range(50):
@@ -539,13 +542,13 @@ class TestScalarEquation:
             ex = _exposures(rng, constrained_betas(rng, n), random_deltas(rng, n))
             if check_extreme_condition(ex) is not None:
                 continue
-            system = GeneralSystem(ex)
+            system = GeneralSystem(ex.delta, ex.beta)
             xs = np.geomspace(1e-6 * ex.delta_total, 1e6 * ex.delta_total, 300)
             values = np.array([system.F(x) for x in xs])
             assert np.all(np.diff(values) < 1e-12)
             assert values[0] > 1.0 > values[-1]
             # value of F at 0+: half the active head count plus half their betas
-            active = [system.leader] + system.followers
+            active = [system.leader] + system.follower_mask.nonzero()[0].tolist()
             limit = 0.5 * len(active) + 0.5 * float(np.sum(ex.beta[active]))
             assert limit > 1.0
             assert system.F(1e-9 * ex.delta_total) == pytest.approx(limit, rel=1e-6)
@@ -712,7 +715,7 @@ class TestVerificationParity:
         messages = {"undefined": "theta_rest = 0", "bad_value": "finite elasticity"}
         want = []
         for g, (_, _, verdict) in enumerate(points):
-            one = ex.point(g)
+            one = derive_exposures(point_model(stacked, g))
             assert_same_verdict(one, thetas[g])
             if verdict in messages:
                 with pytest.raises(ValueError, match=messages[verdict]):
@@ -873,7 +876,7 @@ def _left_to_right_sum(values):
 
 
 class TestArrayScalarEquation:
-    XS = [-1.0, 0.0] + [float(x) for x in np.geomspace(1e-6, 1e6, 61)]
+    XS = [0.0] + [float(x) for x in np.geomspace(1e-6, 1e6, 61)]
 
     def _systems(self, rng):
         systems = []
@@ -882,26 +885,30 @@ class TestArrayScalarEquation:
                 betas = constrained_betas(rng, n, low=-1.3, high=0.95)
                 ex = _exposures(rng, betas, random_deltas(rng, n))
                 if check_extreme_condition(ex) is None:
-                    systems.append((ex, GeneralSystem(ex)))
+                    systems.append((ex, GeneralSystem(ex.delta, ex.beta)))
         # followers with beta exactly one (the kinked branch)
         for n_ones in (2, 24):
             betas = [1.5] + [1.0] * n_ones + [-0.5] * (2 * n_ones + 1)
             deltas = [4.0 * n_ones] + list(random_deltas(rng, len(betas) - 1))
             ex = _exposures(rng, betas, deltas, market_variance=1.0)
             assert np.count_nonzero(ex.beta == 1.0) == n_ones
-            systems.append((ex, GeneralSystem(ex)))
+            systems.append((ex, GeneralSystem(ex.delta, ex.beta)))
         return systems
+
+    @staticmethod
+    def _followers(ex, system):
+        mask = system.follower_mask
+        return list(zip(ex.delta[mask].tolist(), ex.beta[mask].tolist()))
 
     def test_sigma_equals_sum_of_scalar_phi(self, rng):
         systems = self._systems(rng)
         assert len(systems) >= 10
         for ex, system in systems:
-            pairs = [(float(ex.delta[i]), float(ex.beta[i])) for i in system.followers]
+            pairs = self._followers(ex, system)
             for x in self.XS:
                 values = system.follower_thetas(x).tolist()
-                scalar = [phi(x, d, b) for d, b in pairs]
+                scalar = [_scalar_phi_reference(x, d, b) for d, b in pairs]
                 assert values == scalar
-                assert scalar == [_scalar_phi_reference(x, d, b) for d, b in pairs]
                 assert system.sigma(x) == _left_to_right_sum(scalar)
 
     def test_phi_matches_the_subtractive_form(self, rng):
@@ -910,10 +917,9 @@ class TestArrayScalarEquation:
         # kink min(x, 2 delta)
         eps = np.finfo(float).eps
         for ex, system in self._systems(rng):
-            for i in system.followers:
-                d, b = float(ex.delta[i]), float(ex.beta[i])
-                for x in self.XS:
-                    value = phi(x, d, b)
+            pairs = self._followers(ex, system)
+            for x in self.XS:
+                for value, (d, b) in zip(system.follower_thetas(x).tolist(), pairs):
                     if x <= 0.0:
                         assert value == 0.0
                     elif b == 1.0:
@@ -922,13 +928,6 @@ class TestArrayScalarEquation:
                         half = d + 0.5 * x
                         subtractive = half - math.sqrt(max(half * half - d * (1.0 + b) * x, 0.0))
                         assert abs(value - subtractive) <= 8 * eps * half
-
-    def test_negative_discriminant_still_raises(self):
-        with pytest.raises(ValueError, match="discriminant"):
-            phi(1.0, 1.0, 3.0)
-        # beta above one fails only where the discriminant is negative
-        assert phi(0.1, 1.0, 3.0) == _scalar_phi_reference(0.1, 1.0, 3.0)
-        assert phi(2.0, 1.0, 1.0) == 2.0  # the kink is exact, not rounded
 
 
 # Independent reference for the root of F(x) = 1: plain bisection down to
@@ -975,15 +974,17 @@ class TestRootFinder:
                         random_deltas(rng, n), n_securities=5)
         assert check_extreme_condition(ex) is None
         x1, x2, x3 = 0.5 * ex.delta_total, 3.0 * ex.delta_total, 1e-12 * ex.delta_total
-        system = GeneralSystem(ex)
+        system = GeneralSystem(ex.delta, ex.beta)
+
+        def fresh():
+            return GeneralSystem(ex.delta, ex.beta)
+
         for x in (x1, x2, x1, x3, x1, x2):
             values = (system.F(x), system.sigma(x), system.leader_theta(x))
             thetas = system.follower_thetas(x)
             assert not thetas.flags.writeable
-            assert values == (
-                GeneralSystem(ex).F(x), GeneralSystem(ex).sigma(x), GeneralSystem(ex).leader_theta(x)
-            )
-            assert np.array_equal(thetas, GeneralSystem(ex).follower_thetas(x))
+            assert values == (fresh().F(x), fresh().sigma(x), fresh().leader_theta(x))
+            assert np.array_equal(thetas, fresh().follower_thetas(x))
 
         calls = []
         F = GeneralSystem.F
@@ -993,7 +994,7 @@ class TestRootFinder:
             return F(system, x)
 
         monkeypatch.setattr(thinmarket.nash.GeneralSystem, "F", counted)
-        thinmarket.nash._root_total_elasticity(GeneralSystem(ex), ex.delta_total)
+        thinmarket.nash._root_total_elasticity(GeneralSystem(ex.delta, ex.beta), ex.delta_total)
         root_calls = len(calls)
         calls.clear()
         assert solve(ex).kind == KIND_GENERAL
@@ -1016,10 +1017,44 @@ class TestRootFinder:
             assert check_extreme_condition(ex) is None
             instances.append(ex)
         for ex in instances:
-            system = GeneralSystem(ex)
+            system = GeneralSystem(ex.delta, ex.beta)
             root = thinmarket.nash._root_total_elasticity(system, ex.delta_total)
             assert abs(root - _bisection_root(system, ex.delta_total)) <= 1e-11 * root
             assert abs(system.F(root) - 1.0) < 1e-12
+
+
+def test_general_grid_at_large_n_equals_each_point_alone():
+    # three general points of 500 traders: a leader, followers with beta
+    # exactly one (dyadic betas at unit market variance derive exactly, as in
+    # the kinked-branch tests), other followers and a passive block; the
+    # second point changes the risk tolerances, the third reverses the traders
+    rng = np.random.default_rng(500)
+    n_ones, n_half, n_passive, n_quarter = 20, 75, 48, 356
+    betas = [1.5] + [1.0] * n_ones + [-0.5] * n_half + [-1.5] * n_passive + [0.25] * n_quarter
+    n = len(betas)
+    deltas = np.concatenate([[4.0 * n_ones], random_deltas(rng, n - 1)])
+    model = model_from_betas(rng, betas, deltas, market_variance=1.0)
+    stacked = model.stacked(
+        np.stack([model.deltas, model.deltas * rng.uniform(0.5, 2.0, n), model.deltas[::-1]]),
+        np.stack([model.cov_matrix_rows, model.cov_matrix_rows, model.cov_matrix_rows[::-1]]),
+    )
+    ex = derive_exposures(stacked)
+    assert (ex.beta == 1.0).sum(axis=-1).tolist() == [n_ones] * 3
+    assert (ex.beta <= -1.0).sum(axis=-1).tolist() == [n_passive] * 3
+    grid = solve(ex)
+    assert grid.kind.tolist() == [KIND_GENERAL] * 3
+    for g in range(3):
+        alone = solve(derive_exposures(point_model(stacked, g)))
+        assert alone.kind == KIND_GENERAL
+        pairs = {
+            "thetas": (grid.thetas, alone.thetas),
+            "k_shares": (grid.k_shares, alone.k_shares),
+            "prices": (grid.outcome.prices, alone.outcome.prices),
+            "residuals": (grid.residuals, alone.residuals),
+            "utilities": (grid.outcome.utilities, alone.outcome.utilities),
+        }
+        for name, (on_grid, one) in pairs.items():
+            assert on_grid[g].tobytes() == one.tobytes(), (g, name)
 
 
 def test_scaling_guard_large_general_solve():

@@ -32,7 +32,13 @@ from thinmarket import (
 )
 from thinmarket.cli import main
 from thinmarket.nash import KIND_UNSUPPORTED, SOLVE_ERRORS
-from conftest import constrained_betas, model_from_betas, random_deltas, unconstrained_betas
+from conftest import (
+    constrained_betas,
+    model_from_betas,
+    point_model,
+    random_deltas,
+    unconstrained_betas,
+)
 
 # One ulp inside the extreme boundary: solve rejects the instance.
 HAIRLINE = float(np.nextafter(1.5, 0.0))
@@ -291,14 +297,14 @@ def test_stacked_derivation_is_grid_size_independent_at_large_n():
     exposures = derive_exposures(stacked)
     assert exposures.valid.tolist() == [True, True, False]
     for g in range(3):
-        point = stacked.point(g)
+        point = point_model(stacked, g)
         assert bool(exposures.valid[g]) == validate_model(point).ok
         if not exposures.valid[g]:
             with pytest.raises(InvalidModelError):
                 derive_exposures(point)
             continue
-        alone, grid_point = derive_exposures(point), exposures.point(g)
+        alone = derive_exposures(point)
         for name in EXPOSURE_ARRAYS:
-            assert np.array_equal(getattr(grid_point, name), getattr(alone, name)), (g, name)
+            assert np.array_equal(getattr(exposures, name)[g], getattr(alone, name)), (g, name)
         for name in ("delta_total", "aggregate_market_variance", "is_trivial"):
-            assert getattr(grid_point, name) == getattr(alone, name), (g, name)
+            assert getattr(exposures, name)[g] == getattr(alone, name), (g, name)
