@@ -275,6 +275,8 @@ class GeneralSystem:
         self._recent: dict[float, tuple[np.ndarray, float]] = {}
 
     def _phi(self, x: float) -> np.ndarray:
+        if x <= 0.0:
+            return np.zeros(self._delta.size)
         # scaled / (half + sqrt(max(half^2 - scaled, 0))), in scratch buffers;
         # for beta <= 1 the discriminant is at least (delta - x/2)^2 and rounds
         # below zero by a few ulps of half^2 at most

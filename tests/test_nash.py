@@ -876,7 +876,7 @@ def _left_to_right_sum(values):
 
 
 class TestArrayScalarEquation:
-    XS = [0.0] + [float(x) for x in np.geomspace(1e-6, 1e6, 61)]
+    XS = [-1.0, 0.0] + [float(x) for x in np.geomspace(1e-6, 1e6, 61)]
 
     def _systems(self, rng):
         systems = []
