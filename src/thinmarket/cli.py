@@ -25,6 +25,19 @@ template per row.
 `validate` prints one (name, PASS or FAIL, detail) row per check: per trader
 the Monte-Carlo certainty equivalent and the grid-searched best response,
 then best-response iteration and the Nash residual, each within a fixed limit.
+It imports the oracles itself, so `analyze` and `sweep` never load them.
+
+A cold `analyze` process is mostly fixed cost.  On a 2-vCPU Xeon VM
+(Python 3.11, numpy 2.4) interpreter start-up with `site` takes 40-60 ms,
+`import numpy` 70-100 ms, the thinmarket imports (with the standard modules
+they load) 20-35 ms and the analysis itself 3-8 ms.  The interpreter's
+exit-time collections would add 20-25 ms, walking every object the imports
+created, so the process entry `console_main` (`python -m thinmarket.cli` and
+the `thinmarket` script) freezes the heap after `main` returns and they skip
+it; atexit handlers, stream flushing and exit codes are unaffected.  `main`
+itself freezes nothing: the tests and the benchmark call it in-process, where
+every freeze would move that call's survivors into the permanent generation
+for good.
 
 The parser is built once per process (`build_parser` is cached), and `main`
 looks the command function up by name, `cmd_<command>`, on each call rather
@@ -36,10 +49,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import re
 import sys
 from contextlib import nullcontext
 from types import MappingProxyType
+from typing import NoReturn
 
 import numpy as np
 
@@ -59,7 +74,6 @@ from .nash import (
     SOLVE_ERRORS,
     solve,
 )
-from .oracles import McConfig, grid_best_response_share, iterate_best_responses, mc_certainty_equivalent
 from .scenario import (
     build_report,
     document_json,
@@ -223,6 +237,8 @@ def _iteration_deviation(iterate, thetas: np.ndarray) -> float:
 
 
 def cmd_validate(args) -> int:
+    from .oracles import McConfig, grid_best_response_share, iterate_best_responses, mc_certainty_equivalent
+
     model = load_scenario(args.scenario)
     try:
         mc_configs = [
@@ -330,5 +346,13 @@ def main(argv=None) -> int:
     return code
 
 
+def console_main() -> NoReturn:
+    """Process entry of `python -m thinmarket.cli` and the `thinmarket`
+    script: run `main`, freeze the heap, exit with main's code."""
+    code = main()
+    gc.freeze()  # the exit-time collections skip the frozen objects
+    raise SystemExit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    console_main()

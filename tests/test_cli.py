@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -728,9 +729,24 @@ def test_help_exits_zero(capsys):
     assert "analyze" in capsys.readouterr().out
 
 
+def child_env():
+    """The environment of a child Python process that imports thinmarket
+    from this checkout's src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def run_module(*argv):
+    """`python -m thinmarket.cli ARGV...` in a fresh process; output as bytes."""
+    return subprocess.run(
+        [sys.executable, "-m", "thinmarket.cli", *argv], env=child_env(), capture_output=True, timeout=120
+    )
+
+
 def test_analyze_imports_no_scipy(tmp_path):
     # numpy is the only runtime dependency: a CLI process never loads scipy,
-    # on the bilateral closed form or on the general root-finding path.
+    # on the bilateral closed form or on the general root-finding path, and
+    # it loads the validation oracles only to validate.
     bilateral = write_json(tmp_path / "bilateral.json", bilateral_scenario(total=3.0))
     rng = np.random.default_rng(3)
     model = model_from_betas(rng, constrained_betas(rng, 10), random_deltas(rng, 10), n_securities=5)
@@ -740,22 +756,84 @@ def test_analyze_imports_no_scipy(tmp_path):
         """
         import sys
         from thinmarket.cli import main
-        for scenario, report in zip(sys.argv[1::2], sys.argv[2::2]):
+        *pairs, sweep_csv = sys.argv[1:]
+        for scenario, report in zip(pairs[0::2], pairs[1::2]):
             assert main(["analyze", "--scenario", scenario, "--out", report]) == 0
             loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
             assert not loaded, (scenario, loaded)
+            assert "thinmarket.oracles" not in sys.modules, scenario
+        argv = ["sweep", "--scenario", pairs[0], "--param", "0:delta", "--grid", "1,2", "--out", sweep_csv]
+        assert main(argv) == 0
+        assert "thinmarket.oracles" not in sys.modules, "sweep"
         """
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     reports = [tmp_path / "bilateral_report.json", tmp_path / "general_report.json"]
+    paths = [bilateral, reports[0], general, reports[1], tmp_path / "sweep.csv"]
     proc = subprocess.run(
-        [sys.executable, "-c", child, bilateral, str(reports[0]), str(general), str(reports[1])],
-        env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, "-c", child, *map(str, paths)],
+        env=child_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     kinds = [json.loads(path.read_text())["nash"]["kind"] for path in reports]
     assert kinds == ["bilateral_closed_form", "general_non_extreme"]
+
+
+class TestProcessEntry:
+    """`python -m thinmarket.cli` (and the installed `thinmarket` script) run
+    `console_main`, which freezes the heap after `main` returns; in-process
+    `main` leaves the collector as it found it."""
+
+    def test_analyze_stdout_equals_the_in_process_report(self, tmp_path):
+        scen = write_json(tmp_path / "s.json", bilateral_scenario(total=3.0))
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--scenario", scen, "--out", str(out)]) == 0
+        proc = run_module("analyze", "--scenario", scen)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == out.read_bytes()
+
+    def test_unsolvable_instance_exit_five(self, tmp_path):
+        scen = write_json(tmp_path / "s.json", bilateral_scenario(beta0=HAIRLINE))
+        proc = run_module("analyze", "--scenario", scen)
+        assert proc.returncode == 5
+        assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+        assert proc.stdout == b""
+
+    def test_unknown_command_exit_one(self):
+        proc = run_module("frobnicate")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+
+    def test_validate_first_passes_every_check(self, tmp_path):
+        # validate imports the oracles itself, also when it is the first command
+        scen = write_json(tmp_path / "s.json", bilateral_scenario(total=3.0))
+        proc = run_module("validate", "--scenario", scen, "--samples", "200000")
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        rows = [line.split() for line in proc.stdout.decode().splitlines()]
+        assert len(rows) == 6 and all(row[1] == "PASS" for row in rows)
+
+    def test_exit_runs_atexit_handlers_on_a_frozen_heap(self, tmp_path):
+        scen = write_json(tmp_path / "s.json", bilateral_scenario(total=3.0))
+        child = textwrap.dedent(
+            """
+            import atexit, gc
+            from thinmarket.cli import console_main
+            atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))
+            console_main()
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "analyze", "--scenario", scen, "--out", str(tmp_path / "r.json")],
+            env=child_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "frozen at exit: True\n")
+
+    def test_main_freezes_nothing(self, tmp_path):
+        scen = write_json(tmp_path / "s.json", bilateral_scenario(total=3.0))
+        frozen = gc.get_freeze_count()
+        assert main(["analyze", "--scenario", scen, "--out", str(tmp_path / "r.json")]) == 0
+        argv = ["sweep", "--scenario", scen, "--param", "0:delta", "--grid", "1,2", "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == 0
+        assert gc.get_freeze_count() == frozen
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
