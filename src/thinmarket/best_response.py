@@ -177,19 +177,18 @@ def best_response(exposures: ExposureProfile, i: int, theta_rest) -> BestRespons
         )
 
     rest_value = rest.value
+    ratio = rest_value / delta_i  # no product of delta_i and the rest under- or overflows
     if beta_i <= -1.0:
         theta = Elasticity.zero()
         k = 0.0
         branch = BRANCH_ZERO
-    elif beta_i >= 1.0 + rest_value / delta_i:
+    elif beta_i >= 1.0 + ratio:
         theta = Elasticity.infinite()
         k = 1.0
         branch = BRANCH_INFINITY
     else:
-        k = (1.0 + beta_i) / (2.0 + rest_value / delta_i)
-        theta = Elasticity.finite(
-            delta_i * rest_value * (1.0 + beta_i) / (rest_value + delta_i * (1.0 - beta_i))
-        )
+        k = (1.0 + beta_i) / (2.0 + ratio)
+        theta = Elasticity.finite(rest_value * (1.0 + beta_i) / (ratio + (1.0 - beta_i)))
         branch = BRANCH_INTERIOR
     value = response_value_at_share(exposures, i, k, rest_value)
     return BestResponseResult(theta, k, value, branch)

@@ -3,24 +3,22 @@ run the validation oracles.
 
 Exit codes are a stable contract: 0 success, 1 usage, I/O or parse error, 2
 model validation failure, 3 unsupported equilibrium regime (a diagnostic
-report is still written), 4 a validation check failed, 5 the equilibrium
-could not be solved or verified.  The commands raise, and `main` alone maps
-a failure to its code and one line on stderr (`error:`, or for an invalid
-model one `invalid:` line per violation).  Only outcomes that come with a
-report keep their own codes: analyze's 2 and 3, validate's 3 and 4, and
-sweep's per-point failure rows.
+report is still written), 4 a validation check failed, 5 an internal check
+of the solver failed (markets at and next to the extreme boundary solve).
+The commands raise, and `main` alone maps a failure to its code and one
+line on stderr (`error:`, or for an invalid model one `invalid:` line per
+violation).  Only outcomes that come with a report keep their own codes:
+analyze's 2 and 3, validate's 3 and 4, and sweep's per-point failure rows.
 
-`sweep` evaluates its grid as one stacked model, whose arrays carry a leading
-grid axis.  Every pipeline step takes one market or a stacked profile under
-one name, and raises where one market fails but marks the failed points of a
-grid, so the grid is validated and derived once, and `solve` and `compare`
-run once over every point (general points are root-found one at a time
-inside `solve`), with the one-market arithmetic: each CSV row is
-byte-identical to analyzing that point alone.
-Writing the numbers is the largest cost of a two-trader sweep, about half of
-it: CPython's 17-digit float formatting takes about 0.4 us a number on a
-2-vCPU Xeon VM, and the CSV body is one %-format of one flat tuple, with one
-template per row.
+`sweep` evaluates its grid as one stacked model: every pipeline step takes
+one market or a stacked profile under one name, and raises where one market
+fails but marks the failed points of a grid, so the grid is validated and
+derived once, and `solve` and `compare` run once over every point (general
+points are root-found one at a time inside `solve`), with the one-market
+arithmetic: each CSV row is byte-identical to analyzing that point alone.
+Writing the numbers is about half the cost of a two-trader sweep (about
+0.4 us a number on a 2-vCPU Xeon VM), so the CSV body is one %-format of
+one flat tuple, with one template per row.
 
 `validate` prints one (name, PASS or FAIL, detail) row per check: per trader
 the Monte-Carlo certainty equivalent and the grid-searched best response,

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import InvalidModelError
 
 # Positive-definiteness guard: smallest eigenvalue must exceed this fraction of
-# the largest diagonal entry (scale-aware conditioning guard).
+# the largest diagonal entry (scale-aware conditioning guard) and 1 / float max.
 PD_EIGENVALUE_RTOL = 1e-10
 SYMMETRY_RTOL = 1e-10
 # a_I = 0 detection: |C^{1/2} a_I|^2 relative to the summed per-trader
@@ -201,13 +201,18 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
+def _symmetrized(cov: np.ndarray) -> np.ndarray:
+    """(C + C^T) / 2, halved before the sum so that no entry overflows."""
+    return 0.5 * cov + 0.5 * cov.T
+
+
 def _solve_sym(cov: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve C x = rhs against the symmetrized covariance for every vector on
     rhs's last axis.  C = L L^T is factored once, and the solutions are the
     products x^T = rhs^T L^-T L^-1 with one step of iterative refinement:
     without it, the explicit inverse factor leaves backward errors of several
     ulps once C is ill-conditioned."""
-    sym = 0.5 * (cov + cov.T)
+    sym = _symmetrized(cov)
     factor = np.linalg.inv(np.linalg.cholesky(sym))
     x = (rhs @ factor.T) @ factor
     return x + ((rhs - x @ sym) @ factor.T) @ factor
@@ -231,9 +236,9 @@ def validate_model(model: MarketModel) -> ValidationResult:
         if np.max(np.abs(cov - cov.T)) > SYMMETRY_RTOL * scale:
             violations.append("securities_cov is not symmetric")
         else:
-            sym = 0.5 * (cov + cov.T)
+            sym = _symmetrized(cov)
             eigs = np.linalg.eigvalsh(sym)
-            threshold = PD_EIGENVALUE_RTOL * max(float(np.max(np.diag(sym))), 0.0)
+            threshold = max(PD_EIGENVALUE_RTOL * float(np.max(np.diag(sym))), 1.0 / np.finfo(float).max)
             if eigs[0] <= threshold:
                 violations.append("securities_cov is not positive definite")
 

@@ -5,8 +5,10 @@ of the theory: the trivial case a_I = 0 first, then the extreme regime (one
 trader submits infinite elasticity, prices are zero), then the bilateral
 closed form when exactly two traders are active, then the unsupported regime,
 and otherwise the general constructive solver, which reduces the coupled
-quadratic system to a single monotone scalar equation in the total elasticity
-and solves it by Brent's method on a bisection bracket.  Like every pipeline
+quadratic system to a single monotone scalar equation in the inverse total
+elasticity s = 1/x and solves it by Brent's method on a bisection bracket.
+The equation's regular end s = 0 is the extreme regime: a market where it is
+nonnegative takes the extreme solution (see `solve`).  Like every pipeline
 step, `solve` takes one market or a stacked profile (one derived from
 `MarketModel.stacked`) under one name, and raises only on one market: on a
 stack it marks the failed points KIND_FAILED.  Its arrays have the trader on
@@ -22,9 +24,10 @@ fails (and more than two traders are active) are reported as an unsupported
 regime rather than guessed: uniqueness is not established there.
 
 Every solution is verified against the closed-form best response of each
-trader to the others in O(N): the others' aggregate elasticity comes from
-prefix and suffix sums, and the best-response branches are evaluated as
-arrays, with the verdicts of a trader-by-trader check.
+trader to the others in O(N), to the rounding its inputs allow (see
+`fixed_point_deviation`): the others' aggregate elasticity comes from prefix
+and suffix sums, and the best-response branches are evaluated as arrays,
+with the verdicts of a trader-by-trader check.
 """
 
 from __future__ import annotations
@@ -48,17 +51,21 @@ KIND_UNSUPPORTED = "unsupported_regime"
 KIND_FAILED = "solve_failed"
 
 # What solve and compare raise on an instance they cannot solve or verify:
-# ValueError for boundary rejections, the others for failed internal checks.
+# ValueError for inputs that are no market or no elasticity vector, the
+# others for failed internal checks.
 SOLVE_ERRORS = (ValueError, ConsistencyError, BracketError)
 
 # Max tolerated residual of the coupled equilibrium equations for a finite
 # solution, and relative tolerance of the coordinatewise best-response check.
 RESIDUAL_TOL = 1e-8
 FIXED_POINT_RTOL = 1e-8
+# The rounding the verification allows, in ulps per trader (see
+# fixed_point_deviation).
+_ROUNDING_ULPS = 16
 
 # Root-finding on the scalar equilibrium equation.
 _KEY_FTOL = 1e-12
-_KEY_XTOL = 1e-12
+_KEY_XTOL = 1e-14
 _MAX_ITERATIONS = 500
 
 
@@ -112,20 +119,14 @@ def _positive_terms(exposures: ExposureProfile) -> np.ndarray:
     return np.maximum(exposures.delta * (1.0 + exposures.beta), 0.0)
 
 
-def _extreme_thresholds(exposures: ExposureProfile) -> tuple[np.ndarray, np.ndarray]:
-    """The terms delta_i (1 + beta_i)_+ and the thresholds 1 + rest_i / delta_i,
-    rest_i the exclusive sum of the others' terms."""
-    plus = _positive_terms(exposures)
-    return plus, 1.0 + _exclusive_sums(plus) / exposures.delta
-
-
 def _extreme_hits(exposures: ExposureProfile) -> tuple[np.ndarray, np.ndarray]:
     """The traders meeting the extreme condition beta_k >= 1 + rest_k /
-    delta_k, and per market the margin by which the aggregate reformulation
+    delta_k, rest_k the exclusive sum of the others' delta_i (1 + beta_i)_+,
+    and per market the margin by which the aggregate reformulation
     sum delta_i (1 + beta_i)_+ <= 2 max delta_i beta_i disagrees with them
     beyond rounding noise (0 where the two tests agree)."""
-    plus, thresholds = _extreme_thresholds(exposures)
-    hits = exposures.beta >= thresholds
+    plus = _positive_terms(exposures)
+    hits = exposures.beta >= 1.0 + _exclusive_sums(plus) / exposures.delta
     total_plus = plus.sum(axis=-1)
     two_max = 2.0 * np.max(exposures.delta * exposures.beta, axis=-1)
     margin = np.abs(total_plus - two_max)
@@ -138,12 +139,11 @@ def check_extreme_condition(exposures: ExposureProfile) -> int | None:
     """Index of the unique trader who behaves risk-neutrally at equilibrium,
     or None when the equilibrium is non-extreme.
 
-    Trader k is extreme when beta_k >= 1 + rest_k / delta_k with rest_k =
-    sum_{j != k} delta_j (1 + beta_j)_+ summed exclusively; a tie is extreme.
-    The best-response check runs the same arithmetic on solve_extreme's
-    output, so an instance classified extreme always verifies.  The aggregate
-    reformulation (sum delta_i (1 + beta_i)_+ <= 2 max delta_i beta_i) is a
-    cross-check; a disagreement beyond rounding noise is an internal error.
+    Trader k is extreme when beta_k >= 1 + rest_k / delta_k (see
+    _extreme_hits); a tie is extreme.  The best-response check runs the same
+    arithmetic on solve_extreme's output, so an instance classified extreme
+    always verifies; a disagreement with the aggregate reformulation beyond
+    rounding noise is an internal error.
     """
     if exposures.is_trivial:
         raise ValueError("extreme classification is undefined on a trivial instance")
@@ -173,41 +173,27 @@ def solve_extreme(exposures: ExposureProfile, k: int) -> NashSolution:
 
 def nash_residuals(exposures: ExposureProfile, thetas: np.ndarray) -> np.ndarray:
     """Left-minus-right of the coupled equilibrium equations
-    (2 + theta_{-i}/delta_i) k_i = 1 + beta_i for the active traders."""
+    (2 + theta_{-i}/delta_i) k_i = 1 + beta_i for the active traders, with
+    theta_{-i} an exclusive sum, which does not cancel near the boundary."""
     thetas = np.asarray(thetas, dtype=float)
     total = thetas.sum(axis=-1, keepdims=True)
     beta = exposures.beta
     with np.errstate(divide="ignore", invalid="ignore"):
-        res = (2.0 + (total - thetas) / exposures.delta) * (thetas / total) - (1.0 + beta)
+        res = (2.0 + _exclusive_sums(thetas) / exposures.delta) * (thetas / total) - (1.0 + beta)
     return np.where(beta > -1.0, res, 0.0)
 
 
-# Finite equilibria with total elasticity beyond this multiple of delta_I sit
-# within floating-point noise of the extreme boundary (an almost-pole of the
-# closed forms); they cannot be computed to meaningful relative precision.
-_BOUNDARY_GUARD = 1e12
-_BOUNDARY_MESSAGE = (
-    "instance lies within floating-point noise of the extreme-equilibrium "
-    "boundary; the non-extreme elasticities are too large to compute reliably"
-)
-
-
 def _finite_parts(exposures: ExposureProfile, thetas: np.ndarray):
-    """Total elasticity, shares and prices of a finite solution, and whether
-    the total lies in (0, _BOUNDARY_GUARD delta_I]."""
+    """Total elasticity, shares and prices of a finite solution."""
     total = thetas.sum(axis=-1, keepdims=True)
-    in_range = (0.0 < total[..., 0]) & (total[..., 0] <= _BOUNDARY_GUARD * exposures.delta_total)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return total[..., 0], thetas / total, -exposures.cov_total / total, in_range
+        return total[..., 0], thetas / total, -exposures.cov_total / total
 
 
-def _finite_solution(exposures: ExposureProfile, thetas: np.ndarray, kind: str) -> NashSolution:
-    total, shares, prices, in_range = _finite_parts(exposures, thetas)
-    if not in_range:
-        raise ValueError(_BOUNDARY_MESSAGE)
+def _finite_solution(exposures: ExposureProfile, kind: str, thetas, shares, prices) -> NashSolution:
     outcome = clearing_outcome(exposures, shares, prices)
     residuals = _frozen(nash_residuals(exposures, thetas))
-    return NashSolution(kind, _frozen(thetas), float(total), _frozen(shares), outcome, residuals)
+    return NashSolution(kind, _frozen(thetas), float(thetas.sum()), _frozen(shares), outcome, residuals)
 
 
 def _bilateral_thetas(exposures: ExposureProfile) -> np.ndarray:
@@ -220,7 +206,7 @@ def _bilateral_thetas(exposures: ExposureProfile) -> np.ndarray:
     beta, lam, delta = exposures.beta, exposures.lam, exposures.delta
     active = beta > -1.0
     lam_j, beta_j = (_exclusive_sums(np.where(active, x, 0.0)) for x in (lam, beta))
-    # a denominator can round to zero on the boundary; _finite_parts rejects it
+    # a denominator can round to zero on the boundary: see solve
     with np.errstate(divide="ignore", invalid="ignore"):
         gap = lam * beta - lam_j * beta_j
         theta = delta * 2.0 * lam_j * (beta + beta_j) / ((lam + lam_j) - gap)
@@ -237,26 +223,26 @@ def solve_bilateral(exposures: ExposureProfile) -> NashSolution:
     """
     if np.count_nonzero(exposures.beta > -1.0) != 2:
         raise ValueError("the bilateral closed form needs exactly two traders with beta > -1")
-    return _finite_solution(exposures, _bilateral_thetas(exposures), KIND_BILATERAL)
+    thetas = _bilateral_thetas(exposures)
+    return _finite_solution(exposures, KIND_BILATERAL, thetas, *_finite_parts(exposures, thetas)[1:])
 
 
 class GeneralSystem:
-    """Scalar reduction of the coupled equilibrium system of one market,
-    built from its risk tolerances and betas (a row of a stacked profile
-    will do).
+    """Scalar reduction of the coupled equilibrium system of one market in the
+    inverse total elasticity s = 1/x, built from its risk tolerances and betas
+    (a row of a stacked profile will do).
 
     leader is a maximal-beta trader (lowest index on ties); followers are the
     remaining traders with beta in (-1, 1]; everyone else is passive with zero
-    elasticity.  Given the total elasticity x, follower i submits
-    phi_i(x) = delta_i + x/2 - sqrt((delta_i + x/2)^2 - delta_i (1 + beta_i) x),
-    evaluated in the algebraically equivalent product form
-    delta_i (1 + beta_i) x / (delta_i + x/2 + sqrt(disc)), which is free of
-    cancellation for large x; at beta_i = 1, where the discriminant itself
-    cancels, the kinked exact form min(x, 2 delta_i) is used.  Each follower
-    takes exactly the floating-point operations of the scalar form, so a
-    value does not depend on how many are evaluated together.  F is strictly
-    decreasing with F(0+) > 1, so the equilibrium total elasticity is the
-    unique root of F(x) = 1.
+    elasticity.  At s, follower i submits phi_i(s) = delta_i (1 + beta_i) /
+    (h_i + sqrt(h_i^2 - delta_i (1 + beta_i) s)), h_i = delta_i s + 1/2, which
+    is delta_i (1 + beta_i) at s = 0; at beta_i = 1, where the discriminant
+    cancels, the kinked exact form min(1/s, 2 delta_i).  Each follower takes
+    exactly the floating-point operations of the scalar form, so a value does
+    not depend on how many are evaluated together.  F(s) = (1 + beta_L) /
+    (2 + sigma(s) / delta_L) + s sigma(s) - 1, sigma the followers' sum, is
+    strictly increasing; F(0) >= 0 is the leader's extreme condition, and
+    otherwise the equilibrium is the unique root of F.
     """
 
     def __init__(self, delta: np.ndarray, beta: np.ndarray):
@@ -270,101 +256,92 @@ class GeneralSystem:
         self._scale = self._delta * (1.0 + follower_beta)
         self._kink = (follower_beta == 1.0).nonzero()[0]  # where the discriminant cancels
         self._half, self._scaled, self._disc = (np.empty(self._delta.size) for _ in range(3))
-        # x -> (follower thetas, sigma) of the last two evaluations: Brent's
+        # s -> (follower thetas, sigma) of the last two evaluations: Brent's
         # method ends on one of them, mostly the one before last
         self._recent: dict[float, tuple[np.ndarray, float]] = {}
 
-    def _phi(self, x: float) -> np.ndarray:
-        if x <= 0.0:
-            return np.zeros(self._delta.size)
-        # scaled / (half + sqrt(max(half^2 - scaled, 0))), in scratch buffers;
-        # for beta <= 1 the discriminant is at least (delta - x/2)^2 and rounds
-        # below zero by a few ulps of half^2 at most
-        half = np.add(self._delta, 0.5 * x, out=self._half)
-        scaled = np.multiply(self._scale, x, out=self._scaled)
+    def _phi(self, s: float) -> np.ndarray:
+        # scale / (half + sqrt(max(half^2 - scale s, 0))), in scratch buffers;
+        # for beta <= 1 the discriminant is at least (delta s - 1/2)^2 and
+        # rounds below zero by a few ulps of half^2 at most
+        half = np.multiply(self._delta, s, out=self._half)
+        half += 0.5
         disc = np.multiply(half, half, out=self._disc)
-        disc -= scaled
+        disc -= np.multiply(self._scale, s, out=self._scaled)
         root = np.sqrt(np.maximum(disc, 0.0, out=disc), out=disc)
-        theta = scaled / np.add(half, root, out=root)
+        theta = self._scale / np.add(half, root, out=root)
         if self._kink.size:
-            theta[self._kink] = np.minimum(x, 2.0 * self._delta[self._kink])
+            twice = 2.0 * self._delta[self._kink]
+            theta[self._kink] = np.minimum(1.0 / s, twice) if s > 0.0 else twice
         return theta
 
-    def _evaluate(self, x: float) -> tuple[np.ndarray, float]:
-        recent = self._recent.get(x)
+    def _evaluate(self, s: float) -> tuple[np.ndarray, float]:
+        recent = self._recent.get(s)
         if recent is None:
-            thetas = _frozen(self._phi(x))
+            thetas = _frozen(self._phi(s))
             # A running sum adds left to right (numpy's sum adds pairwise, and
             # Python's sum compensates from 3.12 on); that order fixes F's
             # bits, and with them the root and the general solution.
             recent = thetas, float(np.add.accumulate(thetas)[-1]) if thetas.size else 0.0
             if len(self._recent) == 2:
                 del self._recent[next(iter(self._recent))]
-            self._recent[x] = recent
+            self._recent[s] = recent
         return recent
 
-    def follower_thetas(self, x: float) -> np.ndarray:
-        """phi_i(x) of every follower, in order (read-only)."""
-        return self._evaluate(x)[0]
+    def follower_thetas(self, s: float) -> np.ndarray:
+        """phi_i(s) of every follower, in order (read-only)."""
+        return self._evaluate(s)[0]
 
-    def sigma(self, x: float) -> float:
-        return self._evaluate(x)[1]
+    def sigma(self, s: float) -> float:
+        return self._evaluate(s)[1]
 
-    def F(self, x: float) -> float:
-        s = self.sigma(x)
-        return (1.0 + self.beta0) * self.delta0 / (2.0 * self.delta0 + s) + s / x
+    def leader_share(self, s: float) -> float:
+        """The leader's best-response share against the followers' sigma(s)."""
+        return (1.0 + self.beta0) / (2.0 + self.sigma(s) / self.delta0)
 
-    def leader_theta(self, x: float) -> float:
-        return (1.0 + self.beta0) * self.delta0 * x / (2.0 * self.delta0 + self.sigma(x))
+    def F(self, s: float) -> float:
+        return self.leader_share(s) + s * self.sigma(s) - 1.0
 
 
-def _root_total_elasticity(system: GeneralSystem, delta_total: float) -> float:
-    """Root of F(x) = 1 by Brent's method (1973) on a bisection bracket.
+def _root_inverse_total(system: GeneralSystem, f0: float, delta_total: float) -> float:
+    """Root of F(s) = 0 by Brent's method (1973), given f0 = F(0) < 0.
 
-    The bracket is [1e-12 delta_I, hi], hi doubled from delta_I until F(hi) < 1.
-    Inside it, inverse quadratic or secant steps are taken while they shrink
-    the bracket fast enough, and bisection steps otherwise; the bisection
-    fallback covers F's kink at followers with beta = 1 and its flatness near
-    the extreme boundary.  F - 1 > 0 marks the left side of the bracket and
-    F - 1 <= 0 the right.  Returns b once |F(b) - 1| < _KEY_FTOL and the
-    bracket [b, c] is narrower than _KEY_XTOL (1 + b).
+    The bracket [0, hi] has hi doubled from 1/delta_I (the least float where
+    delta_I overflows) until F(hi) >= 0, as it will (F tends to at least 1/2
+    as s grows), its left end following.  Inside it, inverse quadratic or
+    secant steps are taken while they shrink the bracket fast enough, and
+    bisection steps otherwise, which cover F's kink at followers with
+    beta = 1.  F < 0 marks the left side of the bracket and F >= 0 the right.
+    Returns b once |F(b)| < _KEY_FTOL and [b, c] is narrower than _KEY_XTOL b.
     """
-    lo = 1e-12 * delta_total
-    f_lo = system.F(lo) - 1.0
-    if not f_lo > 0.0:
-        raise BracketError(f"F({lo:g}) <= 1 at the lower bracket end; precondition violated")
-    hi = delta_total
-    f_hi = system.F(hi) - 1.0
-    while f_hi >= 0.0:
-        if hi > _BOUNDARY_GUARD * delta_total:
-            # the root lies beyond what _finite_solution accepts
-            raise ValueError(_BOUNDARY_MESSAGE)
-        hi *= 2.0
-        f_hi = system.F(hi) - 1.0
+    a, fa, b = 0.0, f0, 1.0 / delta_total or math.ulp(0.0)
+    fb = system.F(b)
+    while fb < 0.0:
+        a, fa, b = b, fb, 2.0 * b
+        fb = system.F(b)
 
     # b is the best estimate, c the bracket end across the root from b, a the
     # previous b; step and prev_step are the last two steps taken.
-    a, fa, b, fb = lo, f_lo, hi, f_hi
     c, fc = a, fa
     step = prev_step = b - a
     for _ in range(_MAX_ITERATIONS):
-        if (fb > 0.0) == (fc > 0.0):
+        if (fb >= 0.0) == (fc >= 0.0):
             c, fc = a, fa
             step = prev_step = b - a
         if abs(fc) < abs(fb):
             a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
-        tol = 0.5 * _KEY_XTOL * (1.0 + b)
+        tol = 0.5 * _KEY_XTOL * b
         half = 0.5 * (c - b)
         if abs(fb) < _KEY_FTOL and abs(half) < tol:
             return b
         if abs(prev_step) >= tol and abs(fa) > abs(fb):
-            s = fb / fa
+            r = fb / fa
             if a == c:  # secant
-                p, q = 2.0 * half * s, 1.0 - s
+                p, q = 2.0 * half * r, 1.0 - r
             else:  # inverse quadratic
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+                q, t = fa / fc, fb / fc
+                p = r * (2.0 * half * q * (q - t) - (b - a) * (t - 1.0))
+                q = (q - 1.0) * (t - 1.0) * (r - 1.0)
             if p > 0.0:
                 q = -q
             p = abs(p)
@@ -377,19 +354,27 @@ def _root_total_elasticity(system: GeneralSystem, delta_total: float) -> float:
         a, fa = b, fb
         # move at least tol towards c, but never past the bracket's midpoint
         b += step if abs(step) >= tol else math.copysign(min(tol, abs(half)), half)
-        fb = system.F(b) - 1.0
+        fb = system.F(b)
     raise ConsistencyError("root-finder failed to reach tolerance")
 
 
-def _general_thetas(delta: np.ndarray, beta: np.ndarray, delta_total: float) -> np.ndarray:
-    """Elasticities of the general constructive solution of one market, from
-    its risk tolerances, betas and total risk tolerance."""
+def _general_parts(delta: np.ndarray, beta: np.ndarray, delta_total: float):
+    """Elasticities, shares and inverse total elasticity s of the general
+    constructive solution of one market, from its risk tolerances, betas and
+    total risk tolerance; s = 0 (and NaN) where F(0) >= 0, the extreme side."""
     system = GeneralSystem(delta, beta)
-    total = _root_total_elasticity(system, delta_total)
+    f0 = system.F(0.0)
+    if f0 >= 0.0:
+        return math.nan, math.nan, 0.0
+    s = _root_inverse_total(system, f0, delta_total)
     thetas = np.zeros(delta.shape)
-    thetas[system.follower_mask] = system.follower_thetas(total)
-    thetas[system.leader] = system.leader_theta(total)
-    return thetas
+    thetas[system.follower_mask] = system.follower_thetas(s)
+    shares = s * thetas
+    # the leader's best-response share, which unlike 1 - s sigma(s) does not
+    # cancel when it is small
+    shares[system.leader] = leader = system.leader_share(s)
+    thetas[system.leader] = leader / s
+    return thetas, shares, s
 
 
 def solve_general(exposures: ExposureProfile) -> NashSolution:
@@ -399,8 +384,10 @@ def solve_general(exposures: ExposureProfile) -> NashSolution:
     Precondition: the instance is in the general regime, i.e. it is
     non-trivial, the extreme condition fails and at most one beta exceeds one.
     """
-    thetas = _general_thetas(exposures.delta, exposures.beta, exposures.delta_total)
-    return _finite_solution(exposures, thetas, KIND_GENERAL)
+    thetas, shares, s = _general_parts(exposures.delta, exposures.beta, exposures.delta_total)
+    if s == 0.0:
+        raise ValueError("the scalar equation is nonnegative at s = 0: the market is extreme")
+    return _finite_solution(exposures, KIND_GENERAL, thetas, shares, -exposures.cov_total * s)
 
 
 # Any elasticity vector is an equilibrium of a trivial market; the true
@@ -423,7 +410,15 @@ _NOT_AN_ELASTICITY = "finite elasticity must be a strictly positive real"
 
 def fixed_point_deviation(exposures: ExposureProfile, thetas):
     """Worst-case relative deviation of each elasticity from the best response
-    to the others; infinite on any branch mismatch.
+    to the others, beyond the rounding its inputs allow; infinite on any branch
+    mismatch.
+
+    The rounding rule, with n traders: a trader's relative deviation counts
+    only beyond _ROUNDING_ULPS n eps kappa_i, where kappa_i = (1 + |beta_i|) /
+    |1 + rest_i / delta_i - beta_i| bounds the conditioning of its interior
+    best response in its inputs rest_i and beta_i (large next to the extreme
+    boundary), and a trader within _ROUNDING_ULPS n eps max(1, |beta_i|) of a
+    branch threshold (-1, or 1 + rest_i / delta_i) may take either branch.
 
     thetas is a float array with 0.0 for a zero elasticity and +inf for an
     infinite one; NaN, negative and -inf entries are no elasticity and raise
@@ -450,18 +445,23 @@ def fixed_point_deviation(exposures: ExposureProfile, thetas):
     # closed form otherwise, which is delta (1 + beta) against an infinite
     # rest; against a zero rest the response is undefined unless beta > 1.
     beta, delta = exposures.beta, exposures.delta
+    slack = _ROUNDING_ULPS * theta.shape[-1] * np.finfo(float).eps
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # see bad_value
         rest = _exclusive_sums(theta)  # infinite exactly where anyone else's theta is
-        escalate = beta >= 1.0 + rest / delta
-        br = delta * rest * (1.0 + beta) / (rest + delta * (1.0 - beta))
-        br = np.where(np.isinf(rest), delta * (1.0 + beta), br)
+        ratio, gap = rest / delta, 1.0 - beta  # in units of delta: no product overflows
+        denominator = ratio + gap  # beta's distance below its threshold 1 + ratio
+        escalate = beta >= 1.0 + ratio
+        br = np.where(np.isinf(rest), delta * (1.0 + beta), rest * (1.0 + beta) / denominator)
         passive = beta <= -1.0
         interior = ~(passive | escalate)
+        other_branch = ((theta == 0.0) != passive) | (np.isinf(theta) != escalate)
         undefined = (rest == 0.0) & (beta <= 1.0)
-        bad_value = interior & ~((br > 0.0) & (br < math.inf))
-        mismatch = ((theta == 0.0) != passive) | (np.isinf(theta) != escalate)
-        relative = np.abs(br - theta) / np.maximum(br, np.abs(theta))
-        deviation = np.max(np.where(interior, relative, 0.0), axis=-1)
+        valid_br = (br > 0.0) & (br < math.inf)
+        # within the slack of a threshold, -1 or 1 + ratio, either branch will do
+        tie = np.minimum(np.abs(beta + 1.0), np.abs(denominator)) <= slack * np.maximum(1.0, np.abs(beta))
+        bad_value, mismatch = interior & ~(valid_br | tie), other_branch & ~tie
+        relative = np.abs(br - theta) / np.maximum(br, theta) - slack * (1.0 + np.abs(beta)) / np.abs(denominator)
+        deviation = np.max(np.where(interior & valid_br & ~other_branch, relative, 0.0), axis=-1, initial=0.0)
         first = 0
         if (undefined | bad_value | mismatch).any():
             # the verdict of the first trader that stops the check
@@ -482,32 +482,16 @@ def fixed_point_deviation(exposures: ExposureProfile, thetas):
     return float(deviation)
 
 
-def _extreme_boundary_margin(exposures: ExposureProfile) -> np.ndarray:
-    """Relative distance of the betas from the extreme-condition boundary.
-
-    Instances inside floating-point noise of that boundary cannot be verified
-    to tolerance by any route, since the non-extreme equilibrium has a pole
-    there.
-    """
-    beta = exposures.beta
-    _, thresholds = _extreme_thresholds(exposures)
-    scale = np.maximum(1.0, np.abs(np.concatenate([beta, thresholds], axis=-1)).max(axis=-1))
-    return np.abs(beta - thresholds).min(axis=-1) / scale
-
-
 # Why solve leaves a point unsolved, by failure code in the order of
 # precedence (0: solved, or unsupported): the exception solve raises and its
-# message.  Codes 1-2 come from the classification, 3 from the boundary guard
-# on a finite total, 4-6 from the verification; _ROOT_FAILED is the
-# root-finder's own exception, kept as caught.
+# message.  Codes 1-2 come from the classification, 3-4 from the
+# verification; _ROOT_FAILED is the root-finder's own exception, kept as
+# caught.
 _FAILURES = (
     None,
     (ConsistencyError, "extreme condition held for several traders: {leaders}"),
     (ConsistencyError, "extreme-condition tests disagree: "
                        "per-trader={hit}, aggregate={miss}, margin={margin:g}"),
-    (ValueError, _BOUNDARY_MESSAGE),
-    (ValueError, "instance lies within floating-point noise of the extreme-equilibrium "
-                 "boundary and cannot be verified to tolerance"),
     (ConsistencyError, "equilibrium residuals exceed tolerance: {worst:g}"),
     (ConsistencyError, "best-response verification failed: deviation {deviation:g}"),
 )
@@ -551,15 +535,16 @@ def solve(exposures: ExposureProfile) -> NashSolution:
 
     The regime is decided in order: trivial, extreme, bilateral (exactly two
     traders with beta > -1), unsupported (two or more betas above one) or
-    general, and every solved (non-trivial, supported) solution is verified
-    coordinatewise against the closed-form best response.  A step runs only
-    when some point needs it.  Where one market fails, solve raises one of
-    SOLVE_ERRORS: ValueError for an instance within floating-point noise of
-    the extreme boundary (or fixed_point_deviation's own, for a solution that
-    is no elasticity vector), the others for failed checks.  On a stacked
-    profile each point gets the kind and the bits it gets alone, or
-    KIND_FAILED and NaN where that would raise; points that failed validation
-    are KIND_FAILED too.
+    general; the general solver also takes the bilateral points whose closed
+    form total leaves (0, inf).  Tie rule: a general point with F(0) >= 0 is on
+    the extreme side, led by its largest delta_i beta_i, and labelled extreme.
+    Every solved solution is verified coordinatewise against the closed-form
+    best response.  A step runs only when some point needs it.  Where one
+    market fails, solve raises one of SOLVE_ERRORS: fixed_point_deviation's
+    ValueError for a solution that is no elasticity vector, the others for
+    failed checks.  On a stacked profile each point gets the kind and the bits
+    it gets alone, or KIND_FAILED and NaN where that would raise; points that
+    failed validation are KIND_FAILED too.
     """
     one_market = exposures.valid is None
     valid = np.asarray(True if one_market else exposures.valid)
@@ -587,27 +572,36 @@ def solve(exposures: ExposureProfile) -> NashSolution:
         todo = np.where(live & (code == 0), kind, _TRIVIAL)
         extreme, bilateral, general = todo == _EXTREME, todo == _BILATERAL, todo == _GENERAL
 
-        if _some(extreme):
-            extreme_thetas, extreme_shares = _extreme_parts(exposures, hits.argmax(axis=-1))
-            _fill(extreme, (thetas, extreme_thetas), (shares, extreme_shares),
-                  (prices, 0.0), (residuals, 0.0))
         if _some(bilateral):
             _fill(bilateral, (thetas, _bilateral_thetas(exposures)))
+            total, finite_shares, finite_prices = _finite_parts(exposures, thetas)
+            _fill(bilateral, (shares, finite_shares), (prices, finite_prices))
+            # next to the boundary the closed form can lose every digit: the
+            # general solver takes such points over
+            overflow = bilateral & ~((0.0 < total) & (total < math.inf))
+            bilateral, general = bilateral & ~overflow, general | overflow
+            kind = np.where(overflow, _GENERAL, kind)
         delta_total = np.asarray(exposures.delta_total)
+        inverse_total = np.full(valid.shape, np.nan)
         for g in np.flatnonzero(general).tolist():
             at = () if one_market else g  # the market, or grid point g
             try:
-                thetas[at] = _general_thetas(
+                thetas[at], shares[at], inverse_total[at] = _general_parts(
                     exposures.delta[at], exposures.beta[at], float(delta_total[at])
                 )
             except SOLVE_ERRORS as exc:
                 code[at], error = _ROOT_FAILED, exc
-        finite = (bilateral | general) & (code == 0)
+        _fill(general, (prices, -exposures.cov_total * inverse_total[..., None]))
+        tie = general & (inverse_total == 0.0)  # F(0) >= 0: the extreme side
+        finite = (bilateral | general) & ~tie & (code == 0)
         if _some(finite):
-            _, finite_shares, finite_prices, in_range = _finite_parts(exposures, thetas)
-            _fill(finite, (shares, finite_shares), (prices, finite_prices),
-                  (residuals, nash_residuals(exposures, thetas)))
-            code = np.where(finite & ~in_range, 3, code)
+            _fill(finite, (residuals, nash_residuals(exposures, thetas)))
+        kind, extreme = np.where(tie, _EXTREME, kind), extreme | tie
+        if _some(extreme):
+            leader = np.where(tie, np.argmax(exposures.delta * exposures.beta, axis=-1), hits.argmax(axis=-1))
+            extreme_thetas, extreme_shares = _extreme_parts(exposures, leader)
+            _fill(extreme, (thetas, extreme_thetas), (shares, extreme_shares),
+                  (prices, 0.0), (residuals, 0.0))
 
         solved = (extreme | finite) & (code == 0)
         if _some(solved):
@@ -616,10 +610,8 @@ def solve(exposures: ExposureProfile) -> NashSolution:
             deviation = fixed_point_deviation(exposures, thetas)
             verdict = np.where(worst > RESIDUAL_TOL, 1, 2 * (deviation > FIXED_POINT_RTOL))
             failed = solved & (verdict > 0)
-            if _some(failed):
-                near = _extreme_boundary_margin(exposures) < 1e-6
-                code = np.where(failed, np.where(near, 4, 4 + verdict), code)
-                solved = solved & ~failed
+            code = np.where(failed, 2 + verdict, code)
+            solved = solved & ~failed
         unsolved = ~(solved | trivial)
         if _some(unsolved):
             _fill(unsolved, *((values, np.nan) for values in (thetas, shares, prices, residuals)))

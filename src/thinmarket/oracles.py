@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .best_response import Elasticity, as_elasticity, best_response, response_value_at_share
+from .best_response import Elasticity, as_elasticity, best_response
 from .model import ExposureProfile
 
 # Gaussian sampling: NumPy Generator seeded with PCG64, standard_normal via the
@@ -94,6 +94,12 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-12) -> float:
     return 0.5 * (a + b)
 
 
+def _share_value(exposures: ExposureProfile, i: int, k, theta_rest: float):
+    """The k-dependent part of the response value at share k, in units of
+    <a_I, C a_I>, whose rounding the far larger k-free part would swamp."""
+    return (1.0 - k) * (k - float(exposures.beta[i])) / theta_rest - k * k / (2.0 * float(exposures.delta[i]))
+
+
 def grid_best_response_share(
     exposures: ExposureProfile,
     i: int,
@@ -104,11 +110,11 @@ def grid_best_response_share(
     a uniform grid followed by one golden-section refinement pass around the
     grid argmax.  Independent of the closed-form best response."""
     ks = np.linspace(0.0, 1.0, grid_points)
-    values = response_value_at_share(exposures, i, ks, theta_rest)
+    values = _share_value(exposures, i, ks, theta_rest)
     j = int(np.argmax(values))
     lo = ks[max(j - 1, 0)]
     hi = ks[min(j + 1, grid_points - 1)]
-    return _golden_max(lambda k: response_value_at_share(exposures, i, k, theta_rest), lo, hi)
+    return _golden_max(lambda k: _share_value(exposures, i, k, theta_rest), lo, hi)
 
 
 @dataclass(frozen=True)

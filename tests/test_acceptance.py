@@ -263,7 +263,7 @@ def test_criterion_09_scalar_equation_structure():
         draws.append((delta, 1.0 if trial % 10 == 0 else float(rng.uniform(-0.999, 1.0))))
     deltas, betas = np.array(draws).T
     system = follower_system(deltas, betas)
-    values = np.array([system.follower_thetas(x) for x in xs])  # (x, follower)
+    values = np.array([system.follower_thetas(1.0 / x) for x in xs])  # (x = 1/s, follower)
     slopes = np.diff(values, axis=0) / np.diff(xs)[:, None]
     assert np.all(values[0] < 1e-5)
     assert np.all(np.diff(values, axis=0) >= -1e-12)
@@ -278,15 +278,13 @@ def test_criterion_09_scalar_equation_structure():
         if check_extreme_condition(ex) is not None:
             continue
         checked += 1
+        # F increases in the inverse total elasticity s, from F(0) < 0 (the
+        # extreme condition fails) to F(1e6 / delta_I) > 0
         system = GeneralSystem(ex.delta, ex.beta)
-        lo = 1e-6 * ex.delta_total
-        hi = ex.delta_total
-        while system.F(hi) >= 1.0:
-            hi *= 2.0
-        grid = np.geomspace(lo, hi, 200)
-        values = np.array([system.F(x) for x in grid])
-        assert np.all(np.diff(values) < 1e-12)
-        assert values[0] > 1.0 > values[-1]
+        grid = np.r_[0.0, np.geomspace(1e-6, 1e6, 199) / ex.delta_total]
+        values = np.array([system.F(s) for s in grid])
+        assert np.all(np.diff(values) > -1e-12)
+        assert values[0] < 0.0 < values[-1]
     _report("criterion 9 (scalar-equation structure)", time.perf_counter() - start, 30.0)
 
 

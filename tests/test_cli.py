@@ -20,8 +20,9 @@ from thinmarket.cli import main
 from conftest import constrained_betas, model_from_betas, random_deltas
 
 
-# One ulp inside the extreme boundary: the non-extreme elasticities are too
-# large to compute, so solve rejects the instance.
+# One ulp inside the extreme boundary: the leader's elasticity is about 1/eps
+# and verifies only to the precision its conditioning allows, so without the
+# verification's rounding allowance solve rejects the instance.
 HAIRLINE = float(np.nextafter(1.5, 0.0))
 
 
@@ -67,6 +68,19 @@ def readme_with_a_third_trader():
     doc = bilateral_scenario(total=3.0)
     doc["traders"].append({"delta": 0.5, "cov_es": [0.3]})
     return doc
+
+
+def zero_total_scenario():
+    # a_I = 1.1e-5: the response value varies with k on the scale |a_I|^2
+    return {
+        "schema_version": "1",
+        "securities_cov": [[1.0]],
+        "traders": [
+            {"delta": 1.0, "cov_es": [1e-5], "endowment_var": 1.0},
+            {"delta": 1.0, "cov_es": [1e-6], "endowment_var": 1.0},
+        ],
+        "total_endowment_var": 0.0,
+    }
 
 
 def assert_row_matches_report(row, report):
@@ -158,16 +172,7 @@ class TestAnalyze:
         # valid (the spanned variance, 1.21e-10, is within validation's slack
         # of 0), but the complete counterpart's covariance [[0]] is not
         # positive definite, so the comparison does not apply
-        doc = {
-            "schema_version": "1",
-            "securities_cov": [[1.0]],
-            "traders": [
-                {"delta": 1.0, "cov_es": [1e-5], "endowment_var": 1.0},
-                {"delta": 1.0, "cov_es": [1e-6], "endowment_var": 1.0},
-            ],
-            "total_endowment_var": 0.0,
-        }
-        scen = write_json(tmp_path / "s.json", doc)
+        scen = write_json(tmp_path / "s.json", zero_total_scenario())
         out = tmp_path / "report.json"
         assert main(["analyze", "--scenario", scen, "--out", str(out)]) == 0
         report = json.loads(out.read_text())
@@ -190,14 +195,47 @@ class TestAnalyze:
         assert capsys.readouterr().err == "invalid: counterpart rejected\n"
         assert not out.exists()
 
-    def test_unsolvable_instance_exit_five(self, tmp_path, capsys):
+    def test_unsolvable_instance_exit_five(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(thinmarket.nash, "_ROUNDING_ULPS", 0)
         scen = write_json(tmp_path / "s.json", bilateral_scenario(beta0=HAIRLINE))
         out = tmp_path / "report.json"
         assert main(["analyze", "--scenario", scen, "--out", str(out)]) == 5
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "boundary" in err
+        assert err.startswith("error: best-response verification failed")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
+
+    def test_one_ulp_inside_the_boundary_exit_zero(self, tmp_path):
+        scen = write_json(tmp_path / "s.json", bilateral_scenario(beta0=HAIRLINE))
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--scenario", scen, "--out", str(out)]) == 0
+        nash = json.loads(out.read_text())["nash"]
+        assert nash["kind"] == "bilateral_closed_form"
+        assert nash["k_shares"][0] == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "cov, code, kind",
+        [([[1e308]], 0, "bilateral_closed_form"), ([[1.0, 1e308], [1e308, 1.0]], 2, None), ([[1e-320]], 2, None)],
+        ids=["near-float-max", "indefinite-near-float-max", "subnormal"],
+    )
+    def test_covariance_scale(self, tmp_path, capsys, cov, code, kind):
+        # symmetrizing halves before it adds, so entries near the float
+        # maximum do not overflow; a covariance whose inverse overflows is
+        # not positive definite in floating point
+        doc = bilateral_scenario(total=3.0)
+        doc["securities_cov"] = cov
+        for trader in doc["traders"]:
+            trader["cov_es"] += [0.1] * (len(cov) - 1)
+        scen = write_json(tmp_path / "s.json", doc)
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--scenario", scen, "--out", str(out)]) == code
+        report = json.loads(out.read_text())
+        if kind is None:
+            assert report["validation"]["violations"] == ["securities_cov is not positive definite"]
+            assert main(["validate", "--scenario", scen, "--samples", "1000"]) == 2
+            assert capsys.readouterr().err == "invalid: securities_cov is not positive definite\n"
+        else:
+            assert report["nash"]["kind"] == kind
 
     def test_malformed_matrix_exit_one(self, tmp_path, capsys):
         doc = bilateral_scenario()
@@ -394,7 +432,8 @@ class TestSweep:
         assert rows[0]["theta_0"] == ""
         assert rows[1]["kind"] == "bilateral_closed_form"
 
-    def test_unsolvable_points_carry_kind(self, tmp_path):
+    def test_unsolvable_points_carry_kind(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(thinmarket.nash, "_ROUNDING_ULPS", 0)
         scen = write_json(tmp_path / "s.json", bilateral_scenario(beta0=HAIRLINE))
         csv_path = tmp_path / "sweep.csv"
         assert (
@@ -407,6 +446,26 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         assert [row["kind"] for row in rows] == ["bilateral_closed_form", "solve_failed", "extreme"]
         assert rows[1]["theta_0"] == ""
+
+    def test_readme_band_has_no_failed_row(self, tmp_path):
+        # delta_0 = 4 is the README market's extreme boundary; every row of the
+        # band 4 +- 2^-k solves and equals analyze on its point, bit for bit
+        doc = bilateral_scenario(beta0=1.2, total=3.0)
+        scen = write_json(tmp_path / "s.json", doc)
+        grid = [4.0] + [4.0 + sign * 2.0**-k for k in range(1, 53) for sign in (-1.0, 1.0)]
+        csv_path = tmp_path / "sweep.csv"
+        argv = ["sweep", "--scenario", scen, "--param", "0:delta", "--out", str(csv_path)]
+        assert main(argv + ["--grid=" + ",".join(map(repr, grid))]) == 0
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 105
+        assert {row["kind"] for row in rows} == {"bilateral_closed_form", "extreme"}
+        for value, row in zip(grid, rows):
+            doc["traders"][0]["delta"] = value
+            point = write_json(tmp_path / "point.json", doc)
+            out = tmp_path / "report.json"
+            assert main(["analyze", "--scenario", point, "--out", str(out)]) == 0
+            assert_row_matches_report(row, json.loads(out.read_text()))
 
     def test_readme_scenario_sweep_through_the_boundary(self, tmp_path):
         doc = bilateral_scenario(beta0=1.2, deltas=(4.0, 1.0), total=3.0)
@@ -608,6 +667,21 @@ class TestValidate:
             assert all(row[1] == "PASS" for row in rows if row[0] not in failing)
             monkeypatch.undo()
 
+    def test_nearly_trivial_scenario_grid_k_passes(self, tmp_path, capsys, monkeypatch):
+        # the grid search maximizes the k-dependent part of the response value
+        # alone, whose rounding the k-free part (about 1e10 times larger here)
+        # would swamp; a limit below its |dk| still fails the rows
+        scen = write_json(tmp_path / "s.json", zero_total_scenario())
+        assert main(["validate", "--scenario", scen, "--samples", "20000"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        grid_k = [row for row in rows if row[0].startswith("grid-k")]
+        assert len(grid_k) == 2 and all(row[1] == "PASS" for row in grid_k)
+        assert all(float(row[2].partition("=")[2]) < 1e-7 for row in grid_k)
+        monkeypatch.setattr(thinmarket.cli, "_LIMITS", {**thinmarket.cli._LIMITS, "grid-k": 1e-12})
+        assert main(["validate", "--scenario", scen, "--samples", "20000"]) == 4
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert [row[0] for row in rows if row[1] == "FAIL"] == ["grid-k[0]", "grid-k[1]"]
+
     def test_trivial_scenario_notes_flat_response(self, tmp_path, capsys):
         doc = {
             "schema_version": "1",
@@ -629,7 +703,8 @@ class TestValidate:
         scen = write_json(tmp_path / "s.json", doc)
         assert main(["validate", "--scenario", scen, "--samples", "1000"]) == 2
 
-    def test_unsolvable_scenario_exit_five(self, tmp_path, capsys):
+    def test_unsolvable_scenario_exit_five(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(thinmarket.nash, "_ROUNDING_ULPS", 0)
         scen = write_json(tmp_path / "s.json", bilateral_scenario(beta0=HAIRLINE))
         assert main(["validate", "--scenario", scen, "--samples", "1000"]) == 5
         assert capsys.readouterr().err.startswith("error: ")
@@ -792,8 +867,20 @@ class TestProcessEntry:
         assert proc.stdout == out.read_bytes()
 
     def test_unsolvable_instance_exit_five(self, tmp_path):
+        # the process entry with the verification's rounding allowance taken away
         scen = write_json(tmp_path / "s.json", bilateral_scenario(beta0=HAIRLINE))
-        proc = run_module("analyze", "--scenario", scen)
+        child = textwrap.dedent(
+            """
+            import thinmarket.nash
+            from thinmarket.cli import console_main
+            thinmarket.nash._ROUNDING_ULPS = 0
+            console_main()
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "analyze", "--scenario", scen],
+            env=child_env(), capture_output=True, timeout=120,
+        )
         assert proc.returncode == 5
         assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
         assert proc.stdout == b""
@@ -840,7 +927,8 @@ class TestProcessEntry:
 def test_huge_risk_tolerances_fail_without_runtime_warnings(tmp_path, capsys):
     # a third trader in the README scenario; delta_0 near the float maximum
     # overflows the classifier's terms and the utilities' 2 delta, which the
-    # solver and the outcome absorb without a warning reaching the user
+    # solver and the outcome absorb without a warning reaching the user, and
+    # the solver's leader term (1 + beta_0) / (2 + sigma / delta_0) does not
     doc = readme_with_a_third_trader()
     scen = write_json(tmp_path / "s.json", doc)
     csv_path = tmp_path / "sweep.csv"
@@ -848,13 +936,14 @@ def test_huge_risk_tolerances_fail_without_runtime_warnings(tmp_path, capsys):
     assert main(["sweep", "--scenario", scen, "--param", "0:delta", grid, "--out", str(csv_path)]) == 0
     with open(csv_path, newline="") as fh:
         kinds = [row["kind"] for row in csv.DictReader(fh)]
-    assert kinds == ["validation_failed"] * 4 + ["general_non_extreme", "solve_failed", "general_non_extreme"]
+    assert kinds == ["validation_failed"] * 4 + ["general_non_extreme"] * 3
     assert capsys.readouterr().err == ""
 
     doc["traders"][0]["delta"] = 1e308
     big = write_json(tmp_path / "big.json", doc)
     out = tmp_path / "report.json"
-    assert main(["analyze", "--scenario", big, "--out", str(out)]) == 5
-    err = capsys.readouterr().err
-    assert err == "error: F(1e+296) <= 1 at the lower bracket end; precondition violated\n"
-    assert not out.exists()
+    assert main(["analyze", "--scenario", big, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    nash = json.loads(out.read_text())["nash"]
+    assert nash["kind"] == "general_non_extreme"
+    assert sum(nash["k_shares"]) == pytest.approx(1.0, abs=1e-15)

@@ -21,6 +21,7 @@ from thinmarket import (
     MarketModel,
     TraderProfile,
     best_response,
+    compare,
     competitive_equilibrium,
     derive_exposures,
     scenario_from_dict,
@@ -213,14 +214,29 @@ class TestSolveBilateral:
         assert np.array_equal(thinmarket.nash._bilateral_thetas(grid), expected)
         assert np.isfinite(expected).all() and (expected[grid.beta <= -1.0] == 0.0).all()
 
-    def test_hairline_boundary_rejected(self, rng):
-        # one ulp inside the extreme boundary: the equilibrium elasticity is an
-        # almost-pole and cannot be computed to meaningful precision
+    def test_hairline_boundary_is_solved_and_verified(self, rng):
+        # one ulp inside the extreme boundary: the leader's elasticity is an
+        # almost-pole, about 1/eps, but its share and the prices are regular
         beta0 = np.nextafter(1.5, 0.0)
         ex = _exposures(rng, [beta0, 1.0 - beta0], [1.0, 1.0], market_variance=1.0)
         assert check_extreme_condition(ex) is None
-        with pytest.raises(ValueError, match="boundary"):
-            solve(ex)
+        sol = solve(ex)
+        assert sol.kind == KIND_BILATERAL
+        assert 1e15 < sol.thetas[0] < math.inf and sol.thetas[1] == pytest.approx(0.5)
+        assert sol.k_shares[0] == pytest.approx(1.0, abs=1e-15)
+        assert np.abs(sol.outcome.prices).max() < 1e-15
+        assert fixed_point_deviation(ex, sol.thetas) <= thinmarket.nash.FIXED_POINT_RTOL
+
+    def test_closed_form_overflow_is_handed_to_the_general_solver(self):
+        # an ulp inside the boundary with lambda_0 about 1e-3: the closed
+        # form's denominator rounds to zero, and the general solver resolves
+        # the market in s = 1/x
+        ex = derive_exposures(_one_security_market(*_CLOSED_FORM_OVERFLOW))
+        assert check_extreme_condition(ex) is None
+        assert not 0.0 < thinmarket.nash._bilateral_thetas(ex).sum() < math.inf
+        sol = solve(ex)
+        assert sol.kind == KIND_GENERAL and 1e15 < sol.thetas[0] < math.inf
+        assert fixed_point_deviation(ex, sol.thetas) <= thinmarket.nash.FIXED_POINT_RTOL
 
 
 class TestSolveGeneral:
@@ -240,7 +256,7 @@ class TestSolveGeneral:
             rtol=1e-9,
         )
         system = GeneralSystem(ex.delta, ex.beta)
-        assert system.F(3.9) > 1.0 > system.F(4.0)
+        assert system.F(1.0 / 3.9) > 0.0 > system.F(1.0 / 4.0)
 
     def test_matches_bilateral_closed_form(self, rng):
         for _ in range(100):
@@ -272,9 +288,10 @@ class TestSolveGeneral:
         assert sol.kind == KIND_BILATERAL
         assert fixed_point_deviation(ex, sol.thetas) < 1e-8
 
-    def test_root_beyond_the_boundary_guard_is_a_boundary_rejection(self):
-        # an ulp above -1.5 puts this instance on the non-extreme side of
-        # the boundary, where F(x) = 1 has its root beyond 1e12 delta_I
+    def test_root_at_the_boundary_takes_the_tie_rule(self):
+        # an ulp above -1.5 puts this instance on the non-extreme side of the
+        # classifier, but the scalar equation is already nonnegative at s = 0:
+        # the market gets its leader's extreme solution, which verifies
         ex = _exposures(
             np.random.default_rng(0),
             [3.0625, -1.5 + 2**-52, 0.375, -0.9375],
@@ -282,8 +299,12 @@ class TestSolveGeneral:
             market_variance=1.0,
         )
         assert check_extreme_condition(ex) is None
-        with pytest.raises(ValueError, match="boundary"):
-            solve(ex)
+        assert GeneralSystem(ex.delta, ex.beta).F(0.0) >= 0.0
+        sol = solve(ex)
+        assert sol.kind == KIND_EXTREME
+        assert sol.thetas[0] == math.inf and sol.thetas[1] == 0.0
+        assert np.allclose(sol.thetas[2:], [3.4375, 0.171875])
+        assert fixed_point_deviation(ex, sol.thetas) == 0.0
 
     @pytest.mark.parametrize(
         "betas, deltas",
@@ -293,11 +314,14 @@ class TestSolveGeneral:
         ],
         ids=["bilateral", "general"],
     )
-    def test_unverifiable_boundary_instance_is_rejected(self, betas, deltas):
-        # within rounding of the extreme boundary but inside the boundary
-        # guard: the solution is computed, and its verification fails
+    def test_unverifiable_boundary_instance_is_rejected(self, betas, deltas, monkeypatch):
+        # within rounding of the extreme boundary: the leader's elasticity
+        # verifies only to the precision its conditioning allows, so the
+        # market is solved, and rejected once that allowance is taken away
         ex = _exposures(np.random.default_rng(0), betas, deltas, market_variance=1.0)
-        with pytest.raises(ValueError, match="cannot be verified to tolerance"):
+        assert solve(ex).kind == (KIND_BILATERAL if len(betas) == 3 else KIND_GENERAL)
+        monkeypatch.setattr(thinmarket.nash, "_ROUNDING_ULPS", 0)
+        with pytest.raises(ConsistencyError, match="best-response verification failed"):
             solve(ex)
 
     def test_argmax_tie_is_order_invariant(self, rng):
@@ -331,91 +355,103 @@ def _one_security_market(deltas, cov_es):
     return MarketModel(np.array([[1.0]]), traders)
 
 
-_TOO_LARGE = (
-    "instance lies within floating-point noise of the extreme-equilibrium boundary; "
-    "the non-extreme elasticities are too large to compute reliably"
-)
-_UNVERIFIABLE = (
-    "instance lies within floating-point noise of the extreme-equilibrium boundary "
-    "and cannot be verified to tolerance"
-)
 _HAIRLINE = float(np.nextafter(1.5, 0.0))
+# (deltas, cov_es) of a two-trader market whose closed form overflows
+_CLOSED_FORM_OVERFLOW = ((0.0010010010010008904, 1.0), (1.999, 1.0 - 1.999))
 
-# One instance per failure that solve reaches, as (deltas, cov_es, exception,
-# message): the root beyond the boundary guard of the root-finder, a
-# bilateral total out of range, a verification that fails next to the
-# boundary (bilateral and general), and a lower bracket end where F <= 1 (a
-# risk tolerance near the float maximum).
+# No valid market is known to reach a failure code of solve, so each failure
+# is reached with a limit taken away, as (deltas, cov_es, limits, exception,
+# message): next to the extreme boundary, a verification without its rounding
+# allowance (bilateral and general) and residuals held to zero; and a
+# root-finder allowed a single step.
 FAILURES = {
-    "root_beyond_guard": ((1.75, 1.75, 2.5, 2.75), (3.0625, -1.5 + 2**-52, 0.375, -0.9375),
-                          ValueError, _TOO_LARGE),
-    "bilateral_total_out_of_range": ((1.0, 1.0), (_HAIRLINE, 1.0 - _HAIRLINE),
-                                     ValueError, _TOO_LARGE),
     "unverifiable_bilateral": ((0.5, 1.75, 0.25), (0.75, 1.4999999999990905, -1.2499999999990905),
-                               ValueError, _UNVERIFIABLE),
+                               {"_ROUNDING_ULPS": 0}, ConsistencyError,
+                               "best-response verification failed: deviation 3.48736e-05"),
     "unverifiable_general": ((0.25, 1.75, 0.25, 3.75),
                              (0.6875, -0.9375, 3.1249999999990905, -1.8749999999990905),
-                             ValueError, _UNVERIFIABLE),
-    "lower_bracket_end": ((1e308, 1.0, 0.5), (1.2, -0.2, 0.3),
-                          BracketError, "F(1e+296) <= 1 at the lower bracket end; precondition violated"),
+                             {"_ROUNDING_ULPS": 0}, ConsistencyError,
+                             "best-response verification failed: deviation 0.000198752"),
+    "residuals_beyond_tolerance": ((1.0, 1.0), (_HAIRLINE, 1.0 - _HAIRLINE), {"RESIDUAL_TOL": 0.0},
+                                   ConsistencyError, "equilibrium residuals exceed tolerance: 4.44089e-16"),
+    "root_finder_exhausted": ((1.0, 1.0, 1.0), (1.2, 0.2, -0.4), {"_MAX_ITERATIONS": 1},
+                              ConsistencyError, "root-finder failed to reach tolerance"),
 }
 
-# Solved points (deltas, cov_es) stacked with the failures of their trader count.
+# Solved points (deltas, cov_es), stacked with each failure of their trader
+# count.  The first rows of each count are markets at the float limits: one
+# ulp inside the extreme boundary, with and without an overflowing closed form
+# (2 traders), a risk tolerance of 1e308 (3), and an ulp beyond the boundary's
+# classification, extreme by the tie rule (4).
 SOLVED = {
-    2: [((1.0, 2.0), (1.0, -1.0)), ((1.0, 1.0), (1.8, -0.8)), ((1.0, 1.0), (1.2, -0.2))],
-    3: [((1.0, 2.0, 1.0), (1.0, -1.0, 0.0)), ((1.0, 1.0, 1.0), (2.5, -0.5, -1.0)),
-        ((1.0, 1.0, 1.0), (1.2, 0.8, -1.0)), ((1.0, 1.0, 1.0), (1.2, 0.2, -0.4))],
-    4: [((1.0,) * 4, (1.0, -1.0, 0.5, -0.5)), ((1.0,) * 4, (3.0, -0.5, -0.5, -1.0)),
-        ((1.0,) * 4, (1.5, 1.5, -1.0, -1.0)), ((1.0, 2.0, 0.5, 1.5), (0.5, 0.3, 0.1, 0.1)),
-        ((1.0,) * 4, (2.0, 2.0, 0.0, -3.0))],
+    2: [((1.0, 1.0), (_HAIRLINE, 1.0 - _HAIRLINE)), _CLOSED_FORM_OVERFLOW, ((1.0, 2.0), (1.0, -1.0)),
+        ((1.0, 1.0), (1.8, -0.8)), ((1.0, 1.0), (1.2, -0.2))],
+    3: [((1e308, 1.0, 0.5), (1.2, -0.2, 0.3)), ((1.0, 2.0, 1.0), (1.0, -1.0, 0.0)),
+        ((1.0, 1.0, 1.0), (2.5, -0.5, -1.0)), ((1.0, 1.0, 1.0), (1.2, 0.8, -1.0)),
+        ((1.0, 1.0, 1.0), (1.2, 0.2, -0.4))],
+    4: [((1.75, 1.75, 2.5, 2.75), (3.0625, -1.5 + 2**-52, 0.375, -0.9375)), ((1.0,) * 4, (1.0, -1.0, 0.5, -0.5)),
+        ((1.0,) * 4, (3.0, -0.5, -0.5, -1.0)), ((1.0,) * 4, (1.5, 1.5, -1.0, -1.0)),
+        ((1.0, 2.0, 0.5, 1.5), (0.5, 0.3, 0.1, 0.1)), ((1.0,) * 4, (2.0, 2.0, 0.0, -3.0))],
 }
+
+
+def _grid_kinds(points):
+    """Solve the stacked one-security markets `points`; each point must get
+    KIND_FAILED where solve raises on it alone, and otherwise the kind and
+    the bits it gets alone.  Returns the kinds."""
+    kinds = []
+    model = _one_security_market(*points[0]).stacked(
+        np.array([d for d, _ in points]), np.array([c for _, c in points])[..., None]
+    )
+    grid = solve(derive_exposures(model))
+    for g in range(len(points)):
+        try:
+            alone = solve(derive_exposures(point_model(model, g)))
+        except SOLVE_ERRORS:
+            assert grid.kind[g] == KIND_FAILED, g
+            kinds.append(KIND_FAILED)
+            continue
+        kinds.append(alone.kind)
+        assert grid.kind[g] == alone.kind, g
+        outcome = alone.outcome
+        pairs = {
+            "thetas": (grid.thetas, alone.thetas),
+            "k_shares": (grid.k_shares, alone.k_shares),
+            "residuals": (grid.residuals, alone.residuals),
+            **{
+                name: (getattr(grid.outcome, name), getattr(outcome, name, None))
+                for name in ("prices", "allocations", "post_beta", "utilities", "premium")
+            },
+        }
+        for name, (stacked, one) in pairs.items():
+            if one is None:  # None on one market is NaN on the grid
+                assert np.isnan(stacked[g]).all(), (g, name)
+            else:
+                assert stacked[g].tobytes() == np.asarray(one).tobytes(), (g, name)
+    return kinds
 
 
 class TestFailureParity:
     @pytest.mark.parametrize("name", sorted(FAILURES))
-    def test_solve_raises_the_exact_exception(self, name):
-        deltas, cov_es, error, message = FAILURES[name]
+    def test_solve_raises_the_exact_exception(self, name, monkeypatch):
+        deltas, cov_es, limits, error, message = FAILURES[name]
+        exposures = derive_exposures(_one_security_market(deltas, cov_es))
+        solve(exposures)  # solved with the limits in place
+        for attr, value in limits.items():
+            monkeypatch.setattr(thinmarket.nash, attr, value)
         with pytest.raises(SOLVE_ERRORS) as info:
-            solve(derive_exposures(_one_security_market(deltas, cov_es)))
+            solve(exposures)
         assert type(info.value) is error
         assert str(info.value) == message
 
-    def test_grid_fails_where_solve_raises_and_is_bit_equal_elsewhere(self):
-        kinds = []
-        for n, solved in SOLVED.items():
-            points = [(d, c) for d, c, _, _ in FAILURES.values() if len(d) == n] + solved
-            model = _one_security_market(*points[0]).stacked(
-                np.array([d for d, _ in points]), np.array([c for _, c in points])[..., None]
-            )
-            grid = solve(derive_exposures(model))
-            for g in range(len(points)):
-                try:
-                    alone = solve(derive_exposures(point_model(model, g)))
-                except SOLVE_ERRORS:
-                    assert grid.kind[g] == KIND_FAILED, (n, g)
-                    kinds.append(KIND_FAILED)
-                    continue
-                kinds.append(alone.kind)
-                assert grid.kind[g] == alone.kind, (n, g)
-                outcome = alone.outcome
-                pairs = {
-                    "thetas": (grid.thetas, alone.thetas),
-                    "k_shares": (grid.k_shares, alone.k_shares),
-                    "residuals": (grid.residuals, alone.residuals),
-                    **{
-                        name: (getattr(grid.outcome, name), getattr(outcome, name, None))
-                        for name in ("prices", "allocations", "post_beta", "utilities", "premium")
-                    },
-                }
-                for name, (stacked, one) in pairs.items():
-                    if one is None:  # None on one market is NaN on the grid
-                        assert np.isnan(stacked[g]).all(), (n, g, name)
-                    else:
-                        assert stacked[g].tobytes() == np.asarray(one).tobytes(), (n, g, name)
-        assert kinds.count(KIND_FAILED) == len(FAILURES)
-        assert set(kinds) == {
-            KIND_FAILED, KIND_TRIVIAL, KIND_EXTREME, KIND_BILATERAL, KIND_GENERAL, KIND_UNSUPPORTED
-        }
+    def test_grid_fails_where_solve_raises_and_is_bit_equal_elsewhere(self, monkeypatch):
+        kinds = [kind for solved in SOLVED.values() for kind in _grid_kinds(solved)]
+        assert set(kinds) == {KIND_TRIVIAL, KIND_EXTREME, KIND_BILATERAL, KIND_GENERAL, KIND_UNSUPPORTED}
+        for name, (deltas, cov_es, limits, _, _) in FAILURES.items():
+            with monkeypatch.context() as patch:
+                for attr, value in limits.items():
+                    patch.setattr(thinmarket.nash, attr, value)
+                assert _grid_kinds([(deltas, cov_es)] + SOLVED[len(deltas)])[0] == KIND_FAILED, name
 
 
 class TestDispatch:
@@ -518,23 +554,27 @@ class TestDispatch:
 
 class TestScalarEquation:
     def test_phi_properties(self, rng):
+        # as a function of the total elasticity x = 1/s
         xs = np.geomspace(1e-6, 1e6, 400)
         draws = [(float(rng.uniform(0.2, 5.0)), float(rng.uniform(-0.999, 1.0))) for _ in range(50)]
         deltas, betas = np.array(draws).T
         system = follower_system(deltas, betas)
-        values = np.array([system.follower_thetas(x) for x in xs])  # (x, follower)
+        values = np.array([system.follower_thetas(1.0 / x) for x in xs])  # (x, follower)
         slopes = np.diff(values, axis=0) / np.diff(xs)[:, None]
         assert np.all(values[0] < 1e-5)  # phi(0+) -> 0
         assert np.all(np.diff(values, axis=0) >= -1e-12)  # nondecreasing
         assert np.all(np.diff(slopes, axis=0) <= 1e-10)  # concave
         assert values[-1] == pytest.approx(deltas * (1.0 + betas), rel=1e-4)
+        # at s = 0, against an infinite rest
+        assert system.follower_thetas(0.0).tolist() == (deltas * (1.0 + betas)).tolist()
 
     def test_phi_kink_at_beta_one(self, rng):
         deltas = np.array([0.3, 1.0, 4.0])
         system = follower_system(deltas, np.ones(3))
+        assert system.follower_thetas(0.0).tolist() == (2 * deltas).tolist()
         for delta in deltas.tolist():
-            for x in (0.1, 2 * delta, 5 * delta, 1e8):
-                assert system.follower_thetas(x).tolist() == np.minimum(x, 2 * deltas).tolist()
+            for s in (10.0, 0.5 / delta, 0.2 / delta, 1e-8):
+                assert system.follower_thetas(s).tolist() == np.minimum(1.0 / s, 2 * deltas).tolist()
 
     def test_key_equation_monotone_and_bracketed(self, rng):
         for _ in range(50):
@@ -543,20 +583,26 @@ class TestScalarEquation:
             if check_extreme_condition(ex) is not None:
                 continue
             system = GeneralSystem(ex.delta, ex.beta)
-            xs = np.geomspace(1e-6 * ex.delta_total, 1e6 * ex.delta_total, 300)
-            values = np.array([system.F(x) for x in xs])
-            assert np.all(np.diff(values) < 1e-12)
-            assert values[0] > 1.0 > values[-1]
-            # value of F at 0+: half the active head count plus half their betas
-            active = [system.leader] + system.follower_mask.nonzero()[0].tolist()
-            limit = 0.5 * len(active) + 0.5 * float(np.sum(ex.beta[active]))
-            assert limit > 1.0
-            assert system.F(1e-9 * ex.delta_total) == pytest.approx(limit, rel=1e-6)
+            ss = np.r_[0.0, np.geomspace(1e-6, 1e6, 299) / ex.delta_total]
+            values = np.array([system.F(s) for s in ss])
+            assert np.all(np.diff(values) > -1e-12)
+            assert values[0] < 0.0 < values[-1]
+            # F(0) is the extreme condition's margin for the leader
+            followers = system.follower_mask
+            spread = float(np.sum(ex.delta[followers] * (1.0 + ex.beta[followers])))
+            leader = system.leader
+            assert values[0] == pytest.approx((1.0 + ex.beta[leader]) / (2.0 + spread / ex.delta[leader]) - 1.0)
+            # F as s grows: half the active head count plus half their betas, minus one
+            active = [leader] + followers.nonzero()[0].tolist()
+            limit = 0.5 * len(active) + 0.5 * float(np.sum(ex.beta[active])) - 1.0
+            assert limit > 0.0
+            assert system.F(1e9 / ex.delta_total) == pytest.approx(limit, rel=1e-6)
 
 
 # Reference verification: a trader-by-trader loop over the scalar best
-# response on Elasticity values, O(N^2); fixed_point_deviation must give its
-# verdicts on the same elasticities as a float array.
+# response on Elasticity values, O(N^2), with the rounding rule of
+# fixed_point_deviation; fixed_point_deviation must give its verdicts on the
+# same elasticities as a float array.
 def _reference_rest(elasticities, i):
     total = 0.0
     for j, theta in enumerate(elasticities):
@@ -570,17 +616,33 @@ def _reference_rest(elasticities, i):
 
 def _reference_deviation(exposures, thetas):
     elasticities = [Elasticity.from_float(t) for t in thetas]
+    slack = thinmarket.nash._ROUNDING_ULPS * len(elasticities) * np.finfo(float).eps
     worst = 0.0
     for i in range(exposures.n_traders):
-        br = best_response(exposures, i, _reference_rest(elasticities, i))
+        rest = _reference_rest(elasticities, i)
+        beta, delta = float(exposures.beta[i]), float(exposures.delta[i])
+        # within the slack of a branch threshold, -1 or 1 + rest / delta, either
+        # branch is a best response
+        tie = min(abs(beta + 1.0), abs(rest.as_float / delta + (1.0 - beta))) <= slack * max(1.0, abs(beta))
+        try:
+            br = best_response(exposures, i, rest)
+        except ValueError:
+            if tie and not rest.is_zero:
+                continue
+            raise
         theta_i = elasticities[i]
         if br.theta.kind != theta_i.kind:
+            if tie:
+                continue
             return math.inf
         if theta_i.is_finite:
             dev = abs(br.theta.value - theta_i.value) / max(
                 abs(br.theta.value), abs(theta_i.value)
             )
-            worst = max(worst, dev)
+            # less the rounding: (1 + |beta|) / |1 + rest / delta - beta| bounds
+            # the response's conditioning in its inputs, the rest and beta
+            kappa = (1.0 + abs(beta)) / abs(rest.value / delta + (1.0 - beta))
+            worst = max(worst, dev - slack * kappa)
     return worst
 
 
@@ -697,8 +759,8 @@ class TestVerificationParity:
             (0, [t[0], t[1] * (1.0 + 1e-6), t[2], t[3]], "deviates"),
             (0, [t[0], t[1], t[2], 0.0], "mismatch"),  # at trader 3
             (0, [math.inf, t[1], t[2], t[3]], "mismatch"),  # at trader 0
-            (0, [1e308, t[1], t[2], t[3]], "bad_value"),  # at trader 1: the rest overflows br
-            (0, [t[0], t[1], 1e308, t[3]], "bad_value"),  # at trader 0
+            (0, [1e308, t[1], t[2], t[3]], "deviates"),  # a rest near the float maximum
+            (0, [t[0], t[1], 1e308, t[3]], "bad_value"),  # at trader 0: rest (1 + beta) overflows br
             (1, e, "verified"),  # an infinite theta
             (1, [e[0], 0.0, e[2], e[3]], "mismatch"),  # at trader 1
             (2, b, "verified"),
@@ -810,10 +872,48 @@ class TestVerificationParity:
         k = check_extreme_condition(ex)
         if k is not None:
             assert fixed_point_deviation(ex, solve_extreme(ex, k).thetas) == 0.0
-        try:
-            solve(ex)
-        except ValueError as exc:
-            assert "boundary" in str(exc)
+        solve(ex)  # every instance is solved and verified
+
+
+# Adjacent floats of the leader's risk tolerance move k, p and du by about
+# 2^-52 times their derivative in delta_0 plus their rounding; nothing near
+# the boundary may move them by more than this, relative to their scale.
+CONTINUITY_BOUND = 1e-12
+
+
+@given(
+    n=st.integers(2, 5),
+    n_securities=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    with_total_var=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_markets_within_8_ulps_of_the_boundary_solve_and_are_continuous(n, n_securities, seed, with_total_var):
+    # the leader's risk tolerance at the extreme boundary delta_0 (beta_0 - 1)
+    # = sum_i delta_i (1 + beta_i)_+ and the 8 floats on either side of it, as
+    # one stacked grid: the betas do not depend on the risk tolerances
+    rng = np.random.default_rng(seed)
+    followers = rng.uniform(-1.6, 0.95, size=n - 1)
+    assume(followers.sum() < -0.05 and (followers > -1.0).any())
+    betas = np.r_[1.0 - followers.sum(), followers]
+    model = model_from_betas(rng, betas, random_deltas(rng, n), n_securities=n_securities,
+                             with_total_var=with_total_var)
+    ex = derive_exposures(model)
+    plus = np.maximum(ex.delta[1:] * (1.0 + ex.beta[1:]), 0.0)
+    boundary = float(plus.sum() / (ex.beta[0] - 1.0))
+    grid = [boundary]
+    for _ in range(8):
+        grid = [np.nextafter(grid[0], 0.0), *grid, np.nextafter(grid[-1], math.inf)]
+    deltas = np.repeat(model.deltas[None], len(grid), axis=0)
+    deltas[:, 0] = grid
+    stacked = derive_exposures(model.stacked(deltas, np.repeat(model.cov_matrix_rows[None], len(grid), axis=0)))
+    sol = solve(stacked)
+    assert KIND_FAILED not in sol.kind.tolist()
+    assert (fixed_point_deviation(stacked, sol.thetas) <= thinmarket.nash.FIXED_POINT_RTOL).all()
+    du = compare(stacked, competitive_equilibrium(stacked), sol).du
+    for values in (sol.k_shares, sol.outcome.prices, du):
+        scale = max(1.0, float(np.abs(values).max()))
+        assert np.abs(np.diff(values, axis=0)).max() <= CONTINUITY_BOUND * scale
 
 
 class TestVerificationStrength:
@@ -856,16 +956,14 @@ class TestVerificationStrength:
 
 
 # phi's product form in Python floats.  The array form must reproduce it bit
-# for bit: F's bits, and with them the root of F(x) = 1 and every general
+# for bit: F's bits, and with them the root of F(s) = 0 and every general
 # solution, depend on it.
-def _scalar_phi_reference(x, delta, beta):
-    if x <= 0.0:
-        return 0.0
+def _scalar_phi_reference(s, delta, beta):
     if beta == 1.0:
-        return min(x, 2.0 * delta)
-    half = delta + 0.5 * x
-    disc = max(half * half - delta * (1.0 + beta) * x, 0.0)
-    return delta * (1.0 + beta) * x / (half + math.sqrt(disc))
+        return min(1.0 / s, 2.0 * delta) if s > 0.0 else 2.0 * delta
+    half = delta * s + 0.5
+    disc = max(half * half - delta * (1.0 + beta) * s, 0.0)
+    return delta * (1.0 + beta) / (half + math.sqrt(disc))
 
 
 def _left_to_right_sum(values):
@@ -876,7 +974,7 @@ def _left_to_right_sum(values):
 
 
 class TestArrayScalarEquation:
-    XS = [-1.0, 0.0] + [float(x) for x in np.geomspace(1e-6, 1e6, 61)]
+    SS = [0.0] + [float(s) for s in np.geomspace(1e-6, 1e6, 61)]
 
     def _systems(self, rng):
         systems = []
@@ -905,42 +1003,43 @@ class TestArrayScalarEquation:
         assert len(systems) >= 10
         for ex, system in systems:
             pairs = self._followers(ex, system)
-            for x in self.XS:
-                values = system.follower_thetas(x).tolist()
-                scalar = [_scalar_phi_reference(x, d, b) for d, b in pairs]
+            for s in self.SS:
+                values = system.follower_thetas(s).tolist()
+                scalar = [_scalar_phi_reference(s, d, b) for d, b in pairs]
                 assert values == scalar
-                assert system.sigma(x) == _left_to_right_sum(scalar)
+                assert system.sigma(s) == _left_to_right_sum(scalar)
 
     def test_phi_matches_the_subtractive_form(self, rng):
-        # the defining form delta + x/2 - sqrt(disc) cancels for large x, so
-        # it agrees to a few ulps of delta + x/2 only; at beta = 1 it is the
-        # kink min(x, 2 delta)
+        # the defining form (h - sqrt(disc)) / s, h = delta s + 1/2, cancels
+        # for small s, so it agrees to a few ulps of h / s only; at s = 0 the
+        # value is delta (1 + beta), and at beta = 1 it is the kink
+        # min(1/s, 2 delta)
         eps = np.finfo(float).eps
         for ex, system in self._systems(rng):
             pairs = self._followers(ex, system)
-            for x in self.XS:
-                for value, (d, b) in zip(system.follower_thetas(x).tolist(), pairs):
-                    if x <= 0.0:
-                        assert value == 0.0
+            for s in self.SS:
+                for value, (d, b) in zip(system.follower_thetas(s).tolist(), pairs):
+                    if s == 0.0:
+                        assert value == d * (1.0 + b)
                     elif b == 1.0:
-                        assert value == min(x, 2.0 * d)
+                        assert value == min(1.0 / s, 2.0 * d)
                     else:
-                        half = d + 0.5 * x
-                        subtractive = half - math.sqrt(max(half * half - d * (1.0 + b) * x, 0.0))
-                        assert abs(value - subtractive) <= 8 * eps * half
+                        half = d * s + 0.5
+                        subtractive = (half - math.sqrt(max(half * half - d * (1.0 + b) * s, 0.0))) / s
+                        assert abs(value - subtractive) <= 8 * eps * half / s
 
 
-# Independent reference for the root of F(x) = 1: plain bisection down to
+# Independent reference for the root of F(s) = 0: plain bisection down to
 # adjacent floats.
 def _bisection_root(system, delta_total):
-    lo, hi = 0.0, delta_total
-    while system.F(hi) > 1.0:
+    lo, hi = 0.0, 1.0 / delta_total
+    while system.F(hi) < 0.0:
         hi *= 2.0
     while True:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             return mid
-        if system.F(mid) > 1.0:
+        if system.F(mid) < 0.0:
             lo = mid
         else:
             hi = mid
@@ -966,25 +1065,25 @@ class TestRootFinder:
             assert len(calls) <= 20, len(calls)
 
     def test_solve_reuses_evaluations_without_changing_them(self, monkeypatch):
-        # F, sigma, follower_thetas and leader_theta on one system, at x values
-        # revisited after others, equal those of a system that never saw an x
+        # F, sigma and follower_thetas on one system, at s values revisited
+        # after others, equal those of a system that never saw an s
         rng = np.random.default_rng(5)
         n = 200
         ex = _exposures(rng, constrained_betas(rng, n, low=-1.25, high=0.95),
                         random_deltas(rng, n), n_securities=5)
         assert check_extreme_condition(ex) is None
-        x1, x2, x3 = 0.5 * ex.delta_total, 3.0 * ex.delta_total, 1e-12 * ex.delta_total
+        s1, s2, s3 = 2.0 / ex.delta_total, 1.0 / (3.0 * ex.delta_total), 0.0
         system = GeneralSystem(ex.delta, ex.beta)
 
         def fresh():
             return GeneralSystem(ex.delta, ex.beta)
 
-        for x in (x1, x2, x1, x3, x1, x2):
-            values = (system.F(x), system.sigma(x), system.leader_theta(x))
-            thetas = system.follower_thetas(x)
+        for s in (s1, s2, s1, s3, s1, s2):
+            values = (system.F(s), system.sigma(s))
+            thetas = system.follower_thetas(s)
             assert not thetas.flags.writeable
-            assert values == (fresh().F(x), fresh().sigma(x), fresh().leader_theta(x))
-            assert np.array_equal(thetas, fresh().follower_thetas(x))
+            assert values == (fresh().F(s), fresh().sigma(s))
+            assert np.array_equal(thetas, fresh().follower_thetas(s))
 
         calls = []
         F = GeneralSystem.F
@@ -994,12 +1093,13 @@ class TestRootFinder:
             return F(system, x)
 
         monkeypatch.setattr(thinmarket.nash.GeneralSystem, "F", counted)
-        thinmarket.nash._root_total_elasticity(GeneralSystem(ex.delta, ex.beta), ex.delta_total)
+        system = GeneralSystem(ex.delta, ex.beta)
+        thinmarket.nash._root_inverse_total(system, system.F(0.0), ex.delta_total)
         root_calls = len(calls)
         calls.clear()
         assert solve(ex).kind == KIND_GENERAL
-        # the root finder's evaluations and no more, as before the reuse
-        assert len(calls) == root_calls == 9
+        # F(0) and the root finder's evaluations, and no more
+        assert len(calls) == root_calls == 7
 
     def test_root_matches_an_independent_bisection(self, rng):
         instances = []
@@ -1018,9 +1118,9 @@ class TestRootFinder:
             instances.append(ex)
         for ex in instances:
             system = GeneralSystem(ex.delta, ex.beta)
-            root = thinmarket.nash._root_total_elasticity(system, ex.delta_total)
+            root = thinmarket.nash._root_inverse_total(system, system.F(0.0), ex.delta_total)
             assert abs(root - _bisection_root(system, ex.delta_total)) <= 1e-11 * root
-            assert abs(system.F(root) - 1.0) < 1e-12
+            assert abs(system.F(root)) < 1e-12
 
 
 def test_general_grid_at_large_n_equals_each_point_alone():

@@ -40,7 +40,7 @@ from conftest import (
     unconstrained_betas,
 )
 
-# One ulp inside the extreme boundary: solve rejects the instance.
+# One ulp inside the extreme boundary: the leader's elasticity is about 1/eps.
 HAIRLINE = float(np.nextafter(1.5, 0.0))
 
 
@@ -171,9 +171,9 @@ NOT_PD = {
         (bilateral_doc(1.2, (4.0, 1.0), total=3.0), 0, "delta", None,
          [3.5, 4.0, 4.5, 0.0, math.nan],
          ["bilateral_closed_form", "extreme", "extreme", "validation_failed", "validation_failed"]),
-        # the hairline market: its middle point cannot be verified
+        # the hairline market: its middle point is one ulp inside the boundary
         (bilateral_doc(HAIRLINE), 0, "delta", None, [0.5, 1.0, 2.0],
-         ["bilateral_closed_form", "solve_failed", "extreme"]),
+         ["bilateral_closed_form", "bilateral_closed_form", "extreme"]),
         # unsupported, general and trivial (a_I = 0 at cov_es = -4) points
         (FOUR_TRADERS, 3, "cov_es", 0, [-3.0, 1.0, -4.0, 0.5, math.inf],
          ["unsupported_regime", "general_non_extreme", "trivial", None, "validation_failed"]),
@@ -181,11 +181,11 @@ NOT_PD = {
         (bilateral_doc(1.2, total=3.0), 1, "cov_es", 0, [-0.2, 0.5, 3.0, 30.0],
          [None, None, "validation_failed", "validation_failed"]),
         # within rounding of the extreme boundary, bilateral and general: the
-        # first point is solved but fails its best-response verification
+        # first point verifies to the precision its conditioning allows
         (beta_doc((0.75, 1.4999999999990905, -1.2499999999990905), (0.5, 1.75, 0.25)),
-         0, "delta", None, [0.5, 1.0], ["solve_failed", "bilateral_closed_form"]),
+         0, "delta", None, [0.5, 1.0], ["bilateral_closed_form", "bilateral_closed_form"]),
         (beta_doc((0.6875, -0.9375, 3.1249999999990905, -1.8749999999990905), (0.25, 1.75, 0.25, 3.75)),
-         0, "delta", None, [0.25, 0.5], ["solve_failed", "general_non_extreme"]),
+         0, "delta", None, [0.25, 0.5], ["general_non_extreme", "general_non_extreme"]),
         # a covariance that is not positive definite fails at every point
         (NOT_PD, 0, "delta", None, [0.5, 1.0, 2.0], ["validation_failed"] * 3),
     ],
