@@ -20,7 +20,7 @@ from .best_response import (
     response_value,
 )
 from .competitive import EquilibriumOutcome, competitive_equilibrium
-from .errors import BracketError, ConsistencyError, InvalidModelError, ScenarioError
+from .errors import ConsistencyError, InvalidModelError, ScenarioError
 from .model import (
     ExposureProfile,
     MarketModel,
@@ -48,7 +48,6 @@ __all__ = [
     "BRANCH_INTERIOR",
     "BRANCH_ZERO",
     "BestResponseResult",
-    "BracketError",
     "ComparisonReport",
     "ConsistencyError",
     "Elasticity",

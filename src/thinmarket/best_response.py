@@ -96,9 +96,8 @@ def share_from_elasticity(theta: Elasticity, theta_rest: float) -> float:
 def response_value_at_share(exposures: ExposureProfile, i: int, k, theta_rest: float):
     """Value of the response problem in share coordinates k in [0, 1].
 
-    Accepts a scalar or an array of shares (the grid oracle evaluates whole
-    grids at once).  For a trivial instance (a_I = 0) the value is constant in
-    k: the response function is flat.
+    Accepts a scalar or an array of shares.  For a trivial instance (a_I = 0)
+    the value is constant in k: the response function is flat.
     """
     if not (theta_rest > 0.0 and math.isfinite(theta_rest)):
         raise ValueError("theta_rest must be a finite positive real")

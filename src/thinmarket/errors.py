@@ -21,7 +21,3 @@ class ConsistencyError(RuntimeError):
     """An internal cross-check disagreed beyond tolerance (an implementation bug,
     not bad input)."""
 
-
-class BracketError(RuntimeError):
-    """The scalar equilibrium equation could not be bracketed; signals a violated
-    precondition."""

@@ -233,7 +233,9 @@ def validate_model(model: MarketModel) -> ValidationResult:
         violations.append("securities_cov has non-finite entries")
     else:
         scale = max(1.0, float(np.max(np.abs(cov))))
-        if np.max(np.abs(cov - cov.T)) > SYMMETRY_RTOL * scale:
+        # halved before the difference so that no entry overflows, as in
+        # _symmetrized; halving is exact in the normal range
+        if np.max(np.abs(0.5 * cov - 0.5 * cov.T)) > 0.5 * (SYMMETRY_RTOL * scale):
             violations.append("securities_cov is not symmetric")
         else:
             sym = _symmetrized(cov)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .best_response import Elasticity
 from .competitive import EquilibriumOutcome, clearing_outcome
-from .errors import BracketError, ConsistencyError
+from .errors import ConsistencyError
 from .model import ExposureProfile, _frozen
 
 KIND_TRIVIAL = "trivial"
@@ -51,9 +51,9 @@ KIND_UNSUPPORTED = "unsupported_regime"
 KIND_FAILED = "solve_failed"
 
 # What solve and compare raise on an instance they cannot solve or verify:
-# ValueError for inputs that are no market or no elasticity vector, the
-# others for failed internal checks.
-SOLVE_ERRORS = (ValueError, ConsistencyError, BracketError)
+# ValueError for inputs that are no market or no elasticity vector,
+# ConsistencyError for failed internal checks.
+SOLVE_ERRORS = (ValueError, ConsistencyError)
 
 # Max tolerated residual of the coupled equilibrium equations for a finite
 # solution, and relative tolerance of the coordinatewise best-response check.
@@ -242,7 +242,8 @@ class GeneralSystem:
     not depend on how many are evaluated together.  F(s) = (1 + beta_L) /
     (2 + sigma(s) / delta_L) + s sigma(s) - 1, sigma the followers' sum, is
     strictly increasing; F(0) >= 0 is the leader's extreme condition, and
-    otherwise the equilibrium is the unique root of F.
+    otherwise the equilibrium is the unique root of F.  The evaluator keeps no
+    state between calls: each one evaluates the followers afresh.
     """
 
     def __init__(self, delta: np.ndarray, beta: np.ndarray):
@@ -255,52 +256,35 @@ class GeneralSystem:
         self._delta, follower_beta = delta[follower], beta[follower]
         self._scale = self._delta * (1.0 + follower_beta)
         self._kink = (follower_beta == 1.0).nonzero()[0]  # where the discriminant cancels
-        self._half, self._scaled, self._disc = (np.empty(self._delta.size) for _ in range(3))
-        # s -> (follower thetas, sigma) of the last two evaluations: Brent's
-        # method ends on one of them, mostly the one before last
-        self._recent: dict[float, tuple[np.ndarray, float]] = {}
-
-    def _phi(self, s: float) -> np.ndarray:
-        # scale / (half + sqrt(max(half^2 - scale s, 0))), in scratch buffers;
-        # for beta <= 1 the discriminant is at least (delta s - 1/2)^2 and
-        # rounds below zero by a few ulps of half^2 at most
-        half = np.multiply(self._delta, s, out=self._half)
-        half += 0.5
-        disc = np.multiply(half, half, out=self._disc)
-        disc -= np.multiply(self._scale, s, out=self._scaled)
-        root = np.sqrt(np.maximum(disc, 0.0, out=disc), out=disc)
-        theta = self._scale / np.add(half, root, out=root)
-        if self._kink.size:
-            twice = 2.0 * self._delta[self._kink]
-            theta[self._kink] = np.minimum(1.0 / s, twice) if s > 0.0 else twice
-        return theta
-
-    def _evaluate(self, s: float) -> tuple[np.ndarray, float]:
-        recent = self._recent.get(s)
-        if recent is None:
-            thetas = _frozen(self._phi(s))
-            # A running sum adds left to right (numpy's sum adds pairwise, and
-            # Python's sum compensates from 3.12 on); that order fixes F's
-            # bits, and with them the root and the general solution.
-            recent = thetas, float(np.add.accumulate(thetas)[-1]) if thetas.size else 0.0
-            if len(self._recent) == 2:
-                del self._recent[next(iter(self._recent))]
-            self._recent[s] = recent
-        return recent
 
     def follower_thetas(self, s: float) -> np.ndarray:
         """phi_i(s) of every follower, in order (read-only)."""
-        return self._evaluate(s)[0]
+        # for beta <= 1 the discriminant is at least (delta s - 1/2)^2 and
+        # rounds below zero by a few ulps of half^2 at most
+        half = self._delta * s + 0.5
+        theta = self._scale / (half + np.sqrt(np.maximum(half * half - self._scale * s, 0.0)))
+        if self._kink.size:
+            twice = 2.0 * self._delta[self._kink]
+            theta[self._kink] = np.minimum(1.0 / s, twice) if s > 0.0 else twice
+        return _frozen(theta)
 
     def sigma(self, s: float) -> float:
-        return self._evaluate(s)[1]
+        return _running_sum(self.follower_thetas(s))
 
-    def leader_share(self, s: float) -> float:
-        """The leader's best-response share against the followers' sigma(s)."""
-        return (1.0 + self.beta0) / (2.0 + self.sigma(s) / self.delta0)
+    def leader_share(self, sigma: float) -> float:
+        """The leader's best-response share against the followers' sum sigma."""
+        return (1.0 + self.beta0) / (2.0 + sigma / self.delta0)
 
     def F(self, s: float) -> float:
-        return self.leader_share(s) + s * self.sigma(s) - 1.0
+        sigma = self.sigma(s)
+        return self.leader_share(sigma) + s * sigma - 1.0
+
+
+def _running_sum(values: np.ndarray) -> float:
+    """The sum of values added left to right (numpy's sum adds pairwise, and
+    Python's sum compensates from 3.12 on); that order fixes F's bits, and
+    with them the root and the general solution."""
+    return float(np.add.accumulate(values)[-1]) if values.size else 0.0
 
 
 def _root_inverse_total(system: GeneralSystem, f0: float, delta_total: float) -> float:
@@ -367,12 +351,13 @@ def _general_parts(delta: np.ndarray, beta: np.ndarray, delta_total: float):
     if f0 >= 0.0:
         return math.nan, math.nan, 0.0
     s = _root_inverse_total(system, f0, delta_total)
+    followers = system.follower_thetas(s)
     thetas = np.zeros(delta.shape)
-    thetas[system.follower_mask] = system.follower_thetas(s)
+    thetas[system.follower_mask] = followers
     shares = s * thetas
     # the leader's best-response share, which unlike 1 - s sigma(s) does not
     # cancel when it is small
-    shares[system.leader] = leader = system.leader_share(s)
+    shares[system.leader] = leader = system.leader_share(_running_sum(followers))
     thetas[system.leader] = leader / s
     return thetas, shares, s
 

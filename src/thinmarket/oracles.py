@@ -21,6 +21,16 @@ _EXP_OVERFLOW = math.log(np.finfo(float).max)
 # The most samples whose float64 array has a byte size numpy can index.
 _MAX_SAMPLES = np.iinfo(np.intp).max // 8
 
+# The grid search: uniform grid points on [0, 1], and the width at which the
+# golden-section refinement stops.
+_GRID_POINTS = 100_001
+_GOLDEN_TOL = 1e-12
+# Best-response iteration: the weight of the best response in each damped
+# step, the most sweeps, and the step size below which a sweep converges.
+_DAMPING = 0.5
+_MAX_ITERATIONS = 500
+_STEP_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class McConfig:
@@ -75,14 +85,14 @@ def mc_certainty_equivalent(
     return McEstimate(value=value, standard_error=se, unreliable=unreliable)
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-12) -> float:
+def _golden_max(f, lo: float, hi: float) -> float:
     """Golden-section maximizer of a unimodal f on [lo, hi]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > _GOLDEN_TOL:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -100,20 +110,15 @@ def _share_value(exposures: ExposureProfile, i: int, k, theta_rest: float):
     return (1.0 - k) * (k - float(exposures.beta[i])) / theta_rest - k * k / (2.0 * float(exposures.delta[i]))
 
 
-def grid_best_response_share(
-    exposures: ExposureProfile,
-    i: int,
-    theta_rest: float,
-    grid_points: int = 100_001,
-) -> float:
+def grid_best_response_share(exposures: ExposureProfile, i: int, theta_rest: float) -> float:
     """Brute-force maximizer of the response value over shares k in [0, 1]:
     a uniform grid followed by one golden-section refinement pass around the
     grid argmax.  Independent of the closed-form best response."""
-    ks = np.linspace(0.0, 1.0, grid_points)
+    ks = np.linspace(0.0, 1.0, _GRID_POINTS)
     values = _share_value(exposures, i, ks, theta_rest)
     j = int(np.argmax(values))
     lo = ks[max(j - 1, 0)]
-    hi = ks[min(j + 1, grid_points - 1)]
+    hi = ks[min(j + 1, _GRID_POINTS - 1)]
     return _golden_max(lambda k: _share_value(exposures, i, k, theta_rest), lo, hi)
 
 
@@ -147,24 +152,17 @@ def _distance(a: Elasticity, b: Elasticity) -> float:
     return abs(a.as_float - b.as_float)
 
 
-def iterate_best_responses(
-    exposures: ExposureProfile,
-    start,
-    damping: float = 0.5,
-    max_iter: int = 500,
-    tol: float = 1e-10,
-) -> IterationTrace:
+def iterate_best_responses(exposures: ExposureProfile, start) -> IterationTrace:
     """Jacobi sweeps of the closed-form best response with convex damping.
 
-    Convergence requires stable branch tags and per-coordinate steps below tol
-    between consecutive sweeps; non-convergence is reported via the flag, not
-    an exception.  This is a cross-checking oracle with no convergence
-    guarantee (the model itself says nothing about dynamics).
+    Convergence requires stable branch tags and per-coordinate steps below
+    _STEP_TOL between consecutive sweeps, within _MAX_ITERATIONS sweeps;
+    non-convergence is reported via the flag, not an exception.  This is a
+    cross-checking oracle with no convergence guarantee (the model itself
+    says nothing about dynamics).
     """
     if exposures.is_trivial:
         raise ValueError("best-response iteration is undefined on a trivial instance")
-    if not 0.0 < damping <= 1.0:
-        raise ValueError("damping must lie in (0, 1]")
     state = [as_elasticity(t) for t in start]
     if any(not s.is_finite for s in state):
         raise ValueError("start must be strictly positive and finite in every coordinate")
@@ -175,7 +173,7 @@ def iterate_best_responses(
     converged = False
     prev_branches: tuple[str, ...] | None = None
 
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITERATIONS):
         responses = [best_response(exposures, i, _rest_of(state, i)) for i in range(len(state))]
         residual = max(_distance(state[i], responses[i].theta) for i in range(len(state)))
         residuals.append(residual)
@@ -191,12 +189,12 @@ def iterate_best_responses(
                     escalated = True
                 step = max(step, _distance(cur, target))
             else:
-                mixed = (1.0 - damping) * cur.as_float + damping * target.as_float
+                mixed = (1.0 - _DAMPING) * cur.as_float + _DAMPING * target.as_float
                 new_state.append(Elasticity.from_float(mixed))
                 step = max(step, abs(mixed - cur.as_float))
         state = new_state
         iterates.append(tuple(state))
-        if prev_branches == branches and step < tol:
+        if prev_branches == branches and step < _STEP_TOL:
             converged = True
             break
         prev_branches = branches

@@ -104,7 +104,7 @@ def test_criterion_03_best_response_grid_oracle():
         ex = derive_exposures(model_from_betas(rng, [beta0, 1.0 - beta0], deltas))
         rest = float(rng.uniform(0.01, 100.0))
         closed = best_response(ex, 0, rest).k
-        gridded = grid_best_response_share(ex, 0, rest, grid_points=100_001)
+        gridded = grid_best_response_share(ex, 0, rest)
         err = abs(closed - gridded)
         worst = max(worst, err)
         assert err < 1e-6

@@ -156,7 +156,7 @@ class TestBestResponse:
             ex = _exposures(rng, [beta0, 1.0 - beta0], random_deltas(rng, 2))
             rest = float(rng.uniform(0.01, 100.0))
             res = best_response(ex, 0, rest)
-            k_grid = grid_best_response_share(ex, 0, rest, grid_points=100_001)
+            k_grid = grid_best_response_share(ex, 0, rest)
             assert abs(res.k - k_grid) < 1e-6
 
     def test_grid_oracle_on_every_branch(self, rng):

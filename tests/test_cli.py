@@ -811,10 +811,11 @@ def child_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-def run_module(*argv):
-    """`python -m thinmarket.cli ARGV...` in a fresh process; output as bytes."""
+def run_module(*argv, flags=()):
+    """`python FLAGS... -m thinmarket.cli ARGV...` in a fresh process; output
+    as bytes."""
     return subprocess.run(
-        [sys.executable, "-m", "thinmarket.cli", *argv], env=child_env(), capture_output=True, timeout=120
+        [sys.executable, *flags, "-m", "thinmarket.cli", *argv], env=child_env(), capture_output=True, timeout=120
     )
 
 
@@ -947,3 +948,35 @@ def test_huge_risk_tolerances_fail_without_runtime_warnings(tmp_path, capsys):
     nash = json.loads(out.read_text())["nash"]
     assert nash["kind"] == "general_non_extreme"
     assert sum(nash["k_shares"]) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_antisymmetric_covariance_near_float_max_is_invalid_without_warnings(tmp_path):
+    # the symmetry check halves before it subtracts, so opposite-signed
+    # entries near the float maximum do not overflow, also where a warning
+    # is an error
+    doc = bilateral_scenario(total=3.0)
+    doc["securities_cov"] = [[1.0, 1e308], [-1e308, 1.0]]
+    for trader in doc["traders"]:
+        trader["cov_es"] += [0.1]
+    scen = write_json(tmp_path / "s.json", doc)
+    strict = ("-X", "dev", "-W", "error::RuntimeWarning")
+    out = tmp_path / "report.json"
+    proc = run_module("analyze", "--scenario", scen, "--out", str(out), flags=strict)
+    assert (proc.returncode, proc.stderr) == (2, b"")
+    assert json.loads(out.read_text())["validation"]["violations"] == ["securities_cov is not symmetric"]
+    proc = run_module("validate", "--scenario", scen, flags=strict)
+    assert (proc.returncode, proc.stderr) == (2, b"invalid: securities_cov is not symmetric\n")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="FOUND in CHANGES.md: GeneralSystem.follower_thetas squares h_i = delta_i s + 1/2, "
+    "which overflows once delta_i s exceeds about 1e154, and analyze exits 5",
+)
+def test_follower_with_a_risk_tolerance_beyond_the_square_root_of_float_max_solves(tmp_path):
+    doc = readme_with_a_third_trader()
+    doc["traders"][2]["delta"] = 1e200
+    scen = write_json(tmp_path / "s.json", doc)
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--scenario", scen, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["nash"]["kind"] == "general_non_extreme"

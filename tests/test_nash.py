@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import time
@@ -10,7 +11,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thinmarket import (
-    BracketError,
     ConsistencyError,
     Elasticity,
     KIND_BILATERAL,
@@ -1064,7 +1064,7 @@ class TestRootFinder:
             assert solve(ex).kind == KIND_GENERAL
             assert len(calls) <= 20, len(calls)
 
-    def test_solve_reuses_evaluations_without_changing_them(self, monkeypatch):
+    def test_evaluations_repeat_bit_for_bit_and_solve_calls_F_only_to_find_the_root(self, monkeypatch):
         # F, sigma and follower_thetas on one system, at s values revisited
         # after others, equal those of a system that never saw an s
         rng = np.random.default_rng(5)
@@ -1100,6 +1100,40 @@ class TestRootFinder:
         assert solve(ex).kind == KIND_GENERAL
         # F(0) and the root finder's evaluations, and no more
         assert len(calls) == root_calls == 7
+
+    def test_evaluations_leave_the_system_as_constructed(self):
+        # followers with beta exactly one take the kinked branch
+        delta = np.array([8.0, 0.5, 2.0, 1.5, 3.0, 1.0])
+        system = GeneralSystem(delta, np.array([1.5, 1.0, 1.0, -0.5, 0.25, -1.5]))
+        built = copy.deepcopy(vars(system))
+        for s in (0.0, 1.0 / delta.sum(), 0.3, 0.0, 7.5):
+            system.F(s), system.sigma(s), system.follower_thetas(s)
+        assert vars(system).keys() == built.keys()
+        for name, value in vars(system).items():
+            if isinstance(value, np.ndarray):
+                assert value.dtype == built[name].dtype and np.array_equal(value, built[name]), name
+            else:
+                assert value == built[name], name
+
+    def test_solve_evaluates_the_followers_once_more_than_F(self, monkeypatch):
+        # once per F, and once at the root for the solution's elasticities
+        calls = {"F": 0, "follower_thetas": 0}
+        for name in calls:
+            method = getattr(GeneralSystem, name)
+
+            def counted(system, s, name=name, method=method):
+                calls[name] += 1
+                return method(system, s)
+
+            monkeypatch.setattr(thinmarket.nash.GeneralSystem, name, counted)
+        rng = np.random.default_rng(5)
+        for n in (3, 10, 200):
+            ex = _exposures(rng, constrained_betas(rng, n, low=-1.25, high=0.95),
+                            random_deltas(rng, n), n_securities=2)
+            for name in calls:
+                calls[name] = 0
+            assert solve(ex).kind == KIND_GENERAL
+            assert calls["F"] > 2 and calls["follower_thetas"] == calls["F"] + 1, calls
 
     def test_root_matches_an_independent_bisection(self, rng):
         instances = []

@@ -12,6 +12,7 @@ from thinmarket import (
     MarketModel,
     TraderProfile,
 )
+import thinmarket.oracles
 from thinmarket.nash import fixed_point_deviation
 from thinmarket.oracles import McConfig, iterate_best_responses, mc_certainty_equivalent
 from conftest import bilateral_model, constrained_betas, model_from_betas, random_deltas
@@ -69,7 +70,7 @@ class TestMonteCarloCe:
 class TestIterateBestResponses:
     def test_bilateral_convergence_to_closed_form(self, rng):
         ex = derive_exposures(model_from_betas(rng, [1.2, -0.2], [1.0, 1.0]))
-        trace = iterate_best_responses(ex, [1.0, 1.0], damping=0.5)
+        trace = iterate_best_responses(ex, [1.0, 1.0])
         assert trace.converged
         final = [t.as_float for t in trace.iterates[-1]]
         assert final[0] == pytest.approx(2 * 0.5 / 0.3, rel=1e-7)
@@ -93,9 +94,10 @@ class TestIterateBestResponses:
         assert final[0].is_infinite
         assert final[1].as_float == pytest.approx(0.5, abs=1e-9)
 
-    def test_limits_match_solver_on_random_instances(self, rng):
+    def test_limits_match_solver_on_random_instances(self, rng, monkeypatch):
         # the oracle carries no convergence guarantee (branch limit-cycles can
         # occur), but converged runs must reproduce the solver's equilibrium
+        monkeypatch.setattr(thinmarket.oracles, "_MAX_ITERATIONS", 2000)
         checked = 0
         converged = 0
         attempts = 0
@@ -109,7 +111,7 @@ class TestIterateBestResponses:
             if sol.kind not in (KIND_BILATERAL, KIND_GENERAL):
                 continue
             checked += 1
-            trace = iterate_best_responses(ex, [float(d) for d in ex.delta], max_iter=2000)
+            trace = iterate_best_responses(ex, [float(d) for d in ex.delta])
             if not trace.converged:
                 continue
             converged += 1
@@ -142,17 +144,16 @@ class TestIterateBestResponses:
             assert np.all(np.diff(envelope) <= 1e-12 + 1e-9 * envelope[:-1])
             assert trace.final_residual <= res[0]
 
-    def test_nonconvergence_reported_not_raised(self, rng):
+    def test_nonconvergence_reported_not_raised(self, rng, monkeypatch):
+        monkeypatch.setattr(thinmarket.oracles, "_MAX_ITERATIONS", 1)
         ex = derive_exposures(bilateral_model(rng))
-        trace = iterate_best_responses(ex, [1.0, 1.0], max_iter=1)
+        trace = iterate_best_responses(ex, [1.0, 1.0])
         assert not trace.converged
 
     def test_preconditions(self, rng):
         ex = derive_exposures(bilateral_model(rng))
         with pytest.raises(ValueError):
             iterate_best_responses(ex, [0.0, 1.0])
-        with pytest.raises(ValueError):
-            iterate_best_responses(ex, [1.0, 1.0], damping=0.0)
         trivial = derive_exposures(
             MarketModel(
                 np.array([[1.0]]),
