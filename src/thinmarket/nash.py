@@ -7,17 +7,18 @@ closed form when exactly two traders are active, then the unsupported regime,
 and otherwise the general constructive solver, which reduces the coupled
 quadratic system to a single monotone scalar equation in the inverse total
 elasticity s = 1/x and solves it by Brent's method on a bisection bracket.
-The equation's regular end s = 0 is the extreme regime: a market where it is
-nonnegative takes the extreme solution (see `solve`).  Like every pipeline
-step, `solve` takes one market or a stacked profile (one derived from
-`MarketModel.stacked`) under one name, and raises only on one market: on a
-stack it marks the failed points KIND_FAILED.  Its arrays have the trader on
-their last axis and an optional leading grid axis; each step runs once per
-call, over every point that needs it, with the one-market arithmetic, so a
-grid point gets the bits it gets alone.  Each general point is root-found on
-its own, by a `GeneralSystem` built from its row of the risk tolerances and
-betas.  `solve_extreme`, `solve_bilateral` and `solve_general` are
-per-regime references that trust their documented preconditions.
+`check_extreme_condition` alone decides the extreme regime, and a market
+whose equation is nonnegative at its regular end s = 0 takes the extreme
+solution too (its tie rule).  Like every pipeline step, `solve` takes one
+market or a stacked profile (one derived from `MarketModel.stacked`) under
+one name, and raises only on one market: on a stack it marks the failed
+points KIND_FAILED.  Its arrays have the trader on their last axis and an
+optional leading grid axis; each step runs once per call, over every point
+that needs it, with the one-market arithmetic, so a grid point gets the bits
+it gets alone.  Each general point is root-found on its own, by a
+`GeneralSystem` built from its row of the risk tolerances and betas.
+`solve_extreme`, `solve_bilateral` and `solve_general` are per-regime
+references that trust their documented preconditions.
 
 Configurations with two or more betas above one where the extreme condition
 fails (and more than two traders are active) are reported as an unsupported
@@ -119,40 +120,47 @@ def _positive_terms(exposures: ExposureProfile) -> np.ndarray:
     return np.maximum(exposures.delta * (1.0 + exposures.beta), 0.0)
 
 
-def _extreme_hits(exposures: ExposureProfile) -> tuple[np.ndarray, np.ndarray]:
-    """The traders meeting the extreme condition beta_k >= 1 + rest_k /
-    delta_k, rest_k the exclusive sum of the others' delta_i (1 + beta_i)_+,
-    and per market the margin by which the aggregate reformulation
-    sum delta_i (1 + beta_i)_+ <= 2 max delta_i beta_i disagrees with them
-    beyond rounding noise (0 where the two tests agree)."""
-    plus = _positive_terms(exposures)
-    hits = exposures.beta >= 1.0 + _exclusive_sums(plus) / exposures.delta
-    total_plus = plus.sum(axis=-1)
-    two_max = 2.0 * np.max(exposures.delta * exposures.beta, axis=-1)
-    margin = np.abs(total_plus - two_max)
-    noise = 1e-9 * np.maximum(np.maximum(1.0, total_plus), np.abs(two_max))
-    disagree = ((total_plus <= two_max) != hits.any(axis=-1)) & (margin > noise)
-    return hits, np.where(disagree, margin, 0.0)
+def _leader(exposures: ExposureProfile) -> np.ndarray:
+    """argmax delta_i beta_i, lowest index first (see check_extreme_condition)."""
+    return np.argmax(exposures.delta * exposures.beta, axis=-1)
 
 
-def check_extreme_condition(exposures: ExposureProfile) -> int | None:
-    """Index of the unique trader who behaves risk-neutrally at equilibrium,
-    or None when the equilibrium is non-extreme.
+def check_extreme_condition(exposures: ExposureProfile) -> int | np.ndarray | None:
+    """The trader who behaves risk-neutrally at equilibrium: solve's one
+    extreme-regime classifier.
 
-    Trader k is extreme when beta_k >= 1 + rest_k / delta_k (see
-    _extreme_hits); a tie is extreme.  The best-response check runs the same
-    arithmetic on solve_extreme's output, so an instance classified extreme
-    always verifies; a disagreement with the aggregate reformulation beyond
-    rounding noise is an internal error.
+    The leader L is the argmax of delta_i beta_i, lowest index on ties; the
+    market is extreme iff beta_L >= 1 + rest_L / delta_L, rest_L the exclusive
+    sum of the others' delta_i (1 + beta_i)_+, which is the arithmetic the
+    verifier runs on the extreme solution; a tie is extreme.  No other trader
+    can meet the condition.  Two that do, j and k, have delta_k (beta_k - 1)
+    >= delta_j (1 + beta_j) and the same with j and k swapped, which add up
+    to -2 (delta_j + delta_k) >= 0.  One that does, k, has delta_k beta_k -
+    delta_j beta_j >= delta_k + delta_j for every j, so it is the argmax.
+    Rounding breaks neither step on a valid market: by Cauchy-Schwarz, sum
+    beta_i^2 <= 1 / TRIVIAL_RTOL = 1e12 on a non-trivial market, so
+    |beta_i| <= 1e6 and eps |delta_i beta_i| is far below delta_j + delta_k.
+    Tie rule: a market whose scalar equation is nonnegative at s = 0
+    (F(0) >= 0, see GeneralSystem) is extreme but for rounding, and takes the
+    extreme solution led by the same argmax.  The coordinatewise verifier
+    remains the safety net: a misclassified extreme solution fails it.
+
+    One market: the leader's index, or None when not extreme, and ValueError
+    when trivial.  A stacked profile: one index per point, -1 where the point
+    is not extreme (trivial and invalid points included).
     """
-    if exposures.is_trivial:
+    one_market = exposures.valid is None
+    if one_market and exposures.is_trivial:
         raise ValueError("extreme classification is undefined on a trivial instance")
-    hits, disagreement = _extreme_hits(exposures)
-    leaders = hits.nonzero()[0].tolist()
-    code = 1 if len(leaders) > 1 else 2 if disagreement else 0
-    if code:
-        raise _failure(code, hits, disagreement)
-    return leaders[0] if leaders else None
+    # a stack's invalid points hold anything, and a risk tolerance near the
+    # float maximum overflows its term
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        leader = _leader(exposures)
+        meets = exposures.beta >= 1.0 + _exclusive_sums(_positive_terms(exposures)) / exposures.delta
+    extreme = np.take_along_axis(meets, leader[..., None], axis=-1)[..., 0]
+    if one_market:
+        return int(leader) if extreme else None
+    return np.where(extreme & exposures.valid & ~exposures.is_trivial, leader, -1)
 
 
 def _extreme_parts(exposures: ExposureProfile, leader) -> tuple[np.ndarray, np.ndarray]:
@@ -467,33 +475,23 @@ def fixed_point_deviation(exposures: ExposureProfile, thetas):
     return float(deviation)
 
 
-# Why solve leaves a point unsolved, by failure code in the order of
-# precedence (0: solved, or unsupported): the exception solve raises and its
-# message.  Codes 1-2 come from the classification, 3-4 from the
-# verification; _ROOT_FAILED is the root-finder's own exception, kept as
-# caught.
+# Why solve leaves a point unsolved, by failure code (0: solved, or
+# unsupported): codes 1-2 fail the verification, with these ConsistencyError
+# messages; _ROOT_FAILED is the root-finder's own exception, kept as caught.
 _FAILURES = (
     None,
-    (ConsistencyError, "extreme condition held for several traders: {leaders}"),
-    (ConsistencyError, "extreme-condition tests disagree: "
-                       "per-trader={hit}, aggregate={miss}, margin={margin:g}"),
-    (ConsistencyError, "equilibrium residuals exceed tolerance: {worst:g}"),
-    (ConsistencyError, "best-response verification failed: deviation {deviation:g}"),
+    "equilibrium residuals exceed tolerance: {worst:g}",
+    "best-response verification failed: deviation {deviation:g}",
 )
 _ROOT_FAILED = len(_FAILURES)
 
 
-def _failure(code, hits, margin, worst=math.nan, deviation=math.nan, error=None) -> Exception:
-    """One market's failure as an exception, worded from solve's diagnostics,
-    or the root-finder's own `error`."""
+def _failure(code, worst, deviation, error) -> Exception:
+    """One market's failure as an exception, worded from the verification's
+    worst residual and deviation, or the root-finder's own `error`."""
     if code == _ROOT_FAILED:
         return error
-    exception, message = _FAILURES[code]
-    leaders = hits.nonzero()[0].tolist()
-    return exception(message.format(
-        leaders=leaders, hit=bool(leaders), miss=not leaders, margin=float(margin),
-        worst=float(worst), deviation=float(deviation),
-    ))
+    return ConsistencyError(_FAILURES[code].format(worst=float(worst), deviation=float(deviation)))
 
 
 # The kinds solve assigns, by index.
@@ -518,18 +516,19 @@ def solve(exposures: ExposureProfile) -> NashSolution:
     """Classify, solve and verify the unique linear Nash equilibrium of one
     market, or of every point of a stacked profile at once.
 
-    The regime is decided in order: trivial, extreme, bilateral (exactly two
-    traders with beta > -1), unsupported (two or more betas above one) or
-    general; the general solver also takes the bilateral points whose closed
-    form total leaves (0, inf).  Tie rule: a general point with F(0) >= 0 is on
-    the extreme side, led by its largest delta_i beta_i, and labelled extreme.
-    Every solved solution is verified coordinatewise against the closed-form
-    best response.  A step runs only when some point needs it.  Where one
-    market fails, solve raises one of SOLVE_ERRORS: fixed_point_deviation's
-    ValueError for a solution that is no elasticity vector, the others for
-    failed checks.  On a stacked profile each point gets the kind and the bits
-    it gets alone, or KIND_FAILED and NaN where that would raise; points that
-    failed validation are KIND_FAILED too.
+    The regime is decided in order: trivial, extreme (by
+    check_extreme_condition), bilateral (exactly two traders with beta > -1),
+    unsupported (two or more betas above one) or general; the general solver
+    also takes the bilateral points whose closed form total leaves (0, inf),
+    and hands the points with F(0) >= 0 to the extreme solution by the tie
+    rule of check_extreme_condition.  Every solved solution is verified
+    coordinatewise against the closed-form best response.  A step runs only
+    when some point needs it.  Where one market fails, solve raises one of
+    SOLVE_ERRORS: fixed_point_deviation's ValueError for a solution that is
+    no elasticity vector, the others for failed checks.  On a stacked profile
+    each point gets the kind and the bits it gets alone, or KIND_FAILED and
+    NaN where that would raise; points that failed validation are
+    KIND_FAILED too.
     """
     one_market = exposures.valid is None
     valid = np.asarray(True if one_market else exposures.valid)
@@ -538,7 +537,7 @@ def solve(exposures: ExposureProfile) -> NashSolution:
     kind = np.full(valid.shape, _TRIVIAL)
     code = np.zeros(valid.shape, dtype=int)
     # the diagnostics _failure words one market's failure with
-    hits, margin, worst, deviation, error = None, 0.0, math.nan, math.nan, None
+    worst, deviation, error = math.nan, math.nan, None
     thetas, shares, residuals = np.full((3, *exposures.delta.shape), np.nan)
     prices = np.full(exposures.cov_total.shape, np.nan)
     # one errstate for every step: failed or unsolved points of a grid carry
@@ -547,15 +546,13 @@ def solve(exposures: ExposureProfile) -> NashSolution:
         if _some(trivial):
             _fill(trivial, (thetas, exposures.delta), (shares, 0.0), (prices, 0.0))
         if _some(live):
-            hits, margin = _extreme_hits(exposures)
-            n_hits = hits.sum(axis=-1)
+            leader = check_extreme_condition(exposures)
+            leader = np.asarray(-1 if leader is None else leader)
             n_active, n_high = ((exposures.beta > b).sum(axis=-1) for b in (-1.0, 1.0))
             regime = np.where(n_high >= 2, _UNSUPPORTED, _GENERAL)
-            regime = np.where(n_hits == 1, _EXTREME, np.where(n_active == 2, _BILATERAL, regime))
+            regime = np.where(leader >= 0, _EXTREME, np.where(n_active == 2, _BILATERAL, regime))
             kind = np.where(live, regime, kind)
-            code = np.where(live, np.where(n_hits > 1, 1, np.where(margin > 0.0, 2, 0)), 0)
-        todo = np.where(live & (code == 0), kind, _TRIVIAL)
-        extreme, bilateral, general = todo == _EXTREME, todo == _BILATERAL, todo == _GENERAL
+        extreme, bilateral, general = kind == _EXTREME, kind == _BILATERAL, kind == _GENERAL
 
         if _some(bilateral):
             _fill(bilateral, (thetas, _bilateral_thetas(exposures)))
@@ -577,13 +574,13 @@ def solve(exposures: ExposureProfile) -> NashSolution:
             except SOLVE_ERRORS as exc:
                 code[at], error = _ROOT_FAILED, exc
         _fill(general, (prices, -exposures.cov_total * inverse_total[..., None]))
-        tie = general & (inverse_total == 0.0)  # F(0) >= 0: the extreme side
+        tie = general & (inverse_total == 0.0)  # F(0) >= 0: see check_extreme_condition
         finite = (bilateral | general) & ~tie & (code == 0)
         if _some(finite):
             _fill(finite, (residuals, nash_residuals(exposures, thetas)))
         kind, extreme = np.where(tie, _EXTREME, kind), extreme | tie
         if _some(extreme):
-            leader = np.where(tie, np.argmax(exposures.delta * exposures.beta, axis=-1), hits.argmax(axis=-1))
+            leader = np.where(tie, _leader(exposures), leader)
             extreme_thetas, extreme_shares = _extreme_parts(exposures, leader)
             _fill(extreme, (thetas, extreme_thetas), (shares, extreme_shares),
                   (prices, 0.0), (residuals, 0.0))
@@ -595,7 +592,7 @@ def solve(exposures: ExposureProfile) -> NashSolution:
             deviation = fixed_point_deviation(exposures, thetas)
             verdict = np.where(worst > RESIDUAL_TOL, 1, 2 * (deviation > FIXED_POINT_RTOL))
             failed = solved & (verdict > 0)
-            code = np.where(failed, 2 + verdict, code)
+            code = np.where(failed, verdict, code)
             solved = solved & ~failed
         unsolved = ~(solved | trivial)
         if _some(unsolved):
@@ -608,7 +605,7 @@ def solve(exposures: ExposureProfile) -> NashSolution:
         thetas, k_shares, residuals = (_frozen(a) for a in (thetas, k_shares, residuals))
         return NashSolution(_frozen(kinds), thetas, None, k_shares, outcome, residuals)
     if code:
-        raise _failure(code, hits, margin, worst, deviation, error)
+        raise _failure(code, worst, deviation, error)
     if kind == _UNSUPPORTED:
         detail = _unsupported_detail(exposures)
         return NashSolution(KIND_UNSUPPORTED, None, None, None, None, None, detail)

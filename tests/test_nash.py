@@ -2,6 +2,7 @@ import copy
 import itertools
 import math
 import time
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -54,6 +55,23 @@ def _exposures(rng, betas, deltas, **kwargs):
     return derive_exposures(model_from_betas(rng, betas, deltas, **kwargs))
 
 
+def _reference_thresholds(deltas, betas):
+    """1 + rest_k / delta_k for every trader k, rest_k the others'
+    delta_i (1 + beta_i)_+ in Python floats, added from the left up to k and
+    from the right down to k: a prefix plus a suffix sum, so that a verdict an
+    ulp from a threshold is the classifier's to the bit."""
+    terms = [max(d * (1.0 + b), 0.0) for d, b in zip(deltas, betas)]
+    thresholds = []
+    for k, delta in enumerate(deltas):
+        left = right = 0.0
+        for term in terms[:k]:
+            left += term
+        for term in reversed(terms[k + 1:]):
+            right += term
+        thresholds.append(1.0 + (left + right) / delta)
+    return thresholds
+
+
 class TestExtremeCondition:
     def test_hand_case(self, rng):
         ex = _exposures(rng, [2.5, -0.5, -1.0], [1.0, 1.0, 1.0])
@@ -63,14 +81,50 @@ class TestExtremeCondition:
         ex = _exposures(rng, [0.5, 0.5], [1.0, 1.0])
         assert check_extreme_condition(ex) is None
 
-    def test_at_most_one_trader(self, rng):
-        hits = 0
-        for _ in range(300):
-            n = int(rng.integers(2, 6))
-            ex = _exposures(rng, unconstrained_betas(rng, n), random_deltas(rng, n))
-            k = check_extreme_condition(ex)  # never raises the two-trader error
-            hits += k is not None
-        assert hits > 10  # the regime actually occurs in this draw
+    def test_at_most_one_trader(self):
+        # Random markets, and the same markets with a random trader's beta
+        # snapped to 0-4 ulps either side of its threshold: at most one trader
+        # meets beta_k >= 1 + rest_k / delta_k, and check_extreme_condition
+        # returns that trader, on each market alone and on their stack.
+        rng = np.random.default_rng(21)
+        hits = [0, 0]  # in the random and the snapped draw
+        for n in range(2, 7):
+            deltas = 10.0 ** rng.uniform(-3.0, 3.0, size=(200, n))
+            cov_es = np.array([unconstrained_betas(rng, n) for _ in deltas])
+            model = _one_security_market(deltas[0], cov_es[0]).stacked(deltas, cov_es[..., None])
+            stack = derive_exposures(model)
+            alone = [derive_exposures(point_model(model, g)) for g in range(len(deltas))]
+            snapped = np.array(stack.beta)
+            for g, row in enumerate(snapped):
+                k, ulps = int(rng.integers(n)), int(rng.integers(-4, 5))
+                row[k] = _reference_thresholds(deltas[g].tolist(), row.tolist())[k]
+                for _ in range(abs(ulps)):
+                    row[k] = math.nextafter(row[k], math.copysign(math.inf, ulps))
+                # a beta at or above its threshold meets the condition
+                assert (row[k] >= _reference_thresholds(deltas[g].tolist(), row.tolist())[k]) == (ulps >= 0)
+            for draw, betas in enumerate((stack.beta, snapped)):
+                leaders = check_extreme_condition(replace(stack, beta=betas))
+                for g, ex in enumerate(alone):
+                    thresholds = _reference_thresholds(deltas[g].tolist(), betas[g].tolist())
+                    meeting = [k for k, b in enumerate(betas[g].tolist()) if b >= thresholds[k]]
+                    assert len(meeting) <= 1, (n, g, meeting)
+                    assert check_extreme_condition(replace(ex, beta=betas[g])) == (meeting or [None])[0]
+                    assert leaders[g] == (meeting or [-1])[0]
+                    hits[draw] += len(meeting)
+        assert hits[0] > 100 and hits[1] > 300  # the regime occurs in both draws
+
+    def test_stacked_profile_gets_minus_one_where_no_trader_leads(self):
+        # an extreme point, one that failed validation (a zero risk
+        # tolerance), a trivial one, and an extreme one whose leader's term
+        # overflows; without a RuntimeWarning
+        deltas = np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1e308, 1.0, 1.0]])
+        cov_es = np.array([[2.5, -0.5, -1.0], [2.5, -0.5, -1.0], [1.0, -1.0, 0.0], [2.5, -0.5, -1.0]])
+        model = _one_security_market(deltas[0], cov_es[0]).stacked(deltas, cov_es[..., None])
+        stack = derive_exposures(model)
+        assert stack.valid.tolist() == [True, False, True, True] and stack.is_trivial[2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert check_extreme_condition(stack).tolist() == [0, -1, -1, 0]
 
 
 class TestSolveExtreme:
@@ -359,11 +413,23 @@ _HAIRLINE = float(np.nextafter(1.5, 0.0))
 # (deltas, cov_es) of a two-trader market whose closed form overflows
 _CLOSED_FORM_OVERFLOW = ((0.0010010010010008904, 1.0), (1.999, 1.0 - 1.999))
 
+
+def _general_called_extreme(exposures):
+    """check_extreme_condition, except that it calls the general market of
+    delta_0 = 0.75 extreme, led by trader 0, wherever it is."""
+    leader = check_extreme_condition(exposures)
+    if exposures.valid is None:
+        return 0 if exposures.delta[0] == 0.75 else leader
+    return np.where(exposures.delta[:, 0] == 0.75, 0, leader)
+
+
 # No valid market is known to reach a failure code of solve, so each failure
-# is reached with a limit taken away, as (deltas, cov_es, limits, exception,
-# message): next to the extreme boundary, a verification without its rounding
-# allowance (bilateral and general) and residuals held to zero; and a
-# root-finder allowed a single step.
+# is reached with a limit taken away, or a classifier made wrong, as (deltas,
+# cov_es, limits, exception, message): next to the extreme boundary, a
+# verification without its rounding allowance (bilateral and general) and
+# residuals held to zero; a root-finder allowed a single step; and a general
+# market classified extreme, whose leader's infinite elasticity is no best
+# response.
 FAILURES = {
     "unverifiable_bilateral": ((0.5, 1.75, 0.25), (0.75, 1.4999999999990905, -1.2499999999990905),
                                {"_ROUNDING_ULPS": 0}, ConsistencyError,
@@ -376,6 +442,9 @@ FAILURES = {
                                    ConsistencyError, "equilibrium residuals exceed tolerance: 4.44089e-16"),
     "root_finder_exhausted": ((1.0, 1.0, 1.0), (1.2, 0.2, -0.4), {"_MAX_ITERATIONS": 1},
                               ConsistencyError, "root-finder failed to reach tolerance"),
+    "general_classified_extreme": ((0.75, 1.0, 1.0), (1.2, 0.2, -0.4),
+                                   {"check_extreme_condition": _general_called_extreme},
+                                   ConsistencyError, "best-response verification failed: deviation inf"),
 }
 
 # Solved points (deltas, cov_es), stacked with each failure of their trader
@@ -396,17 +465,23 @@ SOLVED = {
 
 
 def _grid_kinds(points):
-    """Solve the stacked one-security markets `points`; each point must get
-    KIND_FAILED where solve raises on it alone, and otherwise the kind and
-    the bits it gets alone.  Returns the kinds."""
+    """Classify and solve the stacked one-security markets `points`.  Each
+    point must get check_extreme_condition's verdict alone (-1 for None, and
+    for a trivial point, where it raises alone), KIND_FAILED where solve
+    raises on it alone, and otherwise the kind and the bits it gets alone.
+    Returns the kinds."""
     kinds = []
     model = _one_security_market(*points[0]).stacked(
         np.array([d for d, _ in points]), np.array([c for _, c in points])[..., None]
     )
-    grid = solve(derive_exposures(model))
+    stack = derive_exposures(model)
+    leaders, grid = check_extreme_condition(stack), solve(stack)
     for g in range(len(points)):
+        exposures = derive_exposures(point_model(model, g))
+        leader = None if exposures.is_trivial else check_extreme_condition(exposures)
+        assert leaders[g] == (-1 if leader is None else leader), g
         try:
-            alone = solve(derive_exposures(point_model(model, g)))
+            alone = solve(exposures)
         except SOLVE_ERRORS:
             assert grid.kind[g] == KIND_FAILED, g
             kinds.append(KIND_FAILED)
@@ -467,15 +542,14 @@ class TestDispatch:
         assert not sol.outcome.beta_defined
 
     def test_classifies_once_per_solve(self, rng, monkeypatch):
-        # _extreme_hits is solve's one classification step
+        # check_extreme_condition is solve's one classification step
         calls = []
-        classify = thinmarket.nash._extreme_hits
 
         def counted(exposures):
             calls.append(exposures)
-            return classify(exposures)
+            return check_extreme_condition(exposures)
 
-        monkeypatch.setattr(thinmarket.nash, "_extreme_hits", counted)
+        monkeypatch.setattr(thinmarket.nash, "check_extreme_condition", counted)
         trivial = MarketModel(
             np.array([[1.0]]),
             (TraderProfile(1.0, np.array([1.0])), TraderProfile(2.0, np.array([-1.0]))),
