@@ -17,8 +17,9 @@ optional leading grid axis; each step runs once per call, over every point
 that needs it, with the one-market arithmetic, so a grid point gets the bits
 it gets alone.  Each general point is root-found on its own, by a
 `GeneralSystem` built from its row of the risk tolerances and betas.
-`solve_extreme`, `solve_bilateral` and `solve_general` are per-regime
-references that trust their documented preconditions.
+`solve_extreme`, `solve_bilateral` and `solve_general` are the steps `solve`
+calls, one per regime: each returns arrays and checks nothing, and `solve`
+alone verifies them and packages the `NashSolution`.
 
 Configurations with two or more betas above one where the extreme condition
 fails (and more than two traders are active) are reported as an unsupported
@@ -97,11 +98,17 @@ class NashSolution:
     detail: str | None = None
 
     @property
-    def elasticities(self) -> tuple[Elasticity, ...] | None:
-        """thetas as a tuple of Elasticity values, built on each read."""
+    def elasticities(self) -> tuple | None:
+        """thetas as a tuple of Elasticity values, built on each read.  On a
+        stacked solution, one such tuple per point, and None where the point
+        holds NaN (failed, unsupported or invalid)."""
         if self.thetas is None:
             return None
-        return tuple(Elasticity.from_float(t) for t in self.thetas.tolist())
+        rows = tuple(
+            None if any(map(math.isnan, row)) else tuple(map(Elasticity.from_float, row))
+            for row in self.thetas.reshape(-1, self.thetas.shape[-1]).tolist()
+        )
+        return rows if self.thetas.ndim > 1 else rows[0]
 
 
 def _exclusive_sums(values: np.ndarray) -> np.ndarray:
@@ -163,20 +170,14 @@ def check_extreme_condition(exposures: ExposureProfile) -> int | np.ndarray | No
     return np.where(extreme & exposures.valid & ~exposures.is_trivial, leader, -1)
 
 
-def _extreme_parts(exposures: ExposureProfile, leader) -> tuple[np.ndarray, np.ndarray]:
-    """Elasticities and shares of the extreme equilibrium led by `leader`."""
+def solve_extreme(exposures: ExposureProfile, leader) -> tuple[np.ndarray, np.ndarray]:
+    """Elasticities and shares of the extreme equilibrium led by `leader`, one
+    index, or one per point of a stacked profile: the leader submits infinite
+    elasticity, everyone else delta_i (1 + beta_i)_+; prices are exactly zero,
+    the leader absorbs the whole market exposure and all others end
+    market-neutral."""
     is_leader = np.arange(exposures.n_traders) == np.asarray(leader)[..., None]
     return np.where(is_leader, math.inf, _positive_terms(exposures)), is_leader.astype(float)
-
-
-def solve_extreme(exposures: ExposureProfile, k: int) -> NashSolution:
-    """Extreme equilibrium: trader k submits infinite elasticity, everyone
-    else submits delta_i (1 + beta_i)_+; prices are exactly zero, trader k
-    absorbs the whole market exposure and all others end market-neutral."""
-    thetas, shares = map(_frozen, _extreme_parts(exposures, k))
-    outcome = clearing_outcome(exposures, shares, np.zeros(exposures.n_securities))
-    residuals = _frozen(np.zeros(exposures.n_traders))
-    return NashSolution(KIND_EXTREME, thetas, math.inf, shares, outcome, residuals)
 
 
 def nash_residuals(exposures: ExposureProfile, thetas: np.ndarray) -> np.ndarray:
@@ -191,20 +192,7 @@ def nash_residuals(exposures: ExposureProfile, thetas: np.ndarray) -> np.ndarray
     return np.where(beta > -1.0, res, 0.0)
 
 
-def _finite_parts(exposures: ExposureProfile, thetas: np.ndarray):
-    """Total elasticity, shares and prices of a finite solution."""
-    total = thetas.sum(axis=-1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return total[..., 0], thetas / total, -exposures.cov_total / total
-
-
-def _finite_solution(exposures: ExposureProfile, kind: str, thetas, shares, prices) -> NashSolution:
-    outcome = clearing_outcome(exposures, shares, prices)
-    residuals = _frozen(nash_residuals(exposures, thetas))
-    return NashSolution(kind, _frozen(thetas), float(thetas.sum()), _frozen(shares), outcome, residuals)
-
-
-def _bilateral_thetas(exposures: ExposureProfile) -> np.ndarray:
+def solve_bilateral(exposures: ExposureProfile) -> np.ndarray:
     """The bilateral closed form theta_i = 2 delta_i lam_j (beta_i + beta_j) /
     ((lam_i + lam_j) - (lam_i beta_i - lam_j beta_j)), j the other of the two
     traders with beta > -1, for markets with exactly two such traders; the
@@ -219,20 +207,6 @@ def _bilateral_thetas(exposures: ExposureProfile) -> np.ndarray:
         gap = lam * beta - lam_j * beta_j
         theta = delta * 2.0 * lam_j * (beta + beta_j) / ((lam + lam_j) - gap)
     return np.where(active, theta, 0.0)
-
-
-def solve_bilateral(exposures: ExposureProfile) -> NashSolution:
-    """Closed form when exactly two traders have beta > -1 (all others are
-    passive and submit zero elasticity).
-
-    Precondition: the instance is in the bilateral regime, i.e. it is
-    non-trivial, exactly two traders are active and the extreme condition
-    fails.
-    """
-    if np.count_nonzero(exposures.beta > -1.0) != 2:
-        raise ValueError("the bilateral closed form needs exactly two traders with beta > -1")
-    thetas = _bilateral_thetas(exposures)
-    return _finite_solution(exposures, KIND_BILATERAL, thetas, *_finite_parts(exposures, thetas)[1:])
 
 
 class GeneralSystem:
@@ -350,10 +324,11 @@ def _root_inverse_total(system: GeneralSystem, f0: float, delta_total: float) ->
     raise ConsistencyError("root-finder failed to reach tolerance")
 
 
-def _general_parts(delta: np.ndarray, beta: np.ndarray, delta_total: float):
+def solve_general(delta: np.ndarray, beta: np.ndarray, delta_total: float):
     """Elasticities, shares and inverse total elasticity s of the general
     constructive solution of one market, from its risk tolerances, betas and
-    total risk tolerance; s = 0 (and NaN) where F(0) >= 0, the extreme side."""
+    total risk tolerance (a grid point's row will do); s = 0 (and NaN) where
+    F(0) >= 0, the extreme side."""
     system = GeneralSystem(delta, beta)
     f0 = system.F(0.0)
     if f0 >= 0.0:
@@ -368,19 +343,6 @@ def _general_parts(delta: np.ndarray, beta: np.ndarray, delta_total: float):
     shares[system.leader] = leader = system.leader_share(_running_sum(followers))
     thetas[system.leader] = leader / s
     return thetas, shares, s
-
-
-def solve_general(exposures: ExposureProfile) -> NashSolution:
-    """Constructive solver for the non-extreme equilibrium with any number of
-    traders.
-
-    Precondition: the instance is in the general regime, i.e. it is
-    non-trivial, the extreme condition fails and at most one beta exceeds one.
-    """
-    thetas, shares, s = _general_parts(exposures.delta, exposures.beta, exposures.delta_total)
-    if s == 0.0:
-        raise ValueError("the scalar equation is nonnegative at s = 0: the market is extreme")
-    return _finite_solution(exposures, KIND_GENERAL, thetas, shares, -exposures.cov_total * s)
 
 
 # Any elasticity vector is an equilibrium of a trivial market; the true
@@ -555,12 +517,12 @@ def solve(exposures: ExposureProfile) -> NashSolution:
         extreme, bilateral, general = kind == _EXTREME, kind == _BILATERAL, kind == _GENERAL
 
         if _some(bilateral):
-            _fill(bilateral, (thetas, _bilateral_thetas(exposures)))
-            total, finite_shares, finite_prices = _finite_parts(exposures, thetas)
-            _fill(bilateral, (shares, finite_shares), (prices, finite_prices))
+            _fill(bilateral, (thetas, solve_bilateral(exposures)))
+            total = thetas.sum(axis=-1, keepdims=True)
+            _fill(bilateral, (shares, thetas / total), (prices, -exposures.cov_total / total))
             # next to the boundary the closed form can lose every digit: the
             # general solver takes such points over
-            overflow = bilateral & ~((0.0 < total) & (total < math.inf))
+            overflow = bilateral & ~((0.0 < total) & (total < math.inf))[..., 0]
             bilateral, general = bilateral & ~overflow, general | overflow
             kind = np.where(overflow, _GENERAL, kind)
         delta_total = np.asarray(exposures.delta_total)
@@ -568,7 +530,7 @@ def solve(exposures: ExposureProfile) -> NashSolution:
         for g in np.flatnonzero(general).tolist():
             at = () if one_market else g  # the market, or grid point g
             try:
-                thetas[at], shares[at], inverse_total[at] = _general_parts(
+                thetas[at], shares[at], inverse_total[at] = solve_general(
                     exposures.delta[at], exposures.beta[at], float(delta_total[at])
                 )
             except SOLVE_ERRORS as exc:
@@ -581,7 +543,7 @@ def solve(exposures: ExposureProfile) -> NashSolution:
         kind, extreme = np.where(tie, _EXTREME, kind), extreme | tie
         if _some(extreme):
             leader = np.where(tie, _leader(exposures), leader)
-            extreme_thetas, extreme_shares = _extreme_parts(exposures, leader)
+            extreme_thetas, extreme_shares = solve_extreme(exposures, leader)
             _fill(extreme, (thetas, extreme_thetas), (shares, extreme_shares),
                   (prices, 0.0), (residuals, 0.0))
 

@@ -238,11 +238,6 @@ class TestSolveBilateral:
         assert thetas[0] == pytest.approx(1.53333333333333 / 0.43333333333333, rel=1e-10)
         assert sol.elasticities[2].is_zero
 
-    def test_preconditions(self, rng):
-        ex = _exposures(rng, [0.3, 0.3, 0.4], [1.0, 1.0, 1.0])
-        with pytest.raises(ValueError):
-            solve_bilateral(ex)  # three active traders
-
     @pytest.mark.parametrize("n", range(2, 7))
     def test_symmetric_form_is_bit_equal_to_the_per_trader_reference(self, rng, n):
         # the active pair at every pair of positions, the passive traders
@@ -257,15 +252,13 @@ class TestSolveBilateral:
         for model in models:
             ex = derive_exposures(model)
             assert np.count_nonzero(ex.beta > -1.0) == 2
-            assert np.array_equal(
-                thinmarket.nash._bilateral_thetas(ex), _per_trader_bilateral_thetas(ex)
-            )
+            assert np.array_equal(solve_bilateral(ex), _per_trader_bilateral_thetas(ex))
         stacked = models[0].stacked(
             np.array([m.deltas for m in models]), np.array([m.cov_matrix_rows for m in models])
         )
         grid = derive_exposures(stacked)
         expected = _per_trader_bilateral_thetas(grid)
-        assert np.array_equal(thinmarket.nash._bilateral_thetas(grid), expected)
+        assert np.array_equal(solve_bilateral(grid), expected)
         assert np.isfinite(expected).all() and (expected[grid.beta <= -1.0] == 0.0).all()
 
     def test_hairline_boundary_is_solved_and_verified(self, rng):
@@ -287,7 +280,7 @@ class TestSolveBilateral:
         # the market in s = 1/x
         ex = derive_exposures(_one_security_market(*_CLOSED_FORM_OVERFLOW))
         assert check_extreme_condition(ex) is None
-        assert not 0.0 < thinmarket.nash._bilateral_thetas(ex).sum() < math.inf
+        assert not 0.0 < solve_bilateral(ex).sum() < math.inf
         sol = solve(ex)
         assert sol.kind == KIND_GENERAL and 1e15 < sol.thetas[0] < math.inf
         assert fixed_point_deviation(ex, sol.thetas) <= thinmarket.nash.FIXED_POINT_RTOL
@@ -315,17 +308,15 @@ class TestSolveGeneral:
     def test_matches_bilateral_closed_form(self, rng):
         for _ in range(100):
             ex = derive_exposures(bilateral_model(rng, n_securities=1))
-            general = solve_general(ex)
-            closed = solve_bilateral(ex)
-            a = np.array([t.as_float for t in general.elasticities])
-            b = np.array([t.as_float for t in closed.elasticities])
-            assert np.allclose(a, b, rtol=1e-9)
+            general = solve_general(ex.delta, ex.beta, ex.delta_total)[0]
+            assert np.allclose(general, solve_bilateral(ex), rtol=1e-9)
 
     def test_no_trade_at_beta_equal_lambda(self, rng):
         deltas = random_deltas(rng, 4)
         lam = deltas / deltas.sum()
         ex = _exposures(rng, lam, deltas, n_securities=2, noise=0.0)
-        sol = solve_general(ex)
+        sol = solve(ex)
+        assert sol.kind == KIND_GENERAL
         assert np.allclose([t.as_float for t in sol.elasticities], deltas, rtol=1e-10)
         assert np.allclose(sol.outcome.allocations, 0.0, atol=1e-10)
 
@@ -467,15 +458,17 @@ SOLVED = {
 def _grid_kinds(points):
     """Classify and solve the stacked one-security markets `points`.  Each
     point must get check_extreme_condition's verdict alone (-1 for None, and
-    for a trivial point, where it raises alone), KIND_FAILED where solve
-    raises on it alone, and otherwise the kind and the bits it gets alone.
-    Returns the kinds."""
+    for a trivial point, where it raises alone), KIND_FAILED and no
+    elasticities where solve raises on it alone, and otherwise the kind, the
+    bits and the elasticities it gets alone.  Returns the kinds."""
     kinds = []
     model = _one_security_market(*points[0]).stacked(
         np.array([d for d, _ in points]), np.array([c for _, c in points])[..., None]
     )
     stack = derive_exposures(model)
     leaders, grid = check_extreme_condition(stack), solve(stack)
+    elasticities = grid.elasticities
+    assert len(elasticities) == len(points)
     for g in range(len(points)):
         exposures = derive_exposures(point_model(model, g))
         leader = None if exposures.is_trivial else check_extreme_condition(exposures)
@@ -484,10 +477,12 @@ def _grid_kinds(points):
             alone = solve(exposures)
         except SOLVE_ERRORS:
             assert grid.kind[g] == KIND_FAILED, g
+            assert elasticities[g] is None, g
             kinds.append(KIND_FAILED)
             continue
         kinds.append(alone.kind)
         assert grid.kind[g] == alone.kind, g
+        assert elasticities[g] == alone.elasticities, g  # None where unsupported
         outcome = alone.outcome
         pairs = {
             "thetas": (grid.thetas, alone.thetas),
@@ -542,31 +537,52 @@ class TestDispatch:
         assert not sol.outcome.beta_defined
 
     def test_classifies_once_per_solve(self, rng, monkeypatch):
-        # check_extreme_condition is solve's one classification step
+        # check_extreme_condition is solve's one classification step, and each
+        # per-regime step runs where its regime needs it: once per call for
+        # the array steps, once per point for the general solver
         calls = []
 
-        def counted(exposures):
-            calls.append(exposures)
-            return check_extreme_condition(exposures)
+        def counted(name):
+            step = getattr(thinmarket.nash, name)
 
-        monkeypatch.setattr(thinmarket.nash, "check_extreme_condition", counted)
+            def run(*args):
+                calls.append(name)
+                return step(*args)
+
+            return run
+
+        steps = ("check_extreme_condition", "solve_extreme", "solve_bilateral", "solve_general")
+        for name in steps:
+            monkeypatch.setattr(thinmarket.nash, name, counted(name))
         trivial = MarketModel(
             np.array([[1.0]]),
             (TraderProfile(1.0, np.array([1.0])), TraderProfile(2.0, np.array([-1.0]))),
         )
+        tie = _exposures(rng, [3.0625, -1.5 + 2**-52, 0.375, -0.9375], [1.75, 1.75, 2.5, 2.75],
+                         market_variance=1.0)
         cases = [
-            (derive_exposures(trivial), KIND_TRIVIAL, 0),
-            (_exposures(rng, [2.5, -0.5, -1.0], [1.0, 1.0, 1.0]), KIND_EXTREME, 1),
-            (_exposures(rng, [1.2, -0.2], [1.0, 1.0]), KIND_BILATERAL, 1),
-            (_exposures(rng, [2.0, 2.0, 0.0, -3.0], [1.0] * 4), KIND_UNSUPPORTED, 1),
-            (_exposures(rng, [1.2, 0.2, -0.4], [1.0, 1.0, 1.0]), KIND_GENERAL, 1),
+            (derive_exposures(trivial), KIND_TRIVIAL, []),
+            (_exposures(rng, [2.5, -0.5, -1.0], [1.0, 1.0, 1.0]), KIND_EXTREME,
+             ["check_extreme_condition", "solve_extreme"]),
+            (_exposures(rng, [1.2, -0.2], [1.0, 1.0]), KIND_BILATERAL,
+             ["check_extreme_condition", "solve_bilateral"]),
+            (_exposures(rng, [2.0, 2.0, 0.0, -3.0], [1.0] * 4), KIND_UNSUPPORTED,
+             ["check_extreme_condition"]),
+            (_exposures(rng, [1.2, 0.2, -0.4], [1.0, 1.0, 1.0]), KIND_GENERAL,
+             ["check_extreme_condition", "solve_general"]),
+            # F(0) >= 0: the general step, then the extreme solution (tie rule)
+            (tie, KIND_EXTREME, ["check_extreme_condition", "solve_general", "solve_extreme"]),
+            # an overflowing closed form is handed to the general step
+            (derive_exposures(_one_security_market(*_CLOSED_FORM_OVERFLOW)), KIND_GENERAL,
+             ["check_extreme_condition", "solve_bilateral", "solve_general"]),
         ]
         for ex, kind, expected in cases:
             calls.clear()
             assert solve(ex).kind == kind
-            assert len(calls) == expected, kind
+            assert calls == expected, kind
 
-        # a grid of G points of every kind is classified once per call
+        # a grid of G points of every kind is classified once per call, runs
+        # each array step once and the general step once per general point
         model = model_from_betas(rng, [1.2, 0.2, -0.4], [1.0, 1.0, 1.0], market_variance=1.0)
         cov_rows = np.array([[[b] for b in betas] for betas in (
             [1.2, 0.2, -0.4], [2.5, -0.5, -1.0], [1.2, 0.8, -1.0], [1.0, -1.0, 0.0], [0.5, 0.3, 0.2],
@@ -576,7 +592,9 @@ class TestDispatch:
         assert solve(grid).kind.tolist() == [
             KIND_GENERAL, KIND_EXTREME, KIND_BILATERAL, KIND_TRIVIAL, KIND_GENERAL
         ]
-        assert len(calls) == 1
+        assert {name: calls.count(name) for name in steps} == {
+            "check_extreme_condition": 1, "solve_extreme": 1, "solve_bilateral": 1, "solve_general": 2
+        }
 
     def test_fixed_point_on_random_instances(self, rng):
         kinds = set()
@@ -904,7 +922,7 @@ class TestVerificationParity:
         ex = derive_exposures(model)
         assert list(ex.beta) == [float(b) for _, b in traders]
         leader = int(np.argmax(ex.beta))
-        candidates = _candidates(ex, solve_extreme(ex, leader).thetas)
+        candidates = _candidates(ex, solve_extreme(ex, leader)[0])
         sol = _solved(ex)
         if sol is not None:
             candidates += _candidates(ex, sol.thetas)
@@ -945,7 +963,7 @@ class TestVerificationParity:
         ex = derive_exposures(model)
         k = check_extreme_condition(ex)
         if k is not None:
-            assert fixed_point_deviation(ex, solve_extreme(ex, k).thetas) == 0.0
+            assert fixed_point_deviation(ex, solve_extreme(ex, k)[0]) == 0.0
         solve(ex)  # every instance is solved and verified
 
 
