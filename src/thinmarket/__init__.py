@@ -9,9 +9,6 @@ from .analysis import (
     risk_neutral_limit_du,
 )
 from .best_response import (
-    BRANCH_INFINITY,
-    BRANCH_INTERIOR,
-    BRANCH_ZERO,
     BestResponseResult,
     Elasticity,
     OneSidedResult,
@@ -44,9 +41,6 @@ from .scenario import load_scenario, save_scenario, scenario_from_dict, scenario
 __version__ = "0.1.0"
 
 __all__ = [
-    "BRANCH_INFINITY",
-    "BRANCH_INTERIOR",
-    "BRANCH_ZERO",
     "BestResponseResult",
     "ComparisonReport",
     "ConsistencyError",

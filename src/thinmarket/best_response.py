@@ -14,11 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ExposureProfile
-
-BRANCH_ZERO = "inelastic_zero"
-BRANCH_INTERIOR = "interior"
-BRANCH_INFINITY = "risk_neutral_infinity"
+from .model import ExposureProfile, _exclusive_sums
 
 
 @dataclass(frozen=True)
@@ -75,13 +71,14 @@ def as_elasticity(theta) -> Elasticity:
 
 @dataclass(frozen=True)
 class BestResponseResult:
-    """Optimal submitted elasticity, the resulting post-trade share k, the
-    value at the optimum and which branch produced it."""
+    """Optimal submitted elasticity, the resulting post-trade share k and the
+    value at the optimum.  The branch that produced it is theta.kind: zero on
+    the inelastic branch, finite on the interior one, infinite on the
+    risk-neutral one."""
 
     theta: Elasticity
     k: float
     value: float
-    branch: str
 
 
 def share_from_elasticity(theta: Elasticity, theta_rest: float) -> float:
@@ -157,19 +154,11 @@ def best_response(exposures: ExposureProfile, i: int, theta_rest) -> BestRespons
     delta_i = float(exposures.delta[i])
 
     if rest.is_infinite:
-        if beta_i <= -1.0:
-            return BestResponseResult(
-                Elasticity.zero(), 0.0, _limit_value(exposures, i, 0.0), BRANCH_ZERO
-            )
-        theta = delta_i * (1.0 + beta_i)
-        return BestResponseResult(
-            Elasticity.finite(theta), 0.0, _limit_value(exposures, i, 0.0), BRANCH_INTERIOR
-        )
+        theta = Elasticity.zero() if beta_i <= -1.0 else Elasticity.finite(delta_i * (1.0 + beta_i))
+        return BestResponseResult(theta, 0.0, _limit_value(exposures, i, 0.0))
     if rest.is_zero:
         if beta_i > 1.0:
-            return BestResponseResult(
-                Elasticity.infinite(), 1.0, _limit_value(exposures, i, 1.0), BRANCH_INFINITY
-            )
+            return BestResponseResult(Elasticity.infinite(), 1.0, _limit_value(exposures, i, 1.0))
         raise ValueError(
             "theta_rest = 0 is only meaningful against beta_i > 1; "
             "the response problem is undefined otherwise"
@@ -178,19 +167,13 @@ def best_response(exposures: ExposureProfile, i: int, theta_rest) -> BestRespons
     rest_value = rest.value
     ratio = rest_value / delta_i  # no product of delta_i and the rest under- or overflows
     if beta_i <= -1.0:
-        theta = Elasticity.zero()
-        k = 0.0
-        branch = BRANCH_ZERO
+        theta, k = Elasticity.zero(), 0.0
     elif beta_i >= 1.0 + ratio:
-        theta = Elasticity.infinite()
-        k = 1.0
-        branch = BRANCH_INFINITY
+        theta, k = Elasticity.infinite(), 1.0
     else:
         k = (1.0 + beta_i) / (2.0 + ratio)
         theta = Elasticity.finite(rest_value * (1.0 + beta_i) / (ratio + (1.0 - beta_i)))
-        branch = BRANCH_INTERIOR
-    value = response_value_at_share(exposures, i, k, rest_value)
-    return BestResponseResult(theta, k, value, branch)
+    return BestResponseResult(theta, k, response_value_at_share(exposures, i, k, rest_value))
 
 
 @dataclass(frozen=True)
@@ -213,10 +196,9 @@ def one_sided_equilibrium(exposures: ExposureProfile, i: int) -> OneSidedResult:
     """
     if exposures.is_trivial:
         raise ValueError("one-sided equilibrium is undefined on a trivial instance")
-    lam_i = float(exposures.lam[i])
-    if lam_i >= 1.0:
-        raise ValueError("trader i must face at least one counterparty with positive tolerance")
-    delta_rest = exposures.delta_total - float(exposures.delta[i])
+    # an exclusive sum: delta_I - delta_i cancels when trader i holds almost
+    # all of the risk tolerance
+    delta_rest = float(_exclusive_sums(exposures.delta)[i])
     result = best_response(exposures, i, delta_rest)
 
     agg = exposures.aggregate_market_variance

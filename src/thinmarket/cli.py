@@ -97,41 +97,34 @@ _LIMITS = MappingProxyType({
 })
 
 
-def _emit(doc: dict, out_path) -> None:
-    if out_path is None:
-        sys.stdout.write(document_json(doc))
-    else:
-        write_report(doc, out_path)
-
-
-def _analyze_model(model):
-    """Shared pipeline: returns (exit_code, report_dict)."""
+def cmd_analyze(args) -> int:
+    model = load_scenario(args.scenario)
     try:
         exposures = derive_exposures(model)  # validates the model once
     except InvalidModelError as exc:
-        return EXIT_INVALID, build_report(model, ValidationResult(exc.violations))
-    comp = competitive_equilibrium(exposures)
-    nash = solve(exposures)
-    comparison = inc = None
-    if nash.kind != KIND_UNSUPPORTED:
-        comparison = compare(exposures, comp, nash)
-        if _incompleteness_inapplicable(exposures) is None:
-            inc = incompleteness_effect(exposures, comparison.du)
-    doc = build_report(
-        model,
-        ValidationResult(),
-        exposures=exposures,
-        competitive=comp,
-        nash=nash,
-        comparison=comparison,
-        incompleteness=inc,
-    )
-    return (EXIT_UNSUPPORTED if comparison is None else EXIT_OK), doc
-
-
-def cmd_analyze(args) -> int:
-    code, doc = _analyze_model(load_scenario(args.scenario))
-    _emit(doc, args.out)
+        code, doc = EXIT_INVALID, build_report(model, ValidationResult(exc.violations))
+    else:
+        comp = competitive_equilibrium(exposures)
+        nash = solve(exposures)
+        comparison = inc = None
+        if nash.kind != KIND_UNSUPPORTED:
+            comparison = compare(exposures, comp, nash)
+            if _incompleteness_inapplicable(exposures) is None:
+                inc = incompleteness_effect(exposures, comparison.du)
+        doc = build_report(
+            model,
+            ValidationResult(),
+            exposures=exposures,
+            competitive=comp,
+            nash=nash,
+            comparison=comparison,
+            incompleteness=inc,
+        )
+        code = EXIT_UNSUPPORTED if comparison is None else EXIT_OK
+    if args.out is None:
+        sys.stdout.write(document_json(doc))
+    else:
+        write_report(doc, args.out)
     return code
 
 

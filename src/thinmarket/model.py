@@ -201,6 +201,16 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
+def _exclusive_sums(values: np.ndarray) -> np.ndarray:
+    """sum_{j != i} values[j] for every i along the last axis, as a prefix
+    plus a suffix sum (the total minus values[i] cancels when one entry holds
+    almost all of it)."""
+    rest = np.zeros(values.shape)
+    rest[..., 1:] = np.add.accumulate(values[..., :-1], axis=-1)
+    rest[..., :-1] += np.add.accumulate(values[..., :0:-1], axis=-1)[..., ::-1]
+    return rest
+
+
 def _symmetrized(cov: np.ndarray) -> np.ndarray:
     """(C + C^T) / 2, halved before the sum so that no entry overflows."""
     return 0.5 * cov + 0.5 * cov.T

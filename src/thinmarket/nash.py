@@ -42,7 +42,7 @@ import numpy as np
 from .best_response import Elasticity
 from .competitive import EquilibriumOutcome, clearing_outcome
 from .errors import ConsistencyError
-from .model import ExposureProfile, _frozen
+from .model import ExposureProfile, _exclusive_sums, _frozen
 
 KIND_TRIVIAL = "trivial"
 KIND_EXTREME = "extreme"
@@ -109,16 +109,6 @@ class NashSolution:
             for row in self.thetas.reshape(-1, self.thetas.shape[-1]).tolist()
         )
         return rows if self.thetas.ndim > 1 else rows[0]
-
-
-def _exclusive_sums(values: np.ndarray) -> np.ndarray:
-    """sum_{j != i} values[j] for every i along the last axis, as a prefix
-    plus a suffix sum (the total minus values[i] cancels when one entry holds
-    almost all of it)."""
-    rest = np.zeros(values.shape)
-    rest[..., 1:] = np.add.accumulate(values[..., :-1], axis=-1)
-    rest[..., :-1] += np.add.accumulate(values[..., :0:-1], axis=-1)[..., ::-1]
-    return rest
 
 
 def _positive_terms(exposures: ExposureProfile) -> np.ndarray:
@@ -437,25 +427,6 @@ def fixed_point_deviation(exposures: ExposureProfile, thetas):
     return float(deviation)
 
 
-# Why solve leaves a point unsolved, by failure code (0: solved, or
-# unsupported): codes 1-2 fail the verification, with these ConsistencyError
-# messages; _ROOT_FAILED is the root-finder's own exception, kept as caught.
-_FAILURES = (
-    None,
-    "equilibrium residuals exceed tolerance: {worst:g}",
-    "best-response verification failed: deviation {deviation:g}",
-)
-_ROOT_FAILED = len(_FAILURES)
-
-
-def _failure(code, worst, deviation, error) -> Exception:
-    """One market's failure as an exception, worded from the verification's
-    worst residual and deviation, or the root-finder's own `error`."""
-    if code == _ROOT_FAILED:
-        return error
-    return ConsistencyError(_FAILURES[code].format(worst=float(worst), deviation=float(deviation)))
-
-
 # The kinds solve assigns, by index.
 _KINDS = np.array([KIND_TRIVIAL, KIND_EXTREME, KIND_BILATERAL, KIND_UNSUPPORTED, KIND_GENERAL,
                    KIND_FAILED], dtype=object)
@@ -485,9 +456,11 @@ def solve(exposures: ExposureProfile) -> NashSolution:
     and hands the points with F(0) >= 0 to the extreme solution by the tie
     rule of check_extreme_condition.  Every solved solution is verified
     coordinatewise against the closed-form best response.  A step runs only
-    when some point needs it.  Where one market fails, solve raises one of
-    SOLVE_ERRORS: fixed_point_deviation's ValueError for a solution that is
-    no elasticity vector, the others for failed checks.  On a stacked profile
+    when some point needs it.  On one market solve raises one of
+    SOLVE_ERRORS where it finds a failure: the root-finder's own error,
+    fixed_point_deviation's ValueError for a solution that is no elasticity
+    vector, or the ConsistencyError of a residual, and then of a deviation,
+    beyond its tolerance.  On a stacked profile it marks the point instead:
     each point gets the kind and the bits it gets alone, or KIND_FAILED and
     NaN where that would raise; points that failed validation are
     KIND_FAILED too.
@@ -497,9 +470,7 @@ def solve(exposures: ExposureProfile) -> NashSolution:
     trivial = valid & exposures.is_trivial
     live = valid & ~trivial
     kind = np.full(valid.shape, _TRIVIAL)
-    code = np.zeros(valid.shape, dtype=int)
-    # the diagnostics _failure words one market's failure with
-    worst, deviation, error = math.nan, math.nan, None
+    failed = np.zeros(valid.shape, dtype=bool)  # the points of a stack that fail
     thetas, shares, residuals = np.full((3, *exposures.delta.shape), np.nan)
     prices = np.full(exposures.cov_total.shape, np.nan)
     # one errstate for every step: failed or unsolved points of a grid carry
@@ -533,11 +504,13 @@ def solve(exposures: ExposureProfile) -> NashSolution:
                 thetas[at], shares[at], inverse_total[at] = solve_general(
                     exposures.delta[at], exposures.beta[at], float(delta_total[at])
                 )
-            except SOLVE_ERRORS as exc:
-                code[at], error = _ROOT_FAILED, exc
+            except SOLVE_ERRORS:
+                if one_market:
+                    raise
+                failed[g] = True
         _fill(general, (prices, -exposures.cov_total * inverse_total[..., None]))
         tie = general & (inverse_total == 0.0)  # F(0) >= 0: see check_extreme_condition
-        finite = (bilateral | general) & ~tie & (code == 0)
+        finite = (bilateral | general) & ~tie & ~failed
         if _some(finite):
             _fill(finite, (residuals, nash_residuals(exposures, thetas)))
         kind, extreme = np.where(tie, _EXTREME, kind), extreme | tie
@@ -547,15 +520,17 @@ def solve(exposures: ExposureProfile) -> NashSolution:
             _fill(extreme, (thetas, extreme_thetas), (shares, extreme_shares),
                   (prices, 0.0), (residuals, 0.0))
 
-        solved = (extreme | finite) & (code == 0)
+        solved = extreme | finite
         if _some(solved):
-            # 1: a residual exceeds RESIDUAL_TOL, 2: the deviation FIXED_POINT_RTOL
             worst = np.max(np.abs(residuals), axis=-1)
             deviation = fixed_point_deviation(exposures, thetas)
-            verdict = np.where(worst > RESIDUAL_TOL, 1, 2 * (deviation > FIXED_POINT_RTOL))
-            failed = solved & (verdict > 0)
-            code = np.where(failed, verdict, code)
-            solved = solved & ~failed
+            unverified = (worst > RESIDUAL_TOL) | (deviation > FIXED_POINT_RTOL)
+            if one_market and worst > RESIDUAL_TOL:
+                raise ConsistencyError(f"equilibrium residuals exceed tolerance: {float(worst):g}")
+            if one_market and unverified:
+                raise ConsistencyError(f"best-response verification failed: deviation {deviation:g}")
+            failed = failed | (solved & unverified)
+            solved = solved & ~unverified
         unsolved = ~(solved | trivial)
         if _some(unsolved):
             _fill(unsolved, *((values, np.nan) for values in (thetas, shares, prices, residuals)))
@@ -563,11 +538,9 @@ def solve(exposures: ExposureProfile) -> NashSolution:
         outcome = clearing_outcome(exposures, shares, prices)
 
     if not one_market:
-        kinds = _KINDS[np.where(valid & (code == 0), kind, _FAILED)]
+        kinds = _KINDS[np.where(valid & ~failed, kind, _FAILED)]
         thetas, k_shares, residuals = (_frozen(a) for a in (thetas, k_shares, residuals))
         return NashSolution(_frozen(kinds), thetas, None, k_shares, outcome, residuals)
-    if code:
-        raise _failure(code, worst, deviation, error)
     if kind == _UNSUPPORTED:
         detail = _unsupported_detail(exposures)
         return NashSolution(KIND_UNSUPPORTED, None, None, None, None, None, detail)

@@ -155,8 +155,9 @@ def _distance(a: Elasticity, b: Elasticity) -> float:
 def iterate_best_responses(exposures: ExposureProfile, start) -> IterationTrace:
     """Jacobi sweeps of the closed-form best response with convex damping.
 
-    Convergence requires stable branch tags and per-coordinate steps below
-    _STEP_TOL between consecutive sweeps, within _MAX_ITERATIONS sweeps;
+    Convergence requires stable best-response branches (the kinds of the
+    responses' elasticities) and per-coordinate steps below _STEP_TOL between
+    consecutive sweeps, within _MAX_ITERATIONS sweeps;
     non-convergence is reported via the flag, not an exception.  This is a
     cross-checking oracle with no convergence guarantee (the model itself
     says nothing about dynamics).
@@ -171,13 +172,13 @@ def iterate_best_responses(exposures: ExposureProfile, start) -> IterationTrace:
     residuals: list[float] = []
     escalated = False
     converged = False
-    prev_branches: tuple[str, ...] | None = None
+    prev_kinds: tuple[str, ...] | None = None
 
     for _ in range(_MAX_ITERATIONS):
         responses = [best_response(exposures, i, _rest_of(state, i)) for i in range(len(state))]
         residual = max(_distance(state[i], responses[i].theta) for i in range(len(state)))
         residuals.append(residual)
-        branches = tuple(r.branch for r in responses)
+        kinds = tuple(r.theta.kind for r in responses)
 
         new_state: list[Elasticity] = []
         step = 0.0
@@ -194,10 +195,10 @@ def iterate_best_responses(exposures: ExposureProfile, start) -> IterationTrace:
                 step = max(step, abs(mixed - cur.as_float))
         state = new_state
         iterates.append(tuple(state))
-        if prev_branches == branches and step < _STEP_TOL:
+        if prev_kinds == kinds and step < _STEP_TOL:
             converged = True
             break
-        prev_branches = branches
+        prev_kinds = kinds
 
     final_residual = max(
         _distance(state[i], best_response(exposures, i, _rest_of(state, i)).theta)

@@ -4,9 +4,6 @@ import numpy as np
 import pytest
 
 from thinmarket import (
-    BRANCH_INFINITY,
-    BRANCH_INTERIOR,
-    BRANCH_ZERO,
     Elasticity,
     best_response,
     derive_exposures,
@@ -88,7 +85,7 @@ class TestBestResponse:
     def test_interior_hand_case(self, rng):
         ex = _exposures(rng, [0.5, 0.5], [1.0, 1.0], market_variance=1.0)
         res = best_response(ex, 0, 1.0)
-        assert res.branch == BRANCH_INTERIOR
+        assert res.theta.is_finite
         assert res.theta.as_float == pytest.approx(1.0)
         assert res.k == pytest.approx(0.5)
 
@@ -96,18 +93,18 @@ class TestBestResponse:
         ex = _exposures(rng, [-1.5, 2.5], [1.0, 1.0])
         for rest in (0.3, 1.0, 50.0):
             res = best_response(ex, 0, rest)
-            assert res.branch == BRANCH_ZERO and res.theta.is_zero and res.k == 0.0
+            assert res.theta.is_zero and res.k == 0.0
 
     def test_infinity_branch(self, rng):
         ex = _exposures(rng, [2.5, -1.5], [1.0, 1.0])
         res = best_response(ex, 0, 1.0)  # 1 + rest/delta = 2 <= 2.5
-        assert res.branch == BRANCH_INFINITY and res.theta.is_infinite and res.k == 1.0
+        assert res.theta.is_infinite and res.k == 1.0
 
     def test_branch_boundaries_are_closed(self, rng):
         ex = _exposures(rng, [-1.0, 2.0], [1.0, 1.0])
-        assert best_response(ex, 0, 1.0).branch == BRANCH_ZERO
+        assert best_response(ex, 0, 1.0).theta.is_zero
         ex = _exposures(rng, [2.0, -1.0], [1.0, 1.0])
-        assert best_response(ex, 0, 1.0).branch == BRANCH_INFINITY  # beta = 1 + rest/delta
+        assert best_response(ex, 0, 1.0).theta.is_infinite  # beta = 1 + rest/delta
 
     def test_against_infinite_rest(self, rng):
         ex = _exposures(rng, [0.25, 0.75], [2.0, 1.0])
@@ -132,8 +129,8 @@ class TestBestResponse:
             rest = float(rng.uniform(0.01, 100.0))
             res = best_response(ex, 0, rest)
             interior = -1.0 < beta0 < 1.0 + rest / deltas[0]
-            assert (res.branch == BRANCH_INTERIOR) == interior
-            if res.branch == BRANCH_INTERIOR:
+            assert res.theta.is_finite == interior
+            if res.theta.is_finite:
                 # higher elasticity than the risk tolerance iff exposure is reduced
                 assert (res.theta.as_float > deltas[0]) == (beta0 > res.k)
 
@@ -199,6 +196,17 @@ class TestOneSided:
     def test_full_share_above_inverse_lambda(self, rng):
         ex = _exposures(rng, [2.5, -1.5], [1.0, 1.0])  # 1/lambda_0 = 2
         assert one_sided_equilibrium(ex, 0).response.k == 1.0
+
+    def test_rest_of_a_dominant_trader_does_not_cancel(self):
+        # delta_I - delta_0 rounds to zero; the others' risk tolerance is 1,
+        # against which beta_0 = 1.2 >= 1 + 1e-17 takes the risk-neutral branch
+        model = MarketModel(
+            np.array([[1.0]]),
+            (TraderProfile(1e17, np.array([1.2])), TraderProfile(1.0, np.array([-0.2]))),
+        )
+        result = one_sided_equilibrium(derive_exposures(model), 0)
+        assert result.response.theta.is_infinite and result.response.k == 1.0
+        assert result.cash_benefit == pytest.approx(0.2 / 1e17)
 
     def test_hand_share_value(self, rng):
         ex = _exposures(rng, [1.0, 0.0], [1.0, 1.0])
