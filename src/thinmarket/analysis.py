@@ -1,7 +1,6 @@
 """Comparative analytics between competitive and noncompetitive equilibria:
-per-trader utility differences, premium/payoff decompositions, aggregate
-inefficiency, the bilateral price factor L, the risk-neutral limit, and the
-market-incompleteness comparison.
+per-trader utility differences, aggregate inefficiency, the bilateral price
+factor L, the risk-neutral limit, and the market-incompleteness comparison.
 """
 
 from __future__ import annotations
@@ -10,9 +9,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .competitive import EquilibriumOutcome, _retained_risk, competitive_equilibrium
+from .competitive import EquilibriumOutcome, competitive_equilibrium
 from .errors import ConsistencyError
-from .model import ExposureProfile, derive_exposures, _frozen, _frozen_array
+from .model import ExposureProfile, derive_exposures, _frozen
 from .nash import (
     KIND_BILATERAL,
     KIND_EXTREME,
@@ -28,10 +27,10 @@ _CROSSCHECK_RTOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class ComparisonReport:
-    """Per-trader utility difference du (Nash minus competitive), its
-    decomposition into random-payoff gains and premiums, the aggregate
-    inefficiency sum(du), and the bilateral factor L when the market has
-    exactly two traders.
+    """Per-trader utility difference du (Nash minus competitive), the
+    aggregate inefficiency sum(du), and the bilateral factor L when the
+    market has exactly two traders.  The decomposition of du into payoff
+    gains and premiums is the two outcomes' own (EquilibriumOutcome).
 
     Over a grid, every field has the leading grid axis and failed marks the
     points whose closed forms disagree with du (where compare raises on one
@@ -39,10 +38,6 @@ class ComparisonReport:
 
     du: np.ndarray
     inefficiency: float
-    premium_competitive: np.ndarray
-    premium_nash: np.ndarray
-    payoff_gain_competitive: np.ndarray
-    payoff_gain_nash: np.ndarray
     L: float | None = None
     failed: np.ndarray | None = None
 
@@ -106,13 +101,14 @@ def compare(
 ) -> ComparisonReport:
     """Compare the two equilibria computed from the same exposures.
 
-    du comes from direct utility subtraction; for two-trader non-extreme and
-    for extreme instances the known closed forms are recomputed and any
-    disagreement raises ConsistencyError.  Like solve, compare takes one
-    market or a stacked profile and raises only on one market: given a
-    stacked profile and solve's solution of it, it compares every point at
-    once, marks a disagreement in `failed` and gives NaN where a point has
-    no solution.
+    compare only subtracts: du is the Nash outcome's utilities minus the
+    competitive ones, and each outcome carries its own decomposition.  For
+    two-trader non-extreme and for extreme instances the known closed forms
+    are recomputed and any disagreement raises ConsistencyError.  Like
+    solve, compare takes one market or a stacked profile and raises only on
+    one market: given a stacked profile and solve's solution of it, it
+    compares every point at once, marks a disagreement in `failed` and gives
+    NaN where a point has no solution.
     """
     one_market = exposures.valid is None
     if one_market and nash.kind == KIND_UNSUPPORTED:
@@ -126,12 +122,6 @@ def compare(
     report = ComparisonReport(
         du=_frozen(du),
         inefficiency=float(inefficiency) if one_market else _frozen(inefficiency),
-        premium_competitive=_frozen_array(competitive.premium),
-        premium_nash=_frozen_array(nash.outcome.premium),
-        # Random-payoff profit/loss terms of the utility decomposition: the
-        # variance shed by holding the share k_i of the market exposure.
-        payoff_gain_competitive=_frozen(_retained_risk(exposures, competitive.post_beta)),
-        payoff_gain_nash=_frozen(_retained_risk(exposures, nash.outcome.post_beta)),
         L=L,
     )
     if one_market and exposures.is_trivial:
@@ -163,9 +153,9 @@ def risk_neutral_limit_du(exposures: ExposureProfile) -> float:
 class IncompletenessReport:
     """Effect of endowments not being securitised, holding betas and relative
     tolerances fixed while the market-variance scalar moves from
-    <a_I, C a_I> to Var(E_I)."""
+    <a_I, C a_I> to Var(E_I).  The incomplete market's du is the
+    ComparisonReport's, which incompleteness_effect was given."""
 
-    du: np.ndarray
     du_complete: np.ndarray
     du_gap: np.ndarray
     aggregate_gap: float
@@ -224,8 +214,7 @@ def incompleteness_effect(exposures: ExposureProfile, du: np.ndarray) -> Incompl
     sq_gain_o = lam**2 * total - 2.0 * lam * beta * total + model.endowment_vars
 
     return IncompletenessReport(
-        du=_frozen_array(du),
-        du_complete=_frozen_array(du_o),
+        du_complete=du_o,
         du_gap=_frozen(du_o - du),
         aggregate_gap=float((du_o - du).sum()),
         competitive_sq_gain=_frozen(sq_gain),

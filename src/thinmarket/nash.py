@@ -77,21 +77,20 @@ class NashSolution:
 
     thetas holds the submitted elasticities as a read-only float array: each
     entry is 0.0, a finite positive value, or +inf, the three Elasticity kinds;
-    theta_total is their sum as a float (+inf in the extreme regime).
-    k_shares are theta_i / theta_total with the conventions 1 at infinity and
-    0 elsewhere in the extreme regime; residuals are left-minus-right of the
+    their total is thetas.sum() (+inf in the extreme regime).  k_shares are
+    theta_i over that total with the conventions 1 at infinity and 0
+    elsewhere in the extreme regime; residuals are left-minus-right of the
     coupled equilibrium equations for diagnostic reporting.  Fields without
     a value for the kind are None: all but kind and detail when unsupported,
     and the residuals of a trivial market.
 
     The solution of a stacked profile has a leading grid axis: kind is an
-    array of kinds, theta_total and detail are None, and the arrays hold NaN
-    where one market holds None, and at the failed points.
+    array of kinds, detail is None, and the arrays hold NaN where one market
+    holds None, and at the failed points.
     """
 
     kind: str
     thetas: np.ndarray | None
-    theta_total: float | None
     k_shares: np.ndarray | None
     outcome: EquilibriumOutcome | None
     residuals: np.ndarray | None
@@ -540,11 +539,11 @@ def solve(exposures: ExposureProfile) -> NashSolution:
     if not one_market:
         kinds = _KINDS[np.where(valid & ~failed, kind, _FAILED)]
         thetas, k_shares, residuals = (_frozen(a) for a in (thetas, k_shares, residuals))
-        return NashSolution(_frozen(kinds), thetas, None, k_shares, outcome, residuals)
+        return NashSolution(_frozen(kinds), thetas, k_shares, outcome, residuals)
     if kind == _UNSUPPORTED:
         detail = _unsupported_detail(exposures)
-        return NashSolution(KIND_UNSUPPORTED, None, None, None, None, None, detail)
+        return NashSolution(KIND_UNSUPPORTED, None, None, None, None, detail)
     return NashSolution(
-        _KINDS[kind], _frozen(thetas), float(thetas.sum()), _frozen(k_shares), outcome,
+        _KINDS[kind], _frozen(thetas), _frozen(k_shares), outcome,
         None if trivial else _frozen(residuals), _TRIVIAL_DETAIL if trivial else None,
     )

@@ -156,15 +156,15 @@ def build_report(
             "autarky_utilities": exposures.u.tolist(),
         }
     if competitive is not None:
-        doc["competitive"] = _outcome_block(competitive)
+        doc["competitive"] = _outcome_block(competitive, exposures)
     if nash is not None:
         block: dict[str, Any] = {"kind": nash.kind}
         if nash.thetas is not None:
             block["elasticities"] = [elasticity_token(t) for t in nash.thetas.tolist()]
-            block["theta_total"] = elasticity_token(nash.theta_total)
+            block["theta_total"] = elasticity_token(float(nash.thetas.sum()))
             block["k_shares"] = nash.k_shares.tolist()
         if nash.outcome is not None:
-            block.update(_outcome_block(nash.outcome))
+            block.update(_outcome_block(nash.outcome, exposures))
         if nash.residuals is not None:
             block["residuals"] = nash.residuals.tolist()
         if nash.detail is not None:
@@ -174,17 +174,17 @@ def build_report(
         block = {
             "du": comparison.du.tolist(),
             "inefficiency": float(comparison.inefficiency),
-            "premium_competitive": comparison.premium_competitive.tolist(),
-            "premium_nash": comparison.premium_nash.tolist(),
-            "payoff_gain_competitive": comparison.payoff_gain_competitive.tolist(),
-            "payoff_gain_nash": comparison.payoff_gain_nash.tolist(),
+            "premium_competitive": competitive.premium.tolist(),
+            "premium_nash": nash.outcome.premium.tolist(),
+            "payoff_gain_competitive": competitive.payoff_gain.tolist(),
+            "payoff_gain_nash": nash.outcome.payoff_gain.tolist(),
         }
         if comparison.L is not None:
             block["L"] = float(comparison.L)
         doc["comparison"] = block
     if incompleteness is not None:
         doc["incompleteness"] = {
-            "du": incompleteness.du.tolist(),
+            "du": comparison.du.tolist(),
             "du_complete": incompleteness.du_complete.tolist(),
             "du_gap": incompleteness.du_gap.tolist(),
             "aggregate_gap": float(incompleteness.aggregate_gap),
@@ -195,12 +195,12 @@ def build_report(
     return doc
 
 
-def _outcome_block(outcome) -> dict:
+def _outcome_block(outcome, exposures) -> dict:
     return {
         "prices": outcome.prices.tolist(),
         "allocations": outcome.allocations.tolist(),
         "post_beta": outcome.post_beta.tolist(),
-        "beta_defined": bool(outcome.beta_defined),
+        "beta_defined": not exposures.is_trivial,
         "utilities": outcome.utilities.tolist(),
         "premium": outcome.premium.tolist(),
     }

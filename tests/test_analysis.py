@@ -28,8 +28,9 @@ def _pipeline(model):
 
 
 def _incompleteness(model):
+    """The market's du and its incompleteness report."""
     ex, _, _, report = _pipeline(model)
-    return incompleteness_effect(ex, report.du)
+    return report.du, incompleteness_effect(ex, report.du)
 
 
 class TestCompare:
@@ -61,22 +62,16 @@ class TestCompare:
             ex, comp, nash, report = _pipeline(model)
             scale = max(1.0, ex.aggregate_market_variance)
             direct = nash.outcome.utilities - comp.utilities
-            recomposed = (report.payoff_gain_nash - report.premium_nash) - (
-                report.payoff_gain_competitive - report.premium_competitive
+            recomposed = (nash.outcome.payoff_gain - nash.outcome.premium) - (
+                comp.payoff_gain - comp.premium
             )
             assert np.allclose(report.du, direct, atol=1e-12 * scale)
             assert np.allclose(report.du, recomposed, atol=1e-10 * scale)
-            # decompositions rebuild the utilities themselves
-            assert np.allclose(
-                nash.outcome.utilities,
-                ex.u + report.payoff_gain_nash - report.premium_nash,
-                atol=1e-10 * scale,
-            )
-            assert np.allclose(
-                comp.utilities,
-                ex.u + report.payoff_gain_competitive - report.premium_competitive,
-                atol=1e-10 * scale,
-            )
+            # each outcome's decomposition is its utilities, bit for bit
+            for outcome in (nash.outcome, comp):
+                assert np.array_equal(
+                    outcome.utilities, ex.u + outcome.payoff_gain - outcome.premium
+                )
 
     def test_inefficiency_nonpositive_and_social_optimality(self, rng):
         for _ in range(60):
@@ -186,7 +181,7 @@ class TestIncompleteness:
     def test_securitised_endowments_no_gap(self, rng):
         model = model_from_betas(rng, [1.2, -0.2], [1.0, 1.0], market_variance=0.7)
         model = replace(model, total_endowment_var=0.7)
-        report = _incompleteness(model)
+        _, report = _incompleteness(model)
         assert np.allclose(report.du_gap, 0.0, atol=1e-12)
         assert report.aggregate_gap == pytest.approx(0.0, abs=1e-12)
 
@@ -195,14 +190,14 @@ class TestIncompleteness:
             rng, [1.2, -0.2], [1.0, 1.0], n_securities=1, market_variance=0.5
         )
         model = replace(model, total_endowment_var=1.0)
-        report = _incompleteness(model)
-        assert np.allclose(report.du_complete, 2.0 * report.du, rtol=1e-10)
+        du, report = _incompleteness(model)
+        assert np.allclose(report.du_complete, 2.0 * du, rtol=1e-10)
 
     def test_gap_sign_matches_du_sign(self, rng):
         for _ in range(25):
             model = bilateral_model(rng, n_securities=2, with_total_var=True)
-            report = _incompleteness(model)
-            for du_i, gap_i in zip(report.du, report.du_gap):
+            du, report = _incompleteness(model)
+            for du_i, gap_i in zip(du, report.du_gap):
                 if abs(du_i) > 1e-12:
                     assert np.sign(gap_i) == np.sign(du_i)
             # the competitive hedge is never more effective in the incomplete market

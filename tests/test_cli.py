@@ -70,6 +70,27 @@ def readme_with_a_third_trader():
     return doc
 
 
+def trivial_scenario():
+    # Cov(E_i, S) sums to zero, so a_I = 0
+    return {
+        "schema_version": "1",
+        "securities_cov": [[1.0]],
+        "traders": [
+            {"delta": 1.0, "cov_es": [2.0]},
+            {"delta": 2.0, "cov_es": [-2.0]},
+        ],
+    }
+
+
+# analyze scenarios by name: the document and its Nash kind
+REPORT_SCENARIOS = {
+    "readme": (bilateral_scenario(total=3.0), "bilateral_closed_form"),
+    "extreme": (bilateral_scenario(deltas=(4.0, 1.0), total=3.0), "extreme"),
+    "general": (readme_with_a_third_trader(), "general_non_extreme"),
+    "trivial": (trivial_scenario(), "trivial"),
+}
+
+
 def zero_total_scenario():
     # a_I = 1.1e-5: the response value varies with k on the scale |a_I|^2
     return {
@@ -310,24 +331,29 @@ class TestAnalyze:
         assert "comparison" not in report
 
     def test_reports_are_deterministic(self, tmp_path):
-        scen = write_json(tmp_path / "s.json", bilateral_scenario(total=3.0))
-        out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        assert main(["analyze", "--scenario", scen, "--out", str(out1)]) == 0
-        assert main(["analyze", "--scenario", scen, "--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-        doc = json.loads(out1.read_text())
-        assert "incompleteness" in doc
+        for name, (scenario, kind) in REPORT_SCENARIOS.items():
+            scen = write_json(tmp_path / f"{name}.json", scenario)
+            out1, out2 = tmp_path / f"{name}1.json", tmp_path / f"{name}2.json"
+            assert main(["analyze", "--scenario", scen, "--out", str(out1)]) == 0
+            assert main(["analyze", "--scenario", scen, "--out", str(out2)]) == 0
+            assert out1.read_bytes() == out2.read_bytes()
+            doc = json.loads(out1.read_text())
+            nash, comparison = doc["nash"], doc["comparison"]
+            assert nash["kind"] == kind
+            assert ("incompleteness" in doc) == (name in ("readme", "extreme")), name
+            # the blocks that repeat a value read it from the block that owns it
+            assert comparison["premium_competitive"] == doc["competitive"]["premium"]
+            assert comparison["premium_nash"] == nash["premium"]
+            if "incompleteness" in doc:
+                assert doc["incompleteness"]["du"] == comparison["du"]
+            if name == "extreme":
+                assert nash["theta_total"] == "inf"
+            else:
+                total = sum(nash["elasticities"])
+                assert nash["theta_total"] == pytest.approx(total, rel=1e-15), name
 
     def test_trivial_scenario_reports_trivial(self, tmp_path):
-        doc = {
-            "schema_version": "1",
-            "securities_cov": [[1.0]],
-            "traders": [
-                {"delta": 1.0, "cov_es": [2.0]},
-                {"delta": 2.0, "cov_es": [-2.0]},
-            ],
-        }
-        scen = write_json(tmp_path / "s.json", doc)
+        scen = write_json(tmp_path / "s.json", trivial_scenario())
         out = tmp_path / "r.json"
         assert main(["analyze", "--scenario", scen, "--out", str(out)]) == 0
         report = json.loads(out.read_text())
@@ -335,6 +361,9 @@ class TestAnalyze:
         assert report["exposures"]["is_trivial"]
         assert report["exposures"]["beta"] is None
         assert report["comparison"]["du"] == [0.0, 0.0]
+        # a post-trade beta is undefined where a_I = 0
+        assert report["competitive"]["beta_defined"] is False
+        assert report["nash"]["beta_defined"] is False
 
 
 class TestScenarioRoundTrip:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from thinmarket import (
@@ -71,7 +71,8 @@ def test_trivial_case_sheds_hedgeable_part():
     out = competitive_equilibrium(ex)
     assert np.all(out.prices == 0.0)
     assert np.allclose(out.allocations, -ex.a)
-    assert not out.beta_defined
+    # with a zero share, the payoff gain is all of the hedgeable variance
+    assert np.array_equal(out.payoff_gain, ex.own_var / (2.0 * ex.delta))
 
 
 def test_invariants_on_random_instances(rng):
@@ -167,15 +168,34 @@ def _risk_scale(ex, outcome):
     return (ex.model.endowment_vars + k * k * agg) / (2.0 * ex.delta)
 
 
-def assert_matches_oracle(ex, outcome, payoff_gain):
-    """Utilities and payoff gains within 8 ulps of the size of their terms."""
+def _moment_residuals(ex, outcome):
+    """(|<a_i, c_i - C a_i>| + k_i^2 |<a_I, c_I - C a_I>|) / (2 delta_i).
+
+    The package takes <a_i, C a_i> as <a_i, c_i> and <a_I, C a_I> as
+    <a_I, c_I>, with c_i the data rows Cov(E_i, S) and c_I their sum, while
+    the oracle expands quadratic forms in the computed a.  The two differ by
+    how far the computed a misses solving C a_i = c_i, which the payoff
+    gains inherit at these weights."""
+    cov = ex.model.securities_cov.astype(LD)
+    a, rows = ex.a.astype(LD), ex.model.cov_matrix_rows.astype(LD)
+    a_total, cov_total = ex.a_total.astype(LD), rows.sum(axis=-2)
+    own = np.abs(np.sum(a * (rows - a @ cov), axis=-1))
+    agg = np.abs(np.sum(a_total * (cov_total - a_total @ cov), axis=-1))[..., None]
+    k = outcome.post_beta
+    return (own + k * k * agg) / (2 * ex.delta.astype(LD))
+
+
+def assert_matches_oracle(ex, outcome):
+    """Utilities and payoff gains within 8 ulps of the size of their terms;
+    the payoff gains also within the residuals of the moments they are
+    computed from."""
     risk = _risk_scale(ex, outcome)
     want, size = _oracle_utilities(ex.model, outcome)
     solved = np.isfinite(outcome.utilities)
     err = np.abs(outcome.utilities - want)[solved]
     assert np.all(err <= 8 * EPS * (size + risk)[solved])
-    err = np.abs(payoff_gain - _oracle_payoff_gains(ex, outcome))[solved]
-    assert np.all(err <= 8 * EPS * risk[solved])
+    err = np.abs(outcome.payoff_gain - _oracle_payoff_gains(ex, outcome))[solved]
+    assert np.all(err <= (8 * EPS * risk + _moment_residuals(ex, outcome))[solved])
 
 
 def _trivial_model(rng, n, k):
@@ -239,6 +259,8 @@ MODELS = {
     n=st.integers(2, 8),
     k=st.integers(1, 5),
 )
+# trader 1's competitive payoff gain is 8.1 ulps off, 5.4 of them moment residuals
+@example(seed=46618, kind=KIND_EXTREME, n=5, k=2)
 @settings(max_examples=200, deadline=None)
 def test_utilities_match_a_long_double_oracle(seed, kind, n, k):
     rng = np.random.default_rng(seed)
@@ -246,12 +268,11 @@ def test_utilities_match_a_long_double_oracle(seed, kind, n, k):
     comp = competitive_equilibrium(ex)
     nash = solve(ex)
     assume(nash.kind == kind)
-    report = compare(ex, comp, nash)
-    assert_matches_oracle(ex, comp, report.payoff_gain_competitive)
-    assert_matches_oracle(ex, nash.outcome, report.payoff_gain_nash)
+    assert_matches_oracle(ex, comp)
+    assert_matches_oracle(ex, nash.outcome)
     if kind == KIND_BILATERAL and n == 2:
         # <q_i, C q_i> of the competitive allocations
-        sq_gain = incompleteness_effect(ex, report.du).competitive_sq_gain
+        sq_gain = incompleteness_effect(ex, compare(ex, comp, nash).du).competitive_sq_gain
         q = comp.allocations.astype(LD)
         tol = 8 * EPS * 2.0 * ex.delta * _risk_scale(ex, comp)
         assert np.all(np.abs(sq_gain - _quadratic(q, ex.model.securities_cov)) <= tol)
@@ -269,7 +290,6 @@ def test_stacked_utilities_match_a_long_double_oracle():
     ex = derive_exposures(model.stacked(deltas, np.ascontiguousarray(rows)))
     comp = competitive_equilibrium(ex)
     nash = solve(ex)
-    report = compare(ex, comp, nash)
     assert {KIND_GENERAL, KIND_EXTREME} <= set(nash.kind.tolist())
-    assert_matches_oracle(ex, comp, report.payoff_gain_competitive)
-    assert_matches_oracle(ex, nash.outcome, report.payoff_gain_nash)
+    assert_matches_oracle(ex, comp)
+    assert_matches_oracle(ex, nash.outcome)

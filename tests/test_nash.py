@@ -534,7 +534,6 @@ class TestDispatch:
         assert sol.kind == KIND_TRIVIAL
         assert np.all(sol.outcome.prices == 0.0)
         assert np.allclose(sol.outcome.allocations, -derive_exposures(model).a)
-        assert not sol.outcome.beta_defined
 
     def test_classifies_once_per_solve(self, rng, monkeypatch):
         # check_extreme_condition is solve's one classification step, and each
