@@ -11,7 +11,7 @@ import numpy as np
 
 from .competitive import EquilibriumOutcome, competitive_equilibrium
 from .errors import ConsistencyError
-from .model import ExposureProfile, derive_exposures, _frozen
+from .model import ExposureProfile, _frozen, _trader_major, derive_exposures
 from .nash import (
     KIND_BILATERAL,
     KIND_EXTREME,
@@ -65,7 +65,7 @@ def _crosscheck(exposures: ExposureProfile, nash: NashSolution, du, inefficiency
     agg = np.asarray(exposures.aggregate_market_variance)[..., None]
     delta_total = np.asarray(exposures.delta_total)[..., None]
     delta, lam, beta = exposures.delta, exposures.lam, exposures.beta
-    tol = _CROSSCHECK_RTOL * np.maximum(1.0, agg[..., 0] / (2.0 * np.min(delta, axis=-1)))
+    tol = _CROSSCHECK_RTOL * np.maximum(1.0, agg[..., 0] / (2.0 * _trader_major(delta).min(axis=-1)))
     verdict = np.zeros(np.shape(nash.kind), dtype=int)
 
     extreme = nash.kind == KIND_EXTREME
@@ -79,7 +79,7 @@ def _crosscheck(exposures: ExposureProfile, nash: NashSolution, du, inefficiency
         )
         closed_ineff = (-agg / (2.0 * delta_total) * (1.0 - lam_k) / lam_k)[..., 0]
         verdict = np.where(
-            extreme & (np.max(np.abs(du - closed), axis=-1) > tol),
+            extreme & (_trader_major(np.abs(du - closed)).max(axis=-1) > tol),
             1,
             np.where(extreme & (np.abs(inefficiency - closed_ineff) > tol), 2, verdict),
         )
@@ -90,7 +90,7 @@ def _crosscheck(exposures: ExposureProfile, nash: NashSolution, du, inefficiency
         closed = agg / (2.0 * delta) * (lam**2 - mid**2) + (
             beta - lam
         ) / delta_total * agg * (1.0 - np.asarray(L)[..., None])
-        verdict = np.where(bilateral & (np.max(np.abs(du - closed), axis=-1) > tol), 3, verdict)
+        verdict = np.where(bilateral & (_trader_major(np.abs(du - closed)).max(axis=-1) > tol), 3, verdict)
     return verdict
 
 
@@ -115,7 +115,7 @@ def compare(
         raise ValueError("cannot compare against an unsupported-regime result")
 
     du = nash.outcome.utilities - competitive.utilities
-    inefficiency = du.sum(axis=-1)
+    inefficiency = _trader_major(du).sum(axis=-1)
     L = None
     if exposures.n_traders == 2 and not (one_market and exposures.is_trivial):
         L = _bilateral_l_factor(exposures)

@@ -78,11 +78,12 @@ class MarketModel:
 
     deltas, endowment_means and endowment_vars have shape (..., N) and
     cov_matrix_rows, the rows Cov(E_i, S), shape (..., N, k); all are stored
-    read-only.  Give either `traders`, a sequence of TraderProfile that is
-    read into those arrays and not stored, or the arrays themselves (the
-    means and variances default to zero).  total_endowment_var (Var of the
-    summed endowments) is optional and only needed for the
-    market-incompleteness comparison.
+    read-only.  With deltas of shape (G, N), rows of shape (N, k) are one set
+    that every point shares.  Give either `traders`, a sequence of
+    TraderProfile that is read into those arrays and not stored, or the
+    arrays themselves (the means and variances default to zero).
+    total_endowment_var (Var of the summed endowments) is optional and only
+    needed for the market-incompleteness comparison.
     """
 
     securities_cov: np.ndarray
@@ -116,10 +117,13 @@ class MarketModel:
                 [t.endowment_var for t in traders],
             )
         deltas, rows, means, variances = columns
-        deltas = _frozen_array(deltas)
-        rows = _frozen_array(rows)
+        deltas, rows = _frozen_array(deltas), _frozen_array(rows)
         if deltas.ndim == 0 or deltas.shape[-1] == 0:
             raise ValueError("traders must be non-empty")
+        if deltas.ndim == 2 and rows.shape == deltas.shape[1:] + (k,):
+            # one point's rows, which every point of the stack shares: kept
+            # once and broadcast over the grid (see _point_rows)
+            rows = np.broadcast_to(rows, deltas.shape + (k,))
         if rows.shape != deltas.shape + (k,):
             raise ValueError(f"cov_matrix_rows has shape {rows.shape}, expected {deltas.shape + (k,)}")
         for name, column in (("endowment_means", means), ("endowment_vars", variances)):
@@ -139,7 +143,9 @@ class MarketModel:
         deltas (G, N) and cov_rows (G, N, k) replace the risk tolerances and
         the rows Cov(E_i, S); the securities covariance, the endowment means
         and variances and total_endowment_var are shared by every point.  The
-        result's per-trader arrays carry the leading grid axis.
+        result's per-trader arrays carry the leading grid axis.  cov_rows may
+        also be one point's rows (N, k), which every point then shares, and
+        what depends on them alone is derived once.
         """
         shape = np.shape(deltas)
         return replace(
@@ -188,6 +194,52 @@ class ValidationResult:
 # BLAS needs unit strides, and a vector not contiguous along its axis sends
 # numpy to a loop of its own, so vectors are made contiguous (a no-op for one
 # market's vectors).
+#
+# Reductions over the trader axis.  numpy runs a reduction's inner loop once
+# per row of a C-ordered stack, which for rows of a few traders costs 10-30
+# times an elementwise pass over the grid.  A stack of fewer than
+# _SEQUENTIAL_ROW traders is therefore reduced on its trader-major copy
+# (_trader_major), where the reduction is one elementwise pass per trader.
+# The bits are those of the row reduction: numpy adds a row of fewer than 8
+# entries left to right, and the passes add in the same order; max, min,
+# any, all and counts do not depend on the order.  Longer rows are added
+# pairwise, so such stacks, and one market's 1-D arrays, keep the C-ordered
+# call.  Only the NaN a sum of opposite infinities makes may carry another
+# sign bit, which nothing reads.  argmax and take_along_axis are slower on
+# the copy and stay on the stack itself.  _exclusive_sums adds a short
+# stack's columns one trader at a time, in the order of its accumulations.
+#
+# Rows shared by every point.  A stack whose rows Cov(E_i, S) do not vary
+# (a risk-tolerance sweep) is given them as one point's (N, k) rows, which
+# the model keeps as one read-only copy broadcast over the grid: the only
+# stride-0 grid axis a model's rows can have, since a caller's array, a
+# broadcast view included, is always copied (_point_rows).
+# derive_exposures and validate_model compute what depends on the rows
+# alone once, as one market, which is the call each stacked point would
+# make, and derive_exposures repeats it over the grid: an elementwise op on
+# a broadcast view runs its inner loop once per row.
+
+_SEQUENTIAL_ROW = 8
+
+
+def _short_stack(values: np.ndarray, axis: int = -1) -> bool:
+    """Whether values is a stack (it has a grid axis before the trader axis
+    `axis`) of fewer than _SEQUENTIAL_ROW traders."""
+    return values.ndim > -axis and values.shape[axis] < _SEQUENTIAL_ROW
+
+
+def _trader_major(values: np.ndarray, axis: int = -1) -> np.ndarray:
+    """values laid out with the grid axis innermost (np.asfortranarray) when
+    it is a short stack, else values itself; reduce over the trader axis
+    `axis` of the result (see above)."""
+    return np.asfortranarray(values) if _short_stack(values, axis) else values
+
+
+def _point_rows(rows: np.ndarray) -> np.ndarray:
+    """A model's rows Cov(E_i, S) as one point's when every point of the
+    stack shares them (MarketModel broadcast them, with stride 0), else rows
+    itself."""
+    return rows[0] if rows.ndim == 3 and rows.shape[0] and rows.strides[0] == 0 else rows
 
 
 def _matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
@@ -204,10 +256,20 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _exclusive_sums(values: np.ndarray) -> np.ndarray:
     """sum_{j != i} values[j] for every i along the last axis, as a prefix
     plus a suffix sum (the total minus values[i] cancels when one entry holds
-    almost all of it)."""
+    almost all of it).  A short stack's sums are one elementwise add per
+    trader, in the order of the accumulations."""
     rest = np.zeros(values.shape)
-    rest[..., 1:] = np.add.accumulate(values[..., :-1], axis=-1)
-    rest[..., :-1] += np.add.accumulate(values[..., :0:-1], axis=-1)[..., ::-1]
+    if not _short_stack(values):
+        rest[..., 1:] = np.add.accumulate(values[..., :-1], axis=-1)
+        rest[..., :-1] += np.add.accumulate(values[..., :0:-1], axis=-1)[..., ::-1]
+        return rest
+    n = values.shape[-1]
+    for i in range(1, n):
+        prefix = values[..., 0] if i == 1 else prefix + values[..., i - 1]
+        rest[..., i] = prefix
+    for i in range(n - 2, -1, -1):
+        suffix = values[..., n - 1] if i == n - 2 else suffix + values[..., i + 1]
+        rest[..., i] += suffix
     return rest
 
 
@@ -257,14 +319,15 @@ def validate_model(model: MarketModel) -> ValidationResult:
     if model.n_traders < 2:
         violations.append("at least two traders are required")
     deltas, variances = model.deltas, model.endowment_vars
+    rows = _point_rows(model.cov_matrix_rows)
     bad_delta = ~((deltas > 0.0) & (deltas < np.inf))
-    finite_rows = np.isfinite(model.cov_matrix_rows)
+    finite_rows = np.isfinite(rows)
     # the per-trader reduction over short rows is slow; most models need none
-    bad_cov = np.zeros(deltas.shape, bool) if finite_rows.all() else ~finite_rows.all(axis=-1)
+    bad_cov = np.zeros(rows.shape[:-1], bool) if finite_rows.all() else ~finite_rows.all(axis=-1)
     bad_mean = ~np.isfinite(model.endowment_means)
     bad_var = ~((variances >= 0.0) & (variances < np.inf))
     bad = bad_delta | bad_cov | bad_mean | bad_var
-    failed = bad.any(axis=-1)
+    failed = _trader_major(bad).any(axis=-1)
     if failed.ndim == 0:
         for idx in bad.nonzero()[0].tolist():
             if bad_delta[idx]:
@@ -281,11 +344,11 @@ def validate_model(model: MarketModel) -> ValidationResult:
         if not np.isfinite(total) or total < 0.0:
             violations.append("total_endowment_var must be nonnegative")
         else:
-            cov_total = model.cov_matrix_rows.sum(axis=-2)
+            cov_total = _trader_major(rows, -2).sum(axis=-2)
             with np.errstate(invalid="ignore", over="ignore"):  # on failed points only
                 spanned = _dot(_solve_sym(cov, cov_total[..., None, :])[..., 0, :], cov_total)
                 below = spanned > total + TOTAL_VAR_SLACK * np.maximum(max(1.0, total), spanned)
-            if below.ndim:
+            if failed.ndim:
                 failed = failed | below
             elif below:
                 violations.append(
@@ -343,32 +406,40 @@ def derive_exposures(model: MarketModel) -> ExposureProfile:
     ill-posed; for a stacked model only when every point is (a failed
     covariance check), and otherwise marks the failed points in `valid`.
     Linear solves apply the inverse Cholesky factor of the symmetrized
-    securities covariance, which validation found positive definite.
+    securities covariance, which validation found positive definite.  A
+    stack whose points share their rows Cov(E_i, S) solves them once.
     """
     verdict = validate_model(model)
     if verdict.violations:
         raise InvalidModelError(verdict.violations)
 
     cov, cov_rows = model.securities_cov, model.cov_matrix_rows
+    rows = _point_rows(cov_rows)  # one market's when every point shares them
     # Arithmetic on the points that failed validation may overflow or divide
     # by zero; a valid point's values never do.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a = _solve_sym(cov, cov_rows)
-        a_total = a.sum(axis=-2)
-        cov_total = cov_rows.sum(axis=-2)  # equals C a_I exactly, by linearity
+        a = _solve_sym(cov, rows)
+        a_total = _trader_major(a, -2).sum(axis=-2)
+        cov_total = _trader_major(rows, -2).sum(axis=-2)  # equals C a_I exactly, by linearity
 
-        market_cov = _matvec(cov_rows, a_total)  # <a_I, C a_i> per trader
-        own_var = np.einsum("...ij,...ij->...i", a, cov_rows)
+        market_cov = _matvec(rows, a_total)  # <a_I, C a_i> per trader
+        own_var = np.einsum("...ij,...ij->...i", a, rows)
         agg_var = _dot(a_total, cov_total)
         agg_var = np.where(agg_var < 0.0, 0.0, agg_var)
 
-        denom = own_var.sum(axis=-1)
+        denom = _trader_major(own_var).sum(axis=-1)
         trivial = np.where(denom > 0.0, agg_var < TRIVIAL_RTOL * denom, agg_var < TRIVIAL_ATOL)
 
         deltas = model.deltas
-        delta_total = deltas.sum(axis=-1, keepdims=True)
+        delta_total = _trader_major(deltas).sum(axis=-1, keepdims=True)
         lam = deltas / delta_total
         beta = market_cov / agg_var[..., None]
+        if rows is not cov_rows:  # the same at every point, repeated over the grid
+            grid = cov_rows.shape[0]
+            a, a_total, cov_total, market_cov, own_var, agg_var, trivial, beta = (
+                np.repeat(x[None], grid, axis=0)
+                for x in (a, a_total, cov_total, market_cov, own_var, agg_var, trivial, beta)
+            )
         # certainty_equivalent over all traders at once; validation guarantees
         # its preconditions (finite positive deltas, finite nonnegative
         # variances)

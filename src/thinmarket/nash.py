@@ -42,7 +42,7 @@ import numpy as np
 from .best_response import Elasticity
 from .competitive import EquilibriumOutcome, clearing_outcome
 from .errors import ConsistencyError
-from .model import ExposureProfile, _exclusive_sums, _frozen
+from .model import ExposureProfile, _exclusive_sums, _frozen, _trader_major
 
 KIND_TRIVIAL = "trivial"
 KIND_EXTREME = "extreme"
@@ -174,7 +174,7 @@ def nash_residuals(exposures: ExposureProfile, thetas: np.ndarray) -> np.ndarray
     (2 + theta_{-i}/delta_i) k_i = 1 + beta_i for the active traders, with
     theta_{-i} an exclusive sum, which does not cancel near the boundary."""
     thetas = np.asarray(thetas, dtype=float)
-    total = thetas.sum(axis=-1, keepdims=True)
+    total = _trader_major(thetas).sum(axis=-1, keepdims=True)
     beta = exposures.beta
     with np.errstate(divide="ignore", invalid="ignore"):
         res = (2.0 + _exclusive_sums(thetas) / exposures.delta) * (thetas / total) - (1.0 + beta)
@@ -377,7 +377,7 @@ def fixed_point_deviation(exposures: ExposureProfile, thetas):
     point, +inf where the one-market form raises.
     """
     theta = np.asarray(thetas, dtype=float)
-    elasticities = np.all(theta >= 0.0, axis=-1)
+    elasticities = _trader_major(theta >= 0.0).all(axis=-1)
     one_market = theta.ndim == 1
     if one_market and not elasticities:
         raise ValueError(_NOT_AN_ELASTICITY)
@@ -405,7 +405,8 @@ def fixed_point_deviation(exposures: ExposureProfile, thetas):
         tie = np.minimum(np.abs(beta + 1.0), np.abs(denominator)) <= slack * np.maximum(1.0, np.abs(beta))
         bad_value, mismatch = interior & ~(valid_br | tie), other_branch & ~tie
         relative = np.abs(br - theta) / np.maximum(br, theta) - slack * (1.0 + np.abs(beta)) / np.abs(denominator)
-        deviation = np.max(np.where(interior & valid_br & ~other_branch, relative, 0.0), axis=-1, initial=0.0)
+        deviation = np.where(interior & valid_br & ~other_branch, relative, 0.0)
+        deviation = _trader_major(deviation).max(axis=-1, initial=0.0)
         first = 0
         if (undefined | bad_value | mismatch).any():
             # the verdict of the first trader that stops the check
@@ -480,7 +481,7 @@ def solve(exposures: ExposureProfile) -> NashSolution:
         if _some(live):
             leader = check_extreme_condition(exposures)
             leader = np.asarray(-1 if leader is None else leader)
-            n_active, n_high = ((exposures.beta > b).sum(axis=-1) for b in (-1.0, 1.0))
+            n_active, n_high = (_trader_major(exposures.beta > b).sum(axis=-1) for b in (-1.0, 1.0))
             regime = np.where(n_high >= 2, _UNSUPPORTED, _GENERAL)
             regime = np.where(leader >= 0, _EXTREME, np.where(n_active == 2, _BILATERAL, regime))
             kind = np.where(live, regime, kind)
@@ -488,7 +489,7 @@ def solve(exposures: ExposureProfile) -> NashSolution:
 
         if _some(bilateral):
             _fill(bilateral, (thetas, solve_bilateral(exposures)))
-            total = thetas.sum(axis=-1, keepdims=True)
+            total = _trader_major(thetas).sum(axis=-1, keepdims=True)
             _fill(bilateral, (shares, thetas / total), (prices, -exposures.cov_total / total))
             # next to the boundary the closed form can lose every digit: the
             # general solver takes such points over
@@ -521,7 +522,7 @@ def solve(exposures: ExposureProfile) -> NashSolution:
 
         solved = extreme | finite
         if _some(solved):
-            worst = np.max(np.abs(residuals), axis=-1)
+            worst = _trader_major(np.abs(residuals)).max(axis=-1)
             deviation = fixed_point_deviation(exposures, thetas)
             unverified = (worst > RESIDUAL_TOL) | (deviation > FIXED_POINT_RTOL)
             if one_market and worst > RESIDUAL_TOL:

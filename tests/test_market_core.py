@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from thinmarket import (
     KIND_BILATERAL,
@@ -22,6 +23,7 @@ from thinmarket import (
     solve,
     validate_model,
 )
+from thinmarket.model import _exclusive_sums, _trader_major
 from conftest import (
     constrained_betas,
     model_from_betas,
@@ -285,6 +287,27 @@ class TestColumns:
                 if isinstance(array, np.ndarray):
                     assert not array.flags.writeable, (type(value).__name__, name)
 
+    def test_one_set_of_rows_is_shared_by_a_stack(self, rng):
+        # a stack given one point's rows keeps one read-only copy of them;
+        # a caller's full-size rows, a broadcast view included, are copied
+        n, k, g = 4, 2, 5
+        model = model_from_betas(rng, constrained_betas(rng, n), random_deltas(rng, n), n_securities=k)
+        rows = np.array(model.cov_matrix_rows)
+        deltas = np.repeat(model.deltas[None], g, axis=0)
+        deltas[:, 0] = np.geomspace(0.1, 10.0, g)
+        shared = model.stacked(deltas, rows)
+        assert shared.cov_matrix_rows.shape == (g, n, k) and shared.cov_matrix_rows.strides[0] == 0
+        assert not shared.cov_matrix_rows.flags.writeable
+        rows[0, 0] = np.nan
+        assert np.isfinite(shared.cov_matrix_rows).all()
+        view = model.stacked(deltas, np.broadcast_to(model.cov_matrix_rows, (g, n, k)))
+        assert view.cov_matrix_rows.strides[0] != 0
+        ex, ex_view = derive_exposures(shared), derive_exposures(view)
+        for name in EXPOSURE_ARRAYS + ("delta_total", "aggregate_market_variance", "is_trivial"):
+            assert np.array_equal(getattr(ex, name), getattr(ex_view, name)), name
+        with pytest.raises(ValueError, match="cov_matrix_rows has shape"):
+            model.stacked(deltas, rows[:, :1])
+
     def test_array_holding_values_compare_by_identity(self):
         # field-wise == would ask numpy for the truth value of an array
         def build():
@@ -302,6 +325,74 @@ class TestColumns:
         for value, other in pairs:
             assert value == value and value != other
             assert value not in [other] and len({value, other}) == 2
+
+
+SPECIAL_FLOATS = (0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+                  1e308, -1e308, 1.0, 1e16, -1e16)
+ENTRIES = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+
+
+def _same_bits(got, want):
+    """Equal values of one shape and dtype, signed zeros included.  NaNs are
+    equal whatever their sign bit: which NaN operand numpy propagates, and
+    so the sign of the NaN a sum of opposite infinities ends in, depends on
+    the kernel, and nothing reads it (it formats as "nan")."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    if want.dtype.kind != "f":
+        return np.array_equal(got, want)
+    nan = np.isnan(want)
+    return bool(np.all(np.isnan(got) == nan)
+                & np.all((got == want) & (np.signbit(got) == np.signbit(want)) | nan))
+
+
+def _accumulated_exclusive_sums(values):
+    """The exclusive sums of a C-ordered stack from numpy's own accumulations."""
+    rest = np.zeros(values.shape)
+    rest[..., 1:] = np.add.accumulate(values[..., :-1], axis=-1)
+    rest[..., :-1] += np.add.accumulate(values[..., :0:-1], axis=-1)[..., ::-1]
+    return rest
+
+
+class TestTraderAxisReductions:
+    """A stack's reductions over the trader axis, made on its trader-major
+    copy below 8 traders, give numpy's own C-ordered results bit for bit:
+    a numpy that stops adding short rows left to right fails here."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 50), st.integers(1, 12)), elements=ENTRIES))
+    def test_trader_axis(self, values):
+        major = _trader_major(values)
+        assert major.flags.f_contiguous or values.shape[-1] >= 8
+        positive = values > 0.0
+        with np.errstate(all="ignore"):
+            pairs = [
+                (major.sum(axis=-1), values.sum(axis=-1)),
+                (major.sum(axis=-1, keepdims=True), values.sum(axis=-1, keepdims=True)),
+                (major.max(axis=-1), values.max(axis=-1)),
+                (major.max(axis=-1, initial=0.0), values.max(axis=-1, initial=0.0)),
+                (major.min(axis=-1), values.min(axis=-1)),
+                (_trader_major(positive).any(axis=-1), positive.any(axis=-1)),
+                (_trader_major(positive).all(axis=-1), positive.all(axis=-1)),
+                (_trader_major(positive).sum(axis=-1), positive.sum(axis=-1)),
+                (_exclusive_sums(values), _accumulated_exclusive_sums(values)),
+                # every row's exclusive sums are those of the row alone
+                (_exclusive_sums(values), np.array([_exclusive_sums(row) for row in values])),
+            ]
+        for i, (got, want) in enumerate(pairs):
+            assert _same_bits(got, want), i
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 20), st.integers(1, 12), st.integers(1, 4)),
+                  elements=ENTRIES))
+    def test_trader_axis_of_rows(self, rows):
+        with np.errstate(all="ignore"):
+            got, want = _trader_major(rows, -2).sum(axis=-2), rows.sum(axis=-2)
+        assert _same_bits(got, want)
+
+    def test_one_market_keeps_its_arrays(self):
+        values, rows = np.arange(3.0), np.ones((3, 2))
+        assert _trader_major(values) is values
+        assert _trader_major(rows, -2) is rows
 
 
 class TestCertaintyEquivalent:

@@ -30,7 +30,7 @@ from thinmarket import (
     solve,
     validate_model,
 )
-from thinmarket.cli import main
+from thinmarket.cli import _grid_model, main
 from thinmarket.nash import KIND_UNSUPPORTED, SOLVE_ERRORS
 from conftest import (
     constrained_betas,
@@ -146,6 +146,9 @@ def beta_doc(betas, deltas):
     }
 
 
+# nine traders (beyond the 8-trader layout rule of the trader-axis
+# reductions): trader 0 turns extreme once delta_0 exceeds about 15.4
+NINE_TRADERS = beta_doc((1.5, 0.4, 0.3, -0.2, 0.1, -0.3, 0.2, -1.2, 0.2), (1.0,) * 9)
 FOUR_TRADERS = {
     "schema_version": "1",
     "securities_cov": [[1.0]],
@@ -186,6 +189,10 @@ NOT_PD = {
          0, "delta", None, [0.5, 1.0], ["bilateral_closed_form", "bilateral_closed_form"]),
         (beta_doc((0.6875, -0.9375, 3.1249999999990905, -1.8749999999990905), (0.25, 1.75, 0.25, 3.75)),
          0, "delta", None, [0.25, 0.5], ["general_non_extreme", "general_non_extreme"]),
+        # nine traders: general, extreme and invalid points
+        (NINE_TRADERS, 0, "delta", None, [0.5, 2.0, 50.0, 0.0, math.inf],
+         ["general_non_extreme", "general_non_extreme", "extreme", "validation_failed",
+          "validation_failed"]),
         # a covariance that is not positive definite fails at every point
         (NOT_PD, 0, "delta", None, [0.5, 1.0, 2.0], ["validation_failed"] * 3),
     ],
@@ -220,7 +227,7 @@ def _extreme_ties(model, index):
 
 @st.composite
 def sweeps(draw):
-    n = draw(st.integers(2, 5))
+    n = draw(st.integers(2, 10))
     k = draw(st.sampled_from([1, 2, 5]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     family = draw(st.sampled_from(["constrained", "unconstrained"]))
@@ -279,6 +286,24 @@ def test_perturbed_row_alone_fails_verification(monkeypatch):
 EXPOSURE_ARRAYS = ("a", "a_total", "beta", "lam", "delta", "u", "cov_total", "market_cov", "own_var")
 
 
+def assert_profile_matches_per_point(stacked, exposures):
+    """Each point's validity, and each valid point's exposures, are those of
+    deriving the point alone."""
+    for g in range(stacked.deltas.shape[0]):
+        point = point_model(stacked, g)
+        assert bool(exposures.valid[g]) == validate_model(point).ok
+        if not exposures.valid[g]:
+            with pytest.raises(InvalidModelError):
+                derive_exposures(point)
+            continue
+        alone = derive_exposures(point)
+        for name in EXPOSURE_ARRAYS:
+            if getattr(alone, name) is not None:  # one market has no beta at a_I = 0
+                assert np.array_equal(getattr(exposures, name)[g], getattr(alone, name)), (g, name)
+        for name in ("delta_total", "aggregate_market_variance", "is_trivial"):
+            assert getattr(exposures, name)[g] == getattr(alone, name), (g, name)
+
+
 def test_stacked_derivation_is_grid_size_independent_at_large_n():
     # the linear solves and products of a stacked derivation are made per
     # point, so a point's bits do not depend on how many points share the
@@ -296,15 +321,44 @@ def test_stacked_derivation_is_grid_size_independent_at_large_n():
     stacked = model.stacked(deltas, cov_rows)
     exposures = derive_exposures(stacked)
     assert exposures.valid.tolist() == [True, True, False]
-    for g in range(3):
-        point = point_model(stacked, g)
-        assert bool(exposures.valid[g]) == validate_model(point).ok
-        if not exposures.valid[g]:
-            with pytest.raises(InvalidModelError):
-                derive_exposures(point)
-            continue
-        alone = derive_exposures(point)
-        for name in EXPOSURE_ARRAYS:
-            assert np.array_equal(getattr(exposures, name)[g], getattr(alone, name)), (g, name)
-        for name in ("delta_total", "aggregate_market_variance", "is_trivial"):
-            assert getattr(exposures, name)[g] == getattr(alone, name), (g, name)
+    assert_profile_matches_per_point(stacked, exposures)
+
+
+def _nine_trader_doc():
+    rng = np.random.default_rng(5)
+    model = model_from_betas(rng, constrained_betas(rng, 9), random_deltas(rng, 9), n_securities=3,
+                             with_total_var=True)
+    return scenario_to_dict(model)
+
+
+@pytest.mark.parametrize(
+    "doc, param, grid, valid",
+    [
+        # invalid risk tolerances at some points
+        (bilateral_doc(1.2, (4.0, 1.0), total=3.0), "0:delta", [3.5, 4.0, 0.0, math.nan, math.inf, -1.0],
+         [True, True, False, False, False, False]),
+        # total_endowment_var below the spanned variance, which every point shares
+        (bilateral_doc(1.2, total=0.5), "1:delta", [0.5, 1.0, 2.0], [False] * 3),
+        # a trivial market (a_I = 0) at every point
+        (bilateral_doc(1.2, total=3.0) | {"traders": [
+            {"delta": 1.0, "cov_es": [1.2]}, {"delta": 1.0, "cov_es": [-1.2]}]},
+         "0:delta", [0.5, 2.0, 0.0], [True, True, False]),
+        # nine traders, k = 3
+        (_nine_trader_doc(), "4:delta", [0.25, 1.0, 8.0, math.nan], [True, True, True, False]),
+        # total_endowment_var below the spanned variance at the large points
+        # only: a cov_es sweep's rows vary, and are derived per point
+        (bilateral_doc(1.2, total=3.0), "1:cov_es[0]", [-0.2, 0.5, 3.0, 30.0, math.nan],
+         [True, True, False, False, False]),
+    ],
+)
+def test_sweep_profile_matches_the_per_point_derivation(doc, param, grid, valid):
+    stacked = _grid_model(scenario_from_dict(doc), param, grid)
+    # a delta sweep's points share one read-only set of rows
+    shared = stacked.cov_matrix_rows.strides[0] == 0
+    assert shared == param.endswith(":delta")
+    assert not stacked.cov_matrix_rows.flags.writeable
+    exposures = derive_exposures(stacked)
+    assert exposures.valid.tolist() == valid
+    for name in ("delta_total", "aggregate_market_variance", "is_trivial"):
+        assert getattr(exposures, name).shape == (len(grid),), name
+    assert_profile_matches_per_point(stacked, exposures)
