@@ -11,7 +11,7 @@ import numpy as np
 
 from .competitive import EquilibriumOutcome, competitive_equilibrium
 from .errors import ConsistencyError
-from .model import ExposureProfile, _frozen, _trader_major, derive_exposures
+from .model import ExposureProfile, _as_stack, _frozen, _trader_major, derive_exposures
 from .nash import (
     KIND_BILATERAL,
     KIND_EXTREME,
@@ -42,12 +42,12 @@ class ComparisonReport:
     failed: np.ndarray | None = None
 
 
-def _bilateral_l_factor(exposures: ExposureProfile):
+def _bilateral_l_factor(exposures: ExposureProfile) -> np.ndarray:
     lam, beta = exposures.lam, exposures.beta
     factor = (beta[..., 0] + lam[..., 0]) * (beta[..., 1] + lam[..., 1]) / (
         8.0 * lam[..., 0] * lam[..., 1]
     )
-    return float(factor) if factor.ndim == 0 else np.where(exposures.is_trivial, np.nan, factor)
+    return np.where(exposures.is_trivial, np.nan, factor)
 
 
 # Verdicts of the closed-form cross-checks: 0 where they agree with du.
@@ -59,18 +59,18 @@ _CROSSCHECK_FAILURES = (
 )
 
 
-def _crosscheck(exposures: ExposureProfile, nash: NashSolution, du, inefficiency, L):
-    """Index into _CROSSCHECK_FAILURES per market, for extreme markets and
-    two-trader bilateral ones; 0 for the other kinds."""
-    agg = np.asarray(exposures.aggregate_market_variance)[..., None]
-    delta_total = np.asarray(exposures.delta_total)[..., None]
+def _crosscheck(exposures: ExposureProfile, kind, k_shares, du, inefficiency, L):
+    """Index into _CROSSCHECK_FAILURES per point of a stack, for extreme
+    points and two-trader bilateral ones; 0 for the other kinds."""
+    agg = exposures.aggregate_market_variance[..., None]
+    delta_total = exposures.delta_total[..., None]
     delta, lam, beta = exposures.delta, exposures.lam, exposures.beta
     tol = _CROSSCHECK_RTOL * np.maximum(1.0, agg[..., 0] / (2.0 * _trader_major(delta).min(axis=-1)))
-    verdict = np.zeros(np.shape(nash.kind), dtype=int)
+    verdict = np.zeros(kind.shape, dtype=int)
 
-    extreme = nash.kind == KIND_EXTREME
-    if np.any(extreme):
-        k = np.argmax(nash.k_shares, axis=-1)[..., None]
+    extreme = kind == KIND_EXTREME
+    if extreme.any():
+        k = np.argmax(k_shares, axis=-1)[..., None]
         lam_k = np.take_along_axis(lam, k, -1)
         closed = np.where(
             np.arange(exposures.n_traders) == k,
@@ -84,12 +84,12 @@ def _crosscheck(exposures: ExposureProfile, nash: NashSolution, du, inefficiency
             np.where(extreme & (np.abs(inefficiency - closed_ineff) > tol), 2, verdict),
         )
 
-    bilateral = nash.kind == KIND_BILATERAL
-    if exposures.n_traders == 2 and np.any(bilateral):
+    bilateral = kind == KIND_BILATERAL
+    if exposures.n_traders == 2 and bilateral.any():
         mid = 0.5 * (lam + beta)
         closed = agg / (2.0 * delta) * (lam**2 - mid**2) + (
             beta - lam
-        ) / delta_total * agg * (1.0 - np.asarray(L)[..., None])
+        ) / delta_total * agg * (1.0 - L[..., None])
         verdict = np.where(bilateral & (_trader_major(np.abs(du - closed)).max(axis=-1) > tol), 3, verdict)
     return verdict
 
@@ -106,32 +106,27 @@ def compare(
     two-trader non-extreme and for extreme instances the known closed forms
     are recomputed and any disagreement raises ConsistencyError.  Like
     solve, compare takes one market or a stacked profile and raises only on
-    one market: given a stacked profile and solve's solution of it, it
-    compares every point at once, marks a disagreement in `failed` and gives
-    NaN where a point has no solution.
+    one market, which it compares as a one-point stack: given a stacked
+    profile and solve's solution of it, it compares every point at once,
+    marks a disagreement in `failed` and gives NaN where a point has no
+    solution.
     """
-    one_market = exposures.valid is None
-    if one_market and nash.kind == KIND_UNSUPPORTED:
+    stack = _as_stack(exposures)
+    if stack is not exposures and nash.kind == KIND_UNSUPPORTED:
         raise ValueError("cannot compare against an unsupported-regime result")
-
     du = nash.outcome.utilities - competitive.utilities
+    kind, k_shares = np.asarray(nash.kind), nash.k_shares
+    if stack is not exposures:
+        du, kind, k_shares = du[None], kind[None], k_shares[None]
     inefficiency = _trader_major(du).sum(axis=-1)
-    L = None
-    if exposures.n_traders == 2 and not (one_market and exposures.is_trivial):
-        L = _bilateral_l_factor(exposures)
-    report = ComparisonReport(
-        du=_frozen(du),
-        inefficiency=float(inefficiency) if one_market else _frozen(inefficiency),
-        L=L,
-    )
-    if one_market and exposures.is_trivial:
-        return report
-    verdict = _crosscheck(exposures, nash, du, inefficiency, L)
-    if not one_market:
-        return replace(report, failed=_frozen(verdict != 0))
-    if verdict:
-        raise ConsistencyError(_CROSSCHECK_FAILURES[verdict])
-    return report
+    L = _bilateral_l_factor(stack) if exposures.n_traders == 2 else None
+    verdict = _crosscheck(stack, kind, k_shares, du, inefficiency, L)
+    if stack is exposures:
+        return ComparisonReport(_frozen(du), _frozen(inefficiency), L, _frozen(verdict != 0))
+    if verdict[0]:
+        raise ConsistencyError(_CROSSCHECK_FAILURES[verdict[0]])
+    L = None if L is None or exposures.is_trivial else float(L[0])
+    return ComparisonReport(_frozen(du[0]), float(inefficiency[0]), L)
 
 
 def risk_neutral_limit_du(exposures: ExposureProfile) -> float:

@@ -10,12 +10,11 @@ line on stderr (`error:`, or for an invalid model one `invalid:` line per
 violation).  Only outcomes that come with a report keep their own codes:
 analyze's 2 and 3, validate's 3 and 4, and sweep's per-point failure rows.
 
-`sweep` evaluates its grid as one stacked model: every pipeline step takes
-one market or a stacked profile under one name, and raises where one market
-fails but marks the failed points of a grid, so the grid is validated and
-derived once, and `solve` and `compare` run once over every point (general
-points are root-found one at a time inside `solve`), with the one-market
-arithmetic: each CSV row is byte-identical to analyzing that point alone.
+`sweep` evaluates its grid as one stacked model, validated and derived once,
+and `solve` and `compare` run once over every point (general points are
+root-found one at a time inside `solve`).  A market is solved as a one-point
+stack, and the one-market call raises the failure that a grid records for
+its point, so each CSV row is byte-identical to analyzing that point alone.
 Writing the numbers is most of the cost of a two-trader sweep.  Of about
 11 ms per 2048-point sweep in process on a 2-vCPU Xeon VM (Python 3.11,
 numpy 2.4), the %.17g format takes about 7 ms (about 0.4 us a number),

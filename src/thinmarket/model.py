@@ -17,6 +17,7 @@ pass.  Each point's arithmetic is the one-market arithmetic, bit for bit.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import InitVar, dataclass, replace
 
@@ -189,43 +190,39 @@ class ValidationResult:
 # BLAS call that the unstacked product makes, so each point gets the bits of
 # the one-market product; one GEMM over the flattened points adds in another
 # order.  The one einsum, derive_exposures' own_var, sums each trader's row.
-# A point's vector is a one-row matrix (..., 1, k), so that one market and a
-# stack make the same call per point.
-# BLAS needs unit strides, and a vector not contiguous along its axis sends
-# numpy to a loop of its own, so vectors are made contiguous (a no-op for one
-# market's vectors).
+# A point's vector is a one-row matrix (..., 1, k), made contiguous: BLAS
+# needs unit strides, and a vector not contiguous along its axis sends numpy
+# to a loop of its own.
 #
 # Reductions over the trader axis.  numpy runs a reduction's inner loop once
 # per row of a C-ordered stack, which for rows of a few traders costs 10-30
-# times an elementwise pass over the grid.  A stack of fewer than
-# _SEQUENTIAL_ROW traders is therefore reduced on its trader-major copy
-# (_trader_major), where the reduction is one elementwise pass per trader.
-# The bits are those of the row reduction: numpy adds a row of fewer than 8
+# times an elementwise pass over the grid.  A stack of two or more points
+# and fewer than _SEQUENTIAL_ROW traders is therefore reduced on its
+# trader-major copy (_trader_major), one elementwise pass per trader.  The
+# bits are those of the row reduction: numpy adds a row of fewer than 8
 # entries left to right, and the passes add in the same order; max, min,
 # any, all and counts do not depend on the order.  Longer rows are added
-# pairwise, so such stacks, and one market's 1-D arrays, keep the C-ordered
-# call.  Only the NaN a sum of opposite infinities makes may carry another
-# sign bit, which nothing reads.  argmax and take_along_axis are slower on
-# the copy and stay on the stack itself.  _exclusive_sums adds a short
-# stack's columns one trader at a time, in the order of its accumulations.
+# pairwise and keep the C-ordered call, as does a one-point stack, whose
+# (1, N) arrays are C- and F-contiguous and reduce as the row does.  Only
+# the NaN a sum of opposite infinities makes may carry another sign bit,
+# which nothing reads.  argmax and take_along_axis are slower on the copy
+# and stay on the stack itself.  _exclusive_sums adds a short stack's
+# columns one trader at a time, in the order of its accumulations.
 #
-# Rows shared by every point.  A stack whose rows Cov(E_i, S) do not vary
-# (a risk-tolerance sweep) is given them as one point's (N, k) rows, which
-# the model keeps as one read-only copy broadcast over the grid: the only
-# stride-0 grid axis a model's rows can have, since a caller's array, a
-# broadcast view included, is always copied (_point_rows).
-# derive_exposures and validate_model compute what depends on the rows
-# alone once, as one market, which is the call each stacked point would
-# make, and derive_exposures repeats it over the grid: an elementwise op on
-# a broadcast view runs its inner loop once per row.
+# Rows Cov(E_i, S) that every point shares (a risk-tolerance sweep) are kept
+# once and broadcast over the grid with stride 0, which no caller's array
+# keeps, since MarketModel copies it (_point_rows).  derive_exposures and
+# validate_model compute what depends on them alone once, as one market,
+# which is the call each point would make, and derive_exposures repeats it
+# over the grid: an elementwise op on a broadcast view loops once per row.
 
 _SEQUENTIAL_ROW = 8
 
 
 def _short_stack(values: np.ndarray, axis: int = -1) -> bool:
-    """Whether values is a stack (it has a grid axis before the trader axis
-    `axis`) of fewer than _SEQUENTIAL_ROW traders."""
-    return values.ndim > -axis and values.shape[axis] < _SEQUENTIAL_ROW
+    """Whether values stacks two or more points (on a grid axis before the
+    trader axis `axis`) of fewer than _SEQUENTIAL_ROW traders."""
+    return values.ndim > -axis and values.shape[0] > 1 and values.shape[axis] < _SEQUENTIAL_ROW
 
 
 def _trader_major(values: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -236,10 +233,9 @@ def _trader_major(values: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def _point_rows(rows: np.ndarray) -> np.ndarray:
-    """A model's rows Cov(E_i, S) as one point's when every point of the
-    stack shares them (MarketModel broadcast them, with stride 0), else rows
-    itself."""
-    return rows[0] if rows.ndim == 3 and rows.shape[0] and rows.strides[0] == 0 else rows
+    """A model's rows Cov(E_i, S) as one point's when two or more points share
+    them (MarketModel broadcast them, with stride 0), else rows itself."""
+    return rows[0] if rows.ndim == 3 and rows.shape[0] > 1 and rows.strides[0] == 0 else rows
 
 
 def _matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
@@ -296,8 +292,9 @@ def validate_model(model: MarketModel) -> ValidationResult:
     Reported violations: non-finite entries, asymmetric or non-positive-definite
     securities covariance, fewer than two traders, nonpositive risk tolerance,
     negative endowment variance, and a total endowment variance below the
-    variance spanned by the securities.  A stacked model's covariance is
-    checked once, and its points' per-trader checks at once.
+    variance spanned by the securities.  The covariance is checked once, and
+    the points' per-trader checks at once; one market is a one-point stack
+    whose failures are named.
     """
     violations: list[str] = []
     cov = model.securities_cov
@@ -318,26 +315,22 @@ def validate_model(model: MarketModel) -> ValidationResult:
 
     if model.n_traders < 2:
         violations.append("at least two traders are required")
-    deltas, variances = model.deltas, model.endowment_vars
-    rows = _point_rows(model.cov_matrix_rows)
-    bad_delta = ~((deltas > 0.0) & (deltas < np.inf))
+    stack = _as_stack(model)
+    deltas, variances, rows = stack.deltas, stack.endowment_vars, _point_rows(stack.cov_matrix_rows)
     finite_rows = np.isfinite(rows)
     # the per-trader reduction over short rows is slow; most models need none
     bad_cov = np.zeros(rows.shape[:-1], bool) if finite_rows.all() else ~finite_rows.all(axis=-1)
-    bad_mean = ~np.isfinite(model.endowment_means)
-    bad_var = ~((variances >= 0.0) & (variances < np.inf))
-    bad = bad_delta | bad_cov | bad_mean | bad_var
+    checks = {
+        "risk tolerance must be strictly positive": ~((deltas > 0.0) & (deltas < np.inf)),
+        "cov_endowment_securities has non-finite entries": bad_cov,
+        "endowment_mean must be finite": ~np.isfinite(stack.endowment_means),
+        "endowment_var must be nonnegative": ~((variances >= 0.0) & (variances < np.inf)),
+    }
+    bad = functools.reduce(np.logical_or, checks.values())
     failed = _trader_major(bad).any(axis=-1)
-    if failed.ndim == 0:
-        for idx in bad.nonzero()[0].tolist():
-            if bad_delta[idx]:
-                violations.append(f"traders[{idx}]: risk tolerance must be strictly positive")
-            if bad_cov[idx]:
-                violations.append(f"traders[{idx}]: cov_endowment_securities has non-finite entries")
-            if bad_mean[idx]:
-                violations.append(f"traders[{idx}]: endowment_mean must be finite")
-            if bad_var[idx]:
-                violations.append(f"traders[{idx}]: endowment_var must be nonnegative")
+    if stack is not model and failed[0]:  # one market names each failure
+        violations += [f"traders[{idx}]: {message}" for idx in bad[0].nonzero()[0].tolist()
+                       for message, mask in checks.items() if mask[0, idx]]
 
     if model.total_endowment_var is not None and not violations:
         total = model.total_endowment_var
@@ -348,13 +341,10 @@ def validate_model(model: MarketModel) -> ValidationResult:
             with np.errstate(invalid="ignore", over="ignore"):  # on failed points only
                 spanned = _dot(_solve_sym(cov, cov_total[..., None, :])[..., 0, :], cov_total)
                 below = spanned > total + TOTAL_VAR_SLACK * np.maximum(max(1.0, total), spanned)
-            if failed.ndim:
-                failed = failed | below
-            elif below:
-                violations.append(
-                    "total_endowment_var is below the variance spanned by the securities"
-                )
-    return ValidationResult(tuple(violations), failed if failed.ndim else None)
+            failed = failed | below
+            if stack is not model and below[0]:
+                violations.append("total_endowment_var is below the variance spanned by the securities")
+    return ValidationResult(tuple(violations), failed if stack is model else None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,14 +389,34 @@ class ExposureProfile:
         return self.model.n_securities
 
 
+def _as_stack(market):
+    """A stacked MarketModel or ExposureProfile itself, and one market as a
+    one-point stack (G = 1), on which the pipeline steps run their one stacked
+    body; they squeeze the point back where `_as_stack(market) is not market`.
+    The lift makes read-only views with the grid axis and skips __init__; a
+    trivial market's beta (None) is a NaN row, valid is [True], and a
+    profile's model is the market's own, which no stacked body reads."""
+    if isinstance(market, MarketModel):
+        if market.deltas.ndim > 1:
+            return market
+        shared = {"securities_cov": market.securities_cov, "total_endowment_var": market.total_endowment_var}
+    elif market.valid is not None:
+        return market
+    else:
+        beta = np.full(market.delta.shape, np.nan) if market.beta is None else market.beta
+        shared = {"model": market.model, "beta": beta[None], "valid": np.ones(1, bool)}
+    point = {name: np.asarray(value)[None] for name, value in vars(market).items() if name not in shared}
+    stack = object.__new__(type(market))
+    stack.__dict__.update(point, **shared)
+    return stack
+
+
 def derive_exposures(model: MarketModel) -> ExposureProfile:
     """Derive hedge portfolios, betas, relative tolerances and aggregates.
 
     Validates the model first and raises InvalidModelError when it is
     ill-posed; for a stacked model only when every point is (a failed
-    covariance check), and otherwise marks the failed points in `valid`.
-    Linear solves apply the inverse Cholesky factor of the symmetrized
-    securities covariance, which validation found positive definite.  A
+    covariance check), and otherwise marks the failed points in `valid`.  A
     stack whose points share their rows Cov(E_i, S) solves them once.
     """
     verdict = validate_model(model)
@@ -447,26 +457,15 @@ def derive_exposures(model: MarketModel) -> ExposureProfile:
 
     if verdict.failed_points is None:  # one market: plain scalars, no beta at a_I = 0
         trivial, valid = bool(trivial), None
-        beta = None if trivial else beta
+        beta = None if trivial else _frozen(beta)
         delta_total, agg_var = float(delta_total[0]), float(agg_var)
     else:
-        delta_total, agg_var = _frozen(delta_total[..., 0]), _frozen(agg_var)
+        delta_total, agg_var, beta = _frozen(delta_total[..., 0]), _frozen(agg_var), _frozen(beta)
         trivial, valid = _frozen(trivial), _frozen(~verdict.failed_points)
     return ExposureProfile(
-        model=model,
-        a=_frozen(a),
-        a_total=_frozen(a_total),
-        beta=None if beta is None else _frozen(beta),
-        lam=_frozen(lam),
-        delta=deltas,
-        delta_total=delta_total,
-        u=_frozen(u),
-        aggregate_market_variance=agg_var,
-        is_trivial=trivial,
-        cov_total=_frozen(cov_total),
-        market_cov=_frozen(market_cov),
-        own_var=_frozen(own_var),
-        valid=valid,
+        model=model, a=_frozen(a), a_total=_frozen(a_total), beta=beta, lam=_frozen(lam), delta=deltas,
+        delta_total=delta_total, u=_frozen(u), aggregate_market_variance=agg_var, is_trivial=trivial,
+        cov_total=_frozen(cov_total), market_cov=_frozen(market_cov), own_var=_frozen(own_var), valid=valid,
     )
 
 

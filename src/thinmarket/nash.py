@@ -9,27 +9,23 @@ quadratic system to a single monotone scalar equation in the inverse total
 elasticity s = 1/x and solves it by Brent's method on a bisection bracket.
 `check_extreme_condition` alone decides the extreme regime, and a market
 whose equation is nonnegative at its regular end s = 0 takes the extreme
-solution too (its tie rule).  Like every pipeline step, `solve` takes one
-market or a stacked profile (one derived from `MarketModel.stacked`) under
-one name, and raises only on one market: on a stack it marks the failed
-points KIND_FAILED.  Its arrays have the trader on their last axis and an
-optional leading grid axis; each step runs once per call, over every point
-that needs it, with the one-market arithmetic, so a grid point gets the bits
-it gets alone.  Each general point is root-found on its own, by a
-`GeneralSystem` built from its row of the risk tolerances and betas.
-`solve_extreme`, `solve_bilateral` and `solve_general` are the steps `solve`
-calls, one per regime: each returns arrays and checks nothing, and `solve`
-alone verifies them and packages the `NashSolution`.
+solution too (its tie rule).  `solve_extreme`, `solve_bilateral` and
+`solve_general` are the steps `solve` calls, one per regime: each returns
+arrays and checks nothing, and `solve` alone verifies them.
 
-Configurations with two or more betas above one where the extreme condition
-fails (and more than two traders are active) are reported as an unsupported
-regime rather than guessed: uniqueness is not established there.
+Every step has one body, over a stacked profile (see `MarketModel.stacked`)
+with a leading grid axis and the trader on the last axis: it runs once per
+call over every point that needs it (each general point is root-found on
+its own), with one point's arithmetic, so a grid point gets the bits it gets
+alone.  A market is solved as a one-point stack: `solve` keeps each point's
+first failure, marks the failed points of a stack KIND_FAILED, and raises
+the recorded failure on one market.
 
-Every solution is verified against the closed-form best response of each
-trader to the others in O(N), to the rounding its inputs allow (see
-`fixed_point_deviation`): the others' aggregate elasticity comes from prefix
-and suffix sums, and the best-response branches are evaluated as arrays,
-with the verdicts of a trader-by-trader check.
+Markets with two or more betas above one that are not extreme (and have more
+than two active traders) are reported as an unsupported regime rather than
+guessed: uniqueness is not established there.  Every solution is verified
+against each trader's closed-form best response to the others in O(N), to
+the rounding its inputs allow (see `fixed_point_deviation`).
 """
 
 from __future__ import annotations
@@ -42,7 +38,7 @@ import numpy as np
 from .best_response import Elasticity
 from .competitive import EquilibriumOutcome, clearing_outcome
 from .errors import ConsistencyError
-from .model import ExposureProfile, _exclusive_sums, _frozen, _trader_major
+from .model import ExposureProfile, _as_stack, _exclusive_sums, _frozen, _trader_major
 
 KIND_TRIVIAL = "trivial"
 KIND_EXTREME = "extreme"
@@ -69,6 +65,25 @@ _ROUNDING_ULPS = 16
 _KEY_FTOL = 1e-12
 _KEY_XTOL = 1e-14
 _MAX_ITERATIONS = 500
+
+# The stages where a market fails, in solve's order, with the exception one
+# market raises there (its message formatted with the failure's value).
+_ROOT_FINDER, _NO_ELASTICITY, _FLAT_RESPONSE, _UNDEFINED_REST, _RESIDUAL, _DEVIATION = range(1, 7)
+_FAILURES = {
+    _ROOT_FINDER: (ConsistencyError, "root-finder failed to reach tolerance"),
+    _NO_ELASTICITY: (ValueError, "finite elasticity must be a strictly positive real"),
+    _FLAT_RESPONSE: (ValueError, "best response is undefined on a trivial instance (flat response)"),
+    _UNDEFINED_REST: (ValueError, "theta_rest = 0 is only meaningful against beta_i > 1; "
+                                  "the response problem is undefined otherwise"),
+    _RESIDUAL: (ConsistencyError, "equilibrium residuals exceed tolerance: {:g}"),
+    _DEVIATION: (ConsistencyError, "best-response verification failed: deviation {:g}"),
+}
+
+
+def _failure(stage: int, value: float = math.nan) -> Exception:
+    """The exception one market raises at a failure of `stage`."""
+    error, message = _FAILURES[stage]
+    return error(message.format(float(value)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,18 +160,19 @@ def check_extreme_condition(exposures: ExposureProfile) -> int | np.ndarray | No
     when trivial.  A stacked profile: one index per point, -1 where the point
     is not extreme (trivial and invalid points included).
     """
-    one_market = exposures.valid is None
-    if one_market and exposures.is_trivial:
+    stack = _as_stack(exposures)
+    if stack is not exposures and exposures.is_trivial:
         raise ValueError("extreme classification is undefined on a trivial instance")
     # a stack's invalid points hold anything, and a risk tolerance near the
     # float maximum overflows its term
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        leader = _leader(exposures)
-        meets = exposures.beta >= 1.0 + _exclusive_sums(_positive_terms(exposures)) / exposures.delta
+        leader = _leader(stack)
+        meets = stack.beta >= 1.0 + _exclusive_sums(_positive_terms(stack)) / stack.delta
     extreme = np.take_along_axis(meets, leader[..., None], axis=-1)[..., 0]
-    if one_market:
-        return int(leader) if extreme else None
-    return np.where(extreme & exposures.valid & ~exposures.is_trivial, leader, -1)
+    leader = np.where(extreme & stack.valid & ~stack.is_trivial, leader, -1)
+    if stack is exposures:
+        return leader
+    return int(leader[0]) if leader[0] >= 0 else None
 
 
 def solve_extreme(exposures: ExposureProfile, leader) -> tuple[np.ndarray, np.ndarray]:
@@ -310,7 +326,7 @@ def _root_inverse_total(system: GeneralSystem, f0: float, delta_total: float) ->
         # move at least tol towards c, but never past the bracket's midpoint
         b += step if abs(step) >= tol else math.copysign(min(tol, abs(half)), half)
         fb = system.F(b)
-    raise ConsistencyError("root-finder failed to reach tolerance")
+    raise _failure(_ROOT_FINDER)
 
 
 def solve_general(delta: np.ndarray, beta: np.ndarray, delta_total: float):
@@ -339,19 +355,6 @@ def solve_general(delta: np.ndarray, beta: np.ndarray, delta_total: float):
 _TRIVIAL_DETAIL = "a_I = 0: every elasticity vector clears at zero prices with q_i = -a_i"
 
 
-def _unsupported_detail(exposures: ExposureProfile) -> str:
-    # uniqueness is only conjectured here, so the regime is reported, not guessed
-    high = (exposures.beta > 1.0).nonzero()[0]
-    betas = ", ".join(f"beta[{i}]={exposures.beta[i]:g}" for i in high.tolist())
-    return (
-        f"{high.size} traders have beta > 1 ({betas}) and the extreme "
-        "condition fails: existence/uniqueness is not established"
-    )
-
-
-_NOT_AN_ELASTICITY = "finite elasticity must be a strictly positive real"
-
-
 def fixed_point_deviation(exposures: ExposureProfile, thetas):
     """Worst-case relative deviation of each elasticity from the best response
     to the others, beyond the rounding its inputs allow; infinite on any branch
@@ -376,14 +379,19 @@ def fixed_point_deviation(exposures: ExposureProfile, thetas):
     Over a stacked profile with thetas of shape (G, N), one deviation per
     point, +inf where the one-market form raises.
     """
+    stack = _as_stack(exposures)
     theta = np.asarray(thetas, dtype=float)
-    elasticities = _trader_major(theta >= 0.0).all(axis=-1)
-    one_market = theta.ndim == 1
-    if one_market and not elasticities:
-        raise ValueError(_NOT_AN_ELASTICITY)
-    if one_market and exposures.is_trivial:
-        raise ValueError("best response is undefined on a trivial instance (flat response)")
+    deviation, stop = _verification(stack, theta if stack is exposures else theta[None])
+    if stack is exposures:
+        return np.where(stop > 0, math.inf, deviation)
+    if stop[0]:
+        raise _failure(stop[0])
+    return float(deviation[0])
 
+
+def _verification(exposures: ExposureProfile, theta: np.ndarray):
+    """fixed_point_deviation's body over a stack: per point the deviation, and
+    the stage at which the one-market check raises (0 where it does not)."""
     # best_response's branches as arrays: zero for beta <= -1, infinite for
     # beta >= 1 + rest/delta (never against an infinite rest), the interior
     # closed form otherwise, which is delta (1 + beta) against an infinite
@@ -407,24 +415,17 @@ def fixed_point_deviation(exposures: ExposureProfile, thetas):
         relative = np.abs(br - theta) / np.maximum(br, theta) - slack * (1.0 + np.abs(beta)) / np.abs(denominator)
         deviation = np.where(interior & valid_br & ~other_branch, relative, 0.0)
         deviation = _trader_major(deviation).max(axis=-1, initial=0.0)
-        first = 0
+        stop = 0
         if (undefined | bad_value | mismatch).any():
-            # the verdict of the first trader that stops the check
-            stop = np.where(undefined, 1, np.where(bad_value, 2, np.where(mismatch, 3, 0)))
-            first = np.take_along_axis(stop, np.argmax(stop > 0, axis=-1)[..., None], -1)[..., 0]
-            deviation = np.where(first > 0, math.inf, deviation)
-        undefined, bad_value = first == 1, first == 2
-    if not one_market:
-        raises = ~elasticities | np.asarray(exposures.is_trivial) | undefined | bad_value
-        return np.where(raises, math.inf, deviation)
-    if undefined:
-        raise ValueError(
-            "theta_rest = 0 is only meaningful against beta_i > 1; "
-            "the response problem is undefined otherwise"
-        )
-    if bad_value:
-        raise ValueError(_NOT_AN_ELASTICITY)
-    return float(deviation)
+            # the verdict of the first trader that stops the check: a
+            # mismatch (-1) is an infinite deviation, the others raise
+            verdict = np.where(mismatch, -1, 0)
+            verdict = np.where(undefined, _UNDEFINED_REST, np.where(bad_value, _NO_ELASTICITY, verdict))
+            first = np.take_along_axis(verdict, np.argmax(verdict != 0, axis=-1)[..., None], -1)[..., 0]
+            deviation = np.where(first != 0, math.inf, deviation)
+            stop = np.maximum(first, 0)
+    stop = np.where(exposures.is_trivial, _FLAT_RESPONSE, stop)
+    return deviation, np.where(_trader_major(theta >= 0.0).all(axis=-1), stop, _NO_ELASTICITY)
 
 
 # The kinds solve assigns, by index.
@@ -433,118 +434,115 @@ _KINDS = np.array([KIND_TRIVIAL, KIND_EXTREME, KIND_BILATERAL, KIND_UNSUPPORTED,
 _TRIVIAL, _EXTREME, _BILATERAL, _UNSUPPORTED, _GENERAL, _FAILED = range(len(_KINDS))
 
 
-def _some(mask) -> bool:
-    """Whether mask holds at some point: on one market a plain truth test,
-    about twenty times cheaper than .any() on a numpy scalar."""
-    return mask.any() if mask.ndim else bool(mask)
-
-
-def _fill(mask, *pairs) -> None:
-    """Write each (array, values) pair at the points of mask."""
-    for array, values in pairs:
-        np.copyto(array, values, where=mask[..., None])
+def _fill(mask, *pairs) -> list[np.ndarray]:
+    """Each (array, values) pair's array with values at the points of mask."""
+    return [np.where(mask[..., None], values, array) for array, values in pairs]
 
 
 def solve(exposures: ExposureProfile) -> NashSolution:
     """Classify, solve and verify the unique linear Nash equilibrium of one
     market, or of every point of a stacked profile at once.
 
-    The regime is decided in order: trivial, extreme (by
-    check_extreme_condition), bilateral (exactly two traders with beta > -1),
-    unsupported (two or more betas above one) or general; the general solver
-    also takes the bilateral points whose closed form total leaves (0, inf),
-    and hands the points with F(0) >= 0 to the extreme solution by the tie
-    rule of check_extreme_condition.  Every solved solution is verified
-    coordinatewise against the closed-form best response.  A step runs only
-    when some point needs it.  On one market solve raises one of
-    SOLVE_ERRORS where it finds a failure: the root-finder's own error,
-    fixed_point_deviation's ValueError for a solution that is no elasticity
-    vector, or the ConsistencyError of a residual, and then of a deviation,
-    beyond its tolerance.  On a stacked profile it marks the point instead:
-    each point gets the kind and the bits it gets alone, or KIND_FAILED and
-    NaN where that would raise; points that failed validation are
-    KIND_FAILED too.
+    The regime is decided in order: trivial, extreme (check_extreme_condition),
+    bilateral (exactly two traders with beta > -1), unsupported (two or more
+    betas above one) or general; the general solver also takes the bilateral
+    points whose closed-form total leaves (0, inf), and hands the points with
+    F(0) >= 0 to the extreme solution (the tie rule).  A step runs only when
+    some point needs it, and every solution is verified coordinatewise.  Each
+    point keeps the stage and value of its first failure (_FAILURES): the
+    root-finder's, fixed_point_deviation's ValueError, or a residual and then
+    a deviation beyond its tolerance.  A failed or invalid point of a stack is
+    KIND_FAILED with NaN values; on one market solve raises its failure.
     """
-    one_market = exposures.valid is None
-    valid = np.asarray(True if one_market else exposures.valid)
-    trivial = valid & exposures.is_trivial
+    stack = _as_stack(exposures)
+    valid = stack.valid
+    trivial = valid & stack.is_trivial
     live = valid & ~trivial
     kind = np.full(valid.shape, _TRIVIAL)
-    failed = np.zeros(valid.shape, dtype=bool)  # the points of a stack that fail
-    thetas, shares, residuals = np.full((3, *exposures.delta.shape), np.nan)
-    prices = np.full(exposures.cov_total.shape, np.nan)
+    # each point's first failure: its stage (0 for none) and the value its
+    # message reads
+    stop, value = np.zeros(valid.shape, dtype=int), np.full(valid.shape, np.nan)
+    thetas, shares, residuals = np.full((3, *stack.delta.shape), np.nan)
+    prices = np.full(stack.cov_total.shape, np.nan)
     # one errstate for every step: failed or unsolved points of a grid carry
     # NaN and inf, and risk tolerances near the float maximum overflow
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if _some(trivial):
-            _fill(trivial, (thetas, exposures.delta), (shares, 0.0), (prices, 0.0))
-        if _some(live):
-            leader = check_extreme_condition(exposures)
-            leader = np.asarray(-1 if leader is None else leader)
-            n_active, n_high = (_trader_major(exposures.beta > b).sum(axis=-1) for b in (-1.0, 1.0))
+        if trivial.any():
+            thetas, shares, prices = _fill(trivial, (thetas, stack.delta), (shares, 0.0), (prices, 0.0))
+        if live.any():
+            leader = check_extreme_condition(stack)
+            n_active, n_high = (_trader_major(stack.beta > b).sum(axis=-1) for b in (-1.0, 1.0))
             regime = np.where(n_high >= 2, _UNSUPPORTED, _GENERAL)
             regime = np.where(leader >= 0, _EXTREME, np.where(n_active == 2, _BILATERAL, regime))
             kind = np.where(live, regime, kind)
         extreme, bilateral, general = kind == _EXTREME, kind == _BILATERAL, kind == _GENERAL
 
-        if _some(bilateral):
-            _fill(bilateral, (thetas, solve_bilateral(exposures)))
+        if bilateral.any():
+            (thetas,) = _fill(bilateral, (thetas, solve_bilateral(stack)))
             total = _trader_major(thetas).sum(axis=-1, keepdims=True)
-            _fill(bilateral, (shares, thetas / total), (prices, -exposures.cov_total / total))
+            shares, prices = _fill(bilateral, (shares, thetas / total), (prices, -stack.cov_total / total))
             # next to the boundary the closed form can lose every digit: the
             # general solver takes such points over
             overflow = bilateral & ~((0.0 < total) & (total < math.inf))[..., 0]
             bilateral, general = bilateral & ~overflow, general | overflow
             kind = np.where(overflow, _GENERAL, kind)
-        delta_total = np.asarray(exposures.delta_total)
         inverse_total = np.full(valid.shape, np.nan)
         for g in np.flatnonzero(general).tolist():
-            at = () if one_market else g  # the market, or grid point g
             try:
-                thetas[at], shares[at], inverse_total[at] = solve_general(
-                    exposures.delta[at], exposures.beta[at], float(delta_total[at])
+                thetas[g], shares[g], inverse_total[g] = solve_general(
+                    stack.delta[g], stack.beta[g], float(stack.delta_total[g])
                 )
             except SOLVE_ERRORS:
-                if one_market:
-                    raise
-                failed[g] = True
-        _fill(general, (prices, -exposures.cov_total * inverse_total[..., None]))
+                stop[g] = _ROOT_FINDER
+        (prices,) = _fill(general, (prices, -stack.cov_total * inverse_total[..., None]))
         tie = general & (inverse_total == 0.0)  # F(0) >= 0: see check_extreme_condition
-        finite = (bilateral | general) & ~tie & ~failed
-        if _some(finite):
-            _fill(finite, (residuals, nash_residuals(exposures, thetas)))
+        finite = (bilateral | general) & ~tie & (stop == 0)
+        if finite.any():
+            (residuals,) = _fill(finite, (residuals, nash_residuals(stack, thetas)))
         kind, extreme = np.where(tie, _EXTREME, kind), extreme | tie
-        if _some(extreme):
-            leader = np.where(tie, _leader(exposures), leader)
-            extreme_thetas, extreme_shares = solve_extreme(exposures, leader)
-            _fill(extreme, (thetas, extreme_thetas), (shares, extreme_shares),
-                  (prices, 0.0), (residuals, 0.0))
+        if extreme.any():
+            leader = np.where(tie, _leader(stack), leader)
+            extreme_thetas, extreme_shares = solve_extreme(stack, leader)
+            thetas, shares, prices, residuals = _fill(
+                extreme, (thetas, extreme_thetas), (shares, extreme_shares), (prices, 0.0), (residuals, 0.0)
+            )
 
         solved = extreme | finite
-        if _some(solved):
+        if solved.any():
             worst = _trader_major(np.abs(residuals)).max(axis=-1)
-            deviation = fixed_point_deviation(exposures, thetas)
-            unverified = (worst > RESIDUAL_TOL) | (deviation > FIXED_POINT_RTOL)
-            if one_market and worst > RESIDUAL_TOL:
-                raise ConsistencyError(f"equilibrium residuals exceed tolerance: {float(worst):g}")
-            if one_market and unverified:
-                raise ConsistencyError(f"best-response verification failed: deviation {deviation:g}")
-            failed = failed | (solved & unverified)
-            solved = solved & ~unverified
+            deviation = fixed_point_deviation(stack, thetas)
+            rejected = solved & ((worst > RESIDUAL_TOL) | (deviation > FIXED_POINT_RTOL))
+            if rejected.any():
+                # in the order one market raises: a check that raises alone
+                # (whose deviation reads inf), a residual, a deviation
+                raises = _verification(stack, thetas)[1]
+                stage = np.where(raises > 0, raises, np.where(worst > RESIDUAL_TOL, _RESIDUAL, _DEVIATION))
+                stop = np.where(rejected, stage, stop)
+                value = np.where(stage == _RESIDUAL, worst, deviation)
+                solved = solved & ~rejected
         unsolved = ~(solved | trivial)
-        if _some(unsolved):
-            _fill(unsolved, *((values, np.nan) for values in (thetas, shares, prices, residuals)))
-        k_shares = np.where(trivial[..., None], exposures.lam, shares) if _some(trivial) else shares
-        outcome = clearing_outcome(exposures, shares, prices)
+        if unsolved.any():
+            thetas, shares, prices, residuals = _fill(
+                unsolved, *((values, np.nan) for values in (thetas, shares, prices, residuals))
+            )
+        k_shares = np.where(trivial[..., None], stack.lam, shares) if trivial.any() else shares
+        outcome = clearing_outcome(stack, shares, prices)
 
-    if not one_market:
-        kinds = _KINDS[np.where(valid & ~failed, kind, _FAILED)]
+    if stack is exposures:
+        kinds = _KINDS[np.where(valid & (stop == 0), kind, _FAILED)]
         thetas, k_shares, residuals = (_frozen(a) for a in (thetas, k_shares, residuals))
         return NashSolution(_frozen(kinds), thetas, k_shares, outcome, residuals)
-    if kind == _UNSUPPORTED:
-        detail = _unsupported_detail(exposures)
+    if stop[0]:
+        raise _failure(stop[0], value[0])
+    if kind[0] == _UNSUPPORTED:  # uniqueness is only conjectured: the regime is reported, not guessed
+        high = (exposures.beta > 1.0).nonzero()[0]
+        betas = ", ".join(f"beta[{i}]={exposures.beta[i]:g}" for i in high.tolist())
+        detail = (f"{high.size} traders have beta > 1 ({betas}) and the extreme condition fails: "
+                  "existence/uniqueness is not established")
         return NashSolution(KIND_UNSUPPORTED, None, None, None, None, detail)
+    outcome = EquilibriumOutcome(**{name: values[0] for name, values in vars(outcome).items()})
+    trivial = bool(trivial[0])
     return NashSolution(
-        _KINDS[kind], _frozen(thetas), _frozen(k_shares), outcome,
-        None if trivial else _frozen(residuals), _TRIVIAL_DETAIL if trivial else None,
+        _KINDS[kind[0]], _frozen(thetas[0]), _frozen(k_shares[0]), outcome,
+        None if trivial else _frozen(residuals[0]), _TRIVIAL_DETAIL if trivial else None,
     )

@@ -390,9 +390,11 @@ class TestTraderAxisReductions:
         assert _same_bits(got, want)
 
     def test_one_market_keeps_its_arrays(self):
-        values, rows = np.arange(3.0), np.ones((3, 2))
-        assert _trader_major(values) is values
-        assert _trader_major(rows, -2) is rows
+        # one market's arrays, and a one-point stack's (1, N) values and
+        # (1, N, k) rows, which reduce as the row does
+        for values, rows in ((np.arange(3.0), np.ones((3, 2))), (np.arange(3.0)[None], np.ones((1, 3, 2)))):
+            assert _trader_major(values) is values
+            assert _trader_major(rows, -2) is rows
 
 
 class TestCertaintyEquivalent:

@@ -28,6 +28,7 @@ from thinmarket import (
     scenario_from_dict,
     scenario_to_dict,
     solve,
+    validate_model,
 )
 import thinmarket.nash
 from thinmarket.nash import (
@@ -455,12 +456,59 @@ SOLVED = {
 }
 
 
+def _one_point_stack(market):
+    """One market as the stack of its one point."""
+    return market.stacked(market.deltas[None], market.cov_matrix_rows[None])
+
+
+def _same_bits(stacked, one):
+    """Whether the one-point stack's value squeezes to one market's, bit for
+    bit; None on one market is NaN on the stack, or None on both."""
+    if stacked is None:
+        return one is None
+    if one is None:
+        return bool(np.isnan(stacked).all())
+    return np.asarray(stacked)[0].tobytes() == np.asarray(one).tobytes()
+
+
+def _assert_one_point_stack_squeezes(model, g, exposures, alone):
+    """Point g of `model` alone and as a one-point stack: validate_model,
+    solve, fixed_point_deviation and compare of the stack squeeze to the
+    one-market results, and the stack marks KIND_FAILED where solve raises
+    alone (alone is None)."""
+    point = _one_point_stack(point_model(model, g))
+    one, lifted = validate_model(point_model(model, g)), validate_model(point)
+    assert (one.violations, one.failed_points) == ((), None), g
+    assert (lifted.violations, lifted.failed_points.tolist()) == ((), [False]), g
+    stack = derive_exposures(point)
+    sol = solve(stack)
+    if alone is None:
+        assert sol.kind.tolist() == [KIND_FAILED], g
+        return
+    assert sol.kind.tolist() == [alone.kind], g
+    for name in ("thetas", "k_shares", "residuals"):
+        assert _same_bits(getattr(sol, name), getattr(alone, name)), (g, name)
+    if alone.kind == KIND_UNSUPPORTED:
+        return
+    for name in ("prices", "allocations", "post_beta", "utilities", "premium", "payoff_gain"):
+        assert _same_bits(getattr(sol.outcome, name), getattr(alone.outcome, name)), (g, name)
+    if alone.kind != KIND_TRIVIAL:
+        deviation = fixed_point_deviation(stack, sol.thetas)
+        assert deviation.tolist() == [fixed_point_deviation(exposures, alone.thetas)], g
+    one = compare(exposures, competitive_equilibrium(exposures), alone)
+    report = compare(stack, competitive_equilibrium(stack), sol)
+    assert report.failed.tolist() == [False], g
+    for name in ("du", "inefficiency", "L"):
+        assert _same_bits(getattr(report, name), getattr(one, name)), (g, name)
+
+
 def _grid_kinds(points):
     """Classify and solve the stacked one-security markets `points`.  Each
     point must get check_extreme_condition's verdict alone (-1 for None, and
     for a trivial point, where it raises alone), KIND_FAILED and no
     elasticities where solve raises on it alone, and otherwise the kind, the
-    bits and the elasticities it gets alone.  Returns the kinds."""
+    bits and the elasticities it gets alone; and the same as a one-point
+    stack.  Returns the kinds."""
     kinds = []
     model = _one_security_market(*points[0]).stacked(
         np.array([d for d, _ in points]), np.array([c for _, c in points])[..., None]
@@ -478,8 +526,10 @@ def _grid_kinds(points):
         except SOLVE_ERRORS:
             assert grid.kind[g] == KIND_FAILED, g
             assert elasticities[g] is None, g
+            _assert_one_point_stack_squeezes(model, g, exposures, None)
             kinds.append(KIND_FAILED)
             continue
+        _assert_one_point_stack_squeezes(model, g, exposures, alone)
         kinds.append(alone.kind)
         assert grid.kind[g] == alone.kind, g
         assert elasticities[g] == alone.elasticities, g  # None where unsupported
@@ -513,6 +563,9 @@ class TestFailureParity:
             solve(exposures)
         assert type(info.value) is error
         assert str(info.value) == message
+        # the same market as a one-point stack marks its point instead
+        point = derive_exposures(_one_point_stack(_one_security_market(deltas, cov_es)))
+        assert solve(point).kind.tolist() == [KIND_FAILED]
 
     def test_grid_fails_where_solve_raises_and_is_bit_equal_elsewhere(self, monkeypatch):
         kinds = [kind for solved in SOLVED.values() for kind in _grid_kinds(solved)]
