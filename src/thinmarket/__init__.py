@@ -10,7 +10,6 @@ from .analysis import (
 )
 from .best_response import (
     BestResponseResult,
-    Elasticity,
     OneSidedResult,
     best_response,
     one_sided_equilibrium,
@@ -44,7 +43,6 @@ __all__ = [
     "BestResponseResult",
     "ComparisonReport",
     "ConsistencyError",
-    "Elasticity",
     "EquilibriumOutcome",
     "ExposureProfile",
     "IncompletenessReport",

@@ -1,10 +1,12 @@
 """Single-trader strategic problem: response value, closed-form best response,
 and the one-sided equilibrium against price-takers.
 
-Submitted elasticities live on the extended nonnegative reals, so they are
-represented by an explicit three-tag type rather than floating sentinels:
-branch conventions (like the post-trade share being exactly 1 at infinity)
-must hold exactly, not as arithmetic accidents.
+A submitted elasticity lies in [0, inf] and is a float: 0.0 for a zero
+elasticity, +inf for an infinite one, a finite positive value otherwise, as
+in `solve` and the report.  Each branch convention (like the post-trade share
+being exactly 1 at infinity) is an explicit test of == 0.0, == math.inf or a
+finite value, never an arithmetic accident.  NaN, negative and -inf are no
+elasticity and raise the ValueError the verifier raises on them.
 """
 
 from __future__ import annotations
@@ -15,79 +17,39 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ExposureProfile, _exclusive_sums
+from .nash import _FLAT_RESPONSE, _NO_ELASTICITY, _UNDEFINED_REST, _failure
 
 
-@dataclass(frozen=True)
-class Elasticity:
-    """Extended nonnegative real: exactly zero, finite positive, or infinite."""
-
-    kind: str
-    value: float = 0.0
-
-    @staticmethod
-    def zero() -> "Elasticity":
-        return Elasticity("zero", 0.0)
-
-    @staticmethod
-    def finite(value: float) -> "Elasticity":
-        value = float(value)
-        if not math.isfinite(value) or value <= 0.0:
-            raise ValueError("finite elasticity must be a strictly positive real")
-        return Elasticity("finite", value)
-
-    @staticmethod
-    def infinite() -> "Elasticity":
-        return Elasticity("infinite", math.inf)
-
-    @staticmethod
-    def from_float(value: float) -> "Elasticity":
-        value = float(value)
-        if value == 0.0:
-            return Elasticity.zero()
-        if math.isinf(value) and value > 0:
-            return Elasticity.infinite()
-        return Elasticity.finite(value)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.kind == "zero"
-
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == "finite"
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.kind == "infinite"
-
-    @property
-    def as_float(self) -> float:
-        return self.value
-
-
-def as_elasticity(theta) -> Elasticity:
-    return theta if isinstance(theta, Elasticity) else Elasticity.from_float(theta)
+def _elasticity(theta, finite: bool = False) -> float:
+    """theta as a float in [0, inf], or in (0, inf) if finite (an interior
+    best response that overflowed or underflowed is no finite one); outside
+    it, NaN included, theta is no elasticity."""
+    theta = float(theta)
+    if not (0.0 < theta < math.inf if finite else theta >= 0.0):
+        raise _failure(_NO_ELASTICITY)
+    return theta
 
 
 @dataclass(frozen=True)
 class BestResponseResult:
     """Optimal submitted elasticity, the resulting post-trade share k and the
-    value at the optimum.  The branch that produced it is theta.kind: zero on
-    the inelastic branch, finite on the interior one, infinite on the
-    risk-neutral one."""
+    value at the optimum.  theta names the branch that produced it: 0.0 on the
+    inelastic branch, finite on the interior one, +inf on the risk-neutral
+    one."""
 
-    theta: Elasticity
+    theta: float
     k: float
     value: float
 
 
-def share_from_elasticity(theta: Elasticity, theta_rest: float) -> float:
+def share_from_elasticity(theta: float, theta_rest: float) -> float:
     """Map theta to k = theta / (theta + theta_rest); 0 at zero, 1 at infinity."""
-    if theta.is_zero:
+    theta = _elasticity(theta)
+    if theta == 0.0:
         return 0.0
-    if theta.is_infinite:
+    if theta == math.inf:
         return 1.0
-    return theta.value / (theta.value + theta_rest)
+    return theta / (theta + theta_rest)
 
 
 def response_value_at_share(exposures: ExposureProfile, i: int, k, theta_rest: float):
@@ -121,9 +83,8 @@ def response_value(exposures: ExposureProfile, i: int, theta_i, theta_rest: floa
     theta_rest = float(theta_rest)
     if not (theta_rest > 0.0 and math.isfinite(theta_rest)):
         raise ValueError("theta_rest must be a finite positive real")
-    theta = as_elasticity(theta_i)
     return response_value_at_share(
-        exposures, i, share_from_elasticity(theta, theta_rest), theta_rest
+        exposures, i, share_from_elasticity(theta_i, theta_rest), theta_rest
     )
 
 
@@ -148,32 +109,28 @@ def best_response(exposures: ExposureProfile, i: int, theta_rest) -> BestRespons
     against theta_rest = 0 it is defined (and infinite) only when beta_i > 1.
     """
     if exposures.is_trivial:
-        raise ValueError("best response is undefined on a trivial instance (flat response)")
-    rest = as_elasticity(theta_rest)
+        raise _failure(_FLAT_RESPONSE)
+    rest = _elasticity(theta_rest)
     beta_i = float(exposures.beta[i])
     delta_i = float(exposures.delta[i])
 
-    if rest.is_infinite:
-        theta = Elasticity.zero() if beta_i <= -1.0 else Elasticity.finite(delta_i * (1.0 + beta_i))
+    if rest == math.inf:
+        theta = 0.0 if beta_i <= -1.0 else _elasticity(delta_i * (1.0 + beta_i), finite=True)
         return BestResponseResult(theta, 0.0, _limit_value(exposures, i, 0.0))
-    if rest.is_zero:
+    if rest == 0.0:
         if beta_i > 1.0:
-            return BestResponseResult(Elasticity.infinite(), 1.0, _limit_value(exposures, i, 1.0))
-        raise ValueError(
-            "theta_rest = 0 is only meaningful against beta_i > 1; "
-            "the response problem is undefined otherwise"
-        )
+            return BestResponseResult(math.inf, 1.0, _limit_value(exposures, i, 1.0))
+        raise _failure(_UNDEFINED_REST)
 
-    rest_value = rest.value
-    ratio = rest_value / delta_i  # no product of delta_i and the rest under- or overflows
+    ratio = rest / delta_i  # no product of delta_i and the rest under- or overflows
     if beta_i <= -1.0:
-        theta, k = Elasticity.zero(), 0.0
+        theta, k = 0.0, 0.0
     elif beta_i >= 1.0 + ratio:
-        theta, k = Elasticity.infinite(), 1.0
+        theta, k = math.inf, 1.0
     else:
         k = (1.0 + beta_i) / (2.0 + ratio)
-        theta = Elasticity.finite(rest_value * (1.0 + beta_i) / (ratio + (1.0 - beta_i)))
-    return BestResponseResult(theta, k, response_value_at_share(exposures, i, k, rest_value))
+        theta = _elasticity(rest * (1.0 + beta_i) / (ratio + (1.0 - beta_i)), finite=True)
+    return BestResponseResult(theta, k, response_value_at_share(exposures, i, k, rest))
 
 
 @dataclass(frozen=True)
@@ -203,7 +160,6 @@ def one_sided_equilibrium(exposures: ExposureProfile, i: int) -> OneSidedResult:
 
     agg = exposures.aggregate_market_variance
     beta_i = float(exposures.beta[i])
-    theta_total = math.inf if result.theta.is_infinite else result.theta.as_float + delta_rest
-    inv_total = 0.0 if math.isinf(theta_total) else 1.0 / theta_total
+    inv_total = 0.0 if result.theta == math.inf else 1.0 / (result.theta + delta_rest)
     cash_benefit = (result.k - beta_i) * agg * (inv_total - 1.0 / exposures.delta_total)
     return OneSidedResult(result, cash_benefit)

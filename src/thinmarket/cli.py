@@ -220,7 +220,7 @@ def _iteration_deviation(iterate, thetas: np.ndarray) -> float:
     """Largest relative deviation of a best-response iterate from the Nash
     elasticities: inf where exactly one of a pair is infinite, and a pair of
     infinities agrees (so inf - inf is never formed)."""
-    final = np.array([theta.as_float for theta in iterate])
+    final = np.array(iterate)
     finite = np.isfinite(final) & np.isfinite(thetas)
     if np.any(final[~finite] != thetas[~finite]):
         return np.inf

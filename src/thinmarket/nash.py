@@ -31,11 +31,11 @@ the rounding its inputs allow (see `fixed_point_deviation`).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .best_response import Elasticity
 from .competitive import EquilibriumOutcome, clearing_outcome
 from .errors import ConsistencyError
 from .model import ExposureProfile, _as_stack, _exclusive_sums, _frozen, _trader_major
@@ -86,18 +86,22 @@ def _failure(stage: int, value: float = math.nan) -> Exception:
     return error(message.format(float(value)))
 
 
+# An entry of NashSolution.elasticities.
+_Elasticity = namedtuple("Elasticity", "as_float")
+
+
 @dataclass(frozen=True, eq=False)
 class NashSolution:
     """Solved (or classified) noncompetitive equilibrium.
 
     thetas holds the submitted elasticities as a read-only float array: each
-    entry is 0.0, a finite positive value, or +inf, the three Elasticity kinds;
-    their total is thetas.sum() (+inf in the extreme regime).  k_shares are
-    theta_i over that total with the conventions 1 at infinity and 0
-    elsewhere in the extreme regime; residuals are left-minus-right of the
-    coupled equilibrium equations for diagnostic reporting.  Fields without
-    a value for the kind are None: all but kind and detail when unsupported,
-    and the residuals of a trivial market.
+    entry is 0.0, a finite positive value, or +inf, one per best-response
+    branch; their total is thetas.sum() (+inf in the extreme regime).
+    k_shares are theta_i over that total with the conventions 1 at infinity
+    and 0 elsewhere in the extreme regime; residuals are left-minus-right of
+    the coupled equilibrium equations for diagnostic reporting.  Fields
+    without a value for the kind are None: all but kind and detail when
+    unsupported, and the residuals of a trivial market.
 
     The solution of a stacked profile has a leading grid axis: kind is an
     array of kinds, detail is None, and the arrays hold NaN where one market
@@ -113,13 +117,14 @@ class NashSolution:
 
     @property
     def elasticities(self) -> tuple | None:
-        """thetas as a tuple of Elasticity values, built on each read.  On a
-        stacked solution, one such tuple per point, and None where the point
-        holds NaN (failed, unsupported or invalid)."""
+        """thetas as a tuple of records whose as_float is the entry, built on
+        each read.  On a stacked solution, one such tuple per point, and None
+        where the point holds NaN (failed, unsupported or invalid).  Only the
+        benchmark reads it, and it goes once the benchmark reads thetas."""
         if self.thetas is None:
             return None
         rows = tuple(
-            None if any(map(math.isnan, row)) else tuple(map(Elasticity.from_float, row))
+            None if any(map(math.isnan, row)) else tuple(map(_Elasticity, row))
             for row in self.thetas.reshape(-1, self.thetas.shape[-1]).tolist()
         )
         return rows if self.thetas.ndim > 1 else rows[0]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .best_response import Elasticity, as_elasticity, best_response
+from .best_response import best_response
 from .model import ExposureProfile
 
 # Gaussian sampling: NumPy Generator seeded with PCG64, standard_normal via the
@@ -124,39 +124,42 @@ def grid_best_response_share(exposures: ExposureProfile, i: int, theta_rest: flo
 
 @dataclass(frozen=True)
 class IterationTrace:
-    """Damped best-response trajectory: the iterates, whether it converged,
-    the per-sweep residuals (distance from each state to its best response)
-    and whether any trader escalated to the infinite-elasticity branch."""
+    """Damped best-response trajectory: the iterates (tuples of float
+    elasticities), whether it converged, the per-sweep residuals (distance
+    from each state to its best response) and whether any trader escalated
+    to the infinite-elasticity branch."""
 
-    iterates: tuple[tuple[Elasticity, ...], ...]
+    iterates: tuple[tuple[float, ...], ...]
     converged: bool
     final_residual: float
     residuals: tuple[float, ...]
     escalated: bool = False
 
 
-def _rest_of(thetas: list[Elasticity], i: int) -> Elasticity:
+def _rest_of(thetas: list[float], i: int) -> float:
+    # added left to right: Python's sum compensates from 3.12 on
     total = 0.0
     for j, theta in enumerate(thetas):
-        if j == i:
-            continue
-        if theta.is_infinite:
-            return Elasticity.infinite()
-        total += theta.as_float
-    return Elasticity.from_float(total)
+        if j != i:
+            total += theta
+    return total
 
 
-def _distance(a: Elasticity, b: Elasticity) -> float:
-    if a.is_infinite or b.is_infinite:
-        return 0.0 if (a.is_infinite and b.is_infinite) else math.inf
-    return abs(a.as_float - b.as_float)
+def _responses(exposures: ExposureProfile, state: list[float]) -> list[float]:
+    return [best_response(exposures, i, _rest_of(state, i)).theta for i in range(len(state))]
+
+
+def _distance(a: float, b: float) -> float:
+    # two infinities agree, and inf - inf is never formed
+    return 0.0 if a == b else abs(a - b)
 
 
 def iterate_best_responses(exposures: ExposureProfile, start) -> IterationTrace:
     """Jacobi sweeps of the closed-form best response with convex damping.
 
-    Convergence requires stable best-response branches (the kinds of the
-    responses' elasticities) and per-coordinate steps below _STEP_TOL between
+    start holds one finite positive elasticity per trader.  Convergence
+    requires stable best-response branches (whether each response is 0.0,
+    finite or +inf) and per-coordinate steps below _STEP_TOL between
     consecutive sweeps, within _MAX_ITERATIONS sweeps;
     non-convergence is reported via the flag, not an exception.  This is a
     cross-checking oracle with no convergence guarantee (the model itself
@@ -164,46 +167,37 @@ def iterate_best_responses(exposures: ExposureProfile, start) -> IterationTrace:
     """
     if exposures.is_trivial:
         raise ValueError("best-response iteration is undefined on a trivial instance")
-    state = [as_elasticity(t) for t in start]
-    if any(not s.is_finite for s in state):
+    state = [float(t) for t in start]
+    if len(state) != exposures.n_traders:
+        raise ValueError(f"start must hold {exposures.n_traders} elasticities, one per trader")
+    if not all(0.0 < s < math.inf for s in state):
         raise ValueError("start must be strictly positive and finite in every coordinate")
 
     iterates = [tuple(state)]
     residuals: list[float] = []
     escalated = False
     converged = False
-    prev_kinds: tuple[str, ...] | None = None
+    prev_branches = None
 
     for _ in range(_MAX_ITERATIONS):
-        responses = [best_response(exposures, i, _rest_of(state, i)) for i in range(len(state))]
-        residual = max(_distance(state[i], responses[i].theta) for i in range(len(state)))
-        residuals.append(residual)
-        kinds = tuple(r.theta.kind for r in responses)
-
-        new_state: list[Elasticity] = []
-        step = 0.0
-        for cur, resp in zip(state, responses):
-            target = resp.theta
-            if target.is_infinite or cur.is_infinite:
-                new_state.append(target)
-                if target.is_infinite:
-                    escalated = True
-                step = max(step, _distance(cur, target))
-            else:
-                mixed = (1.0 - _DAMPING) * cur.as_float + _DAMPING * target.as_float
-                new_state.append(Elasticity.from_float(mixed))
-                step = max(step, abs(mixed - cur.as_float))
+        targets = _responses(exposures, state)
+        residuals.append(max(map(_distance, state, targets)))
+        branches = tuple((theta == 0.0, theta == math.inf) for theta in targets)
+        escalated |= math.inf in targets
+        # a step to or from +inf is taken whole
+        new_state = [
+            target if math.inf in (cur, target) else (1.0 - _DAMPING) * cur + _DAMPING * target
+            for cur, target in zip(state, targets)
+        ]
+        step = max(map(_distance, state, new_state))
         state = new_state
         iterates.append(tuple(state))
-        if prev_kinds == kinds and step < _STEP_TOL:
+        if prev_branches == branches and step < _STEP_TOL:
             converged = True
             break
-        prev_kinds = kinds
+        prev_branches = branches
 
-    final_residual = max(
-        _distance(state[i], best_response(exposures, i, _rest_of(state, i)).theta)
-        for i in range(len(state))
-    )
+    final_residual = max(map(_distance, state, _responses(exposures, state)))
     return IterationTrace(
         iterates=tuple(iterates),
         converged=converged,

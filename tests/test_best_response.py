@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from thinmarket import (
-    Elasticity,
     best_response,
     derive_exposures,
     one_sided_equilibrium,
@@ -12,8 +11,9 @@ from thinmarket import (
     MarketModel,
     TraderProfile,
 )
-from thinmarket.best_response import response_value_at_share
-from thinmarket.oracles import grid_best_response_share
+from thinmarket.best_response import response_value_at_share, share_from_elasticity
+from thinmarket.nash import _FAILURES, _NO_ELASTICITY, fixed_point_deviation
+from thinmarket.oracles import grid_best_response_share, iterate_best_responses
 from conftest import model_from_betas, random_deltas
 
 
@@ -22,24 +22,43 @@ def _exposures(rng, betas, deltas, **kwargs):
 
 
 class TestElasticity:
-    def test_tags_are_exclusive(self):
-        assert Elasticity.zero().is_zero and not Elasticity.zero().is_finite
-        assert Elasticity.infinite().is_infinite
-        theta = Elasticity.finite(2.0)
-        assert theta.is_finite and theta.as_float == 2.0
+    """An elasticity is a float in [0, inf]: 0.0 and +inf are the endpoints."""
 
-    def test_finite_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Elasticity.finite(0.0)
-        with pytest.raises(ValueError):
-            Elasticity.finite(-1.0)
-        with pytest.raises(ValueError):
-            Elasticity.finite(math.inf)
+    def test_zero_and_infinity_take_their_branches(self, rng):
+        ex = _exposures(rng, [1.5, -0.5], [2.0, 1.0])
+        assert share_from_elasticity(0.0, 1.7) == 0.0
+        assert share_from_elasticity(math.inf, 1.7) == 1.0
+        for theta, k in ((0.0, 0.0), (math.inf, 1.0)):
+            assert response_value(ex, 0, theta, 1.7) == response_value_at_share(ex, 0, k, 1.7)
+        # against a zero rest only the risk-neutral branch is defined, and
+        # against an infinite one the response is delta_i (1 + beta_i)
+        res = best_response(ex, 0, 0.0)
+        assert (res.theta, res.k) == (math.inf, 1.0)
+        res = best_response(ex, 0, math.inf)
+        assert (res.theta, res.k) == (2.0 * 2.5, 0.0)
 
-    def test_from_float_round_trip(self):
-        assert Elasticity.from_float(0.0).is_zero
-        assert Elasticity.from_float(math.inf).is_infinite
-        assert Elasticity.from_float(1.5).as_float == 1.5
+    def test_values_outside_zero_to_infinity_are_no_elasticity(self, rng):
+        # the message the verifier raises on the same entries
+        ex = _exposures(rng, [1.2, -0.2], [1.0, 1.0])
+        message = _FAILURES[_NO_ELASTICITY][1]
+        for bad in (math.nan, -1.0, -math.inf):
+            with pytest.raises(ValueError) as info:
+                best_response(ex, 0, bad)
+            assert str(info.value) == message
+            with pytest.raises(ValueError) as info:
+                response_value(ex, 0, bad, 1.0)
+            assert str(info.value) == message
+            with pytest.raises(ValueError) as info:
+                fixed_point_deviation(ex, [bad, 1.0])
+            assert str(info.value) == message
+
+    def test_results_are_python_floats(self, rng):
+        ex = _exposures(rng, [1.2, -0.2], [1.0, 1.0])
+        # numpy and int rests, and the two endpoints
+        for rest in (np.float64(0.5), 1, 0.0, math.inf):
+            assert type(best_response(ex, 0, rest).theta) is float
+        trace = iterate_best_responses(ex, np.array([1.0, 1.0]))
+        assert {type(theta) for iterate in trace.iterates for theta in iterate} == {float}
 
 
 class TestResponseValue:
@@ -48,9 +67,9 @@ class TestResponseValue:
         i, rest = 0, 1.7
         agg = ex.aggregate_market_variance
         at_zero = ex.u[i] + ex.own_var[i] / (2 * ex.delta[i]) - ex.market_cov[i] / rest
-        assert response_value(ex, i, Elasticity.zero(), rest) == pytest.approx(at_zero)
+        assert response_value(ex, i, 0.0, rest) == pytest.approx(at_zero)
         at_inf = ex.u[i] + (ex.own_var[i] - agg) / (2 * ex.delta[i])
-        assert response_value(ex, i, Elasticity.infinite(), rest) == pytest.approx(at_inf)
+        assert response_value(ex, i, math.inf, rest) == pytest.approx(at_inf)
 
     def test_flat_on_trivial_instance(self):
         model = MarketModel(
@@ -85,41 +104,40 @@ class TestBestResponse:
     def test_interior_hand_case(self, rng):
         ex = _exposures(rng, [0.5, 0.5], [1.0, 1.0], market_variance=1.0)
         res = best_response(ex, 0, 1.0)
-        assert res.theta.is_finite
-        assert res.theta.as_float == pytest.approx(1.0)
+        assert res.theta == pytest.approx(1.0)
         assert res.k == pytest.approx(0.5)
 
     def test_zero_branch(self, rng):
         ex = _exposures(rng, [-1.5, 2.5], [1.0, 1.0])
         for rest in (0.3, 1.0, 50.0):
             res = best_response(ex, 0, rest)
-            assert res.theta.is_zero and res.k == 0.0
+            assert res.theta == 0.0 and res.k == 0.0
 
     def test_infinity_branch(self, rng):
         ex = _exposures(rng, [2.5, -1.5], [1.0, 1.0])
         res = best_response(ex, 0, 1.0)  # 1 + rest/delta = 2 <= 2.5
-        assert res.theta.is_infinite and res.k == 1.0
+        assert res.theta == math.inf and res.k == 1.0
 
     def test_branch_boundaries_are_closed(self, rng):
         ex = _exposures(rng, [-1.0, 2.0], [1.0, 1.0])
-        assert best_response(ex, 0, 1.0).theta.is_zero
+        assert best_response(ex, 0, 1.0).theta == 0.0
         ex = _exposures(rng, [2.0, -1.0], [1.0, 1.0])
-        assert best_response(ex, 0, 1.0).theta.is_infinite  # beta = 1 + rest/delta
+        assert best_response(ex, 0, 1.0).theta == math.inf  # beta = 1 + rest/delta
 
     def test_against_infinite_rest(self, rng):
         ex = _exposures(rng, [0.25, 0.75], [2.0, 1.0])
-        res = best_response(ex, 0, Elasticity.infinite())
-        assert res.theta.as_float == pytest.approx(2.0 * 1.25)
+        res = best_response(ex, 0, math.inf)
+        assert res.theta == pytest.approx(2.0 * 1.25)
         assert res.k == 0.0
         ex_neg = _exposures(rng, [-1.2, 2.2], [2.0, 1.0])
-        assert best_response(ex_neg, 0, Elasticity.infinite()).theta.is_zero
+        assert best_response(ex_neg, 0, math.inf).theta == 0.0
 
     def test_against_zero_rest(self, rng):
         ex = _exposures(rng, [1.5, -0.5], [1.0, 1.0])
-        res = best_response(ex, 0, Elasticity.zero())
-        assert res.theta.is_infinite and res.k == 1.0
+        res = best_response(ex, 0, 0.0)
+        assert res.theta == math.inf and res.k == 1.0
         with pytest.raises(ValueError):
-            best_response(ex, 1, Elasticity.zero())  # beta <= 1 against zero rest
+            best_response(ex, 1, 0.0)  # beta <= 1 against zero rest
 
     def test_branch_consistency_random(self, rng):
         for _ in range(200):
@@ -129,10 +147,10 @@ class TestBestResponse:
             rest = float(rng.uniform(0.01, 100.0))
             res = best_response(ex, 0, rest)
             interior = -1.0 < beta0 < 1.0 + rest / deltas[0]
-            assert res.theta.is_finite == interior
-            if res.theta.is_finite:
+            assert (0.0 < res.theta < math.inf) == interior
+            if interior:
                 # higher elasticity than the risk tolerance iff exposure is reduced
-                assert (res.theta.as_float > deltas[0]) == (beta0 > res.k)
+                assert (res.theta > deltas[0]) == (beta0 > res.k)
 
     def test_value_dominates_probes(self, rng):
         for _ in range(30):
@@ -140,9 +158,7 @@ class TestBestResponse:
             ex = _exposures(rng, [beta0, 1.0 - beta0], random_deltas(rng, 2), n_securities=2)
             rest = float(rng.uniform(0.05, 30.0))
             res = best_response(ex, 0, rest)
-            probes = [Elasticity.zero(), Elasticity.infinite()] + [
-                Elasticity.finite(t) for t in np.geomspace(1e-4, 1e4, 99)
-            ]
+            probes = [0.0, math.inf] + np.geomspace(1e-4, 1e4, 99).tolist()
             tol = 1e-10 * max(1.0, abs(res.value))
             for probe in probes:
                 assert response_value(ex, 0, probe, rest) <= res.value + tol
@@ -185,7 +201,7 @@ class TestOneSided:
         deltas = np.array([1.0, 1.0])
         ex = _exposures(rng, [0.5, 0.5], deltas)
         result = one_sided_equilibrium(ex, 0)
-        assert result.response.theta.as_float == pytest.approx(1.0)
+        assert result.response.theta == pytest.approx(1.0)
         assert result.response.k == pytest.approx(0.5)
         assert result.cash_benefit == pytest.approx(0.0, abs=1e-14)
 
@@ -205,7 +221,7 @@ class TestOneSided:
             (TraderProfile(1e17, np.array([1.2])), TraderProfile(1.0, np.array([-0.2]))),
         )
         result = one_sided_equilibrium(derive_exposures(model), 0)
-        assert result.response.theta.is_infinite and result.response.k == 1.0
+        assert result.response.theta == math.inf and result.response.k == 1.0
         assert result.cash_benefit == pytest.approx(0.2 / 1e17)
 
     def test_hand_share_value(self, rng):

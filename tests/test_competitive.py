@@ -1,10 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from thinmarket import (
-    Elasticity,
     compare,
     competitive_equilibrium,
     derive_exposures,
@@ -22,12 +23,9 @@ def aggregate_demand(exposures, elasticities, price) -> np.ndarray:
     the market-clearing reference of these tests.  Raises if any elasticity
     is infinite (an extremely elastic demand has no finite-valued schedule).
     """
-    thetas = []
-    for theta in elasticities:
-        value = theta.as_float if hasattr(theta, "as_float") else float(theta)
-        if np.isinf(value):
-            raise ValueError("aggregate demand is undefined for infinite elasticity")
-        thetas.append(value)
+    thetas = [float(theta) for theta in elasticities]
+    if math.inf in thetas:
+        raise ValueError("aggregate demand is undefined for infinite elasticity")
     if len(thetas) != exposures.n_traders:
         raise ValueError("one elasticity per trader is required")
     p = np.asarray(price, dtype=float)
@@ -43,7 +41,7 @@ def test_hand_example(two_trader_exposures):
     # clearing against the true demands Q_i(p) = -a_i - delta_i C^{-1} p
     demand = aggregate_demand(
         two_trader_exposures,
-        [Elasticity.finite(1.0), Elasticity.finite(1.0)],
+        [1.0, 1.0],
         out.prices,
     )
     assert np.allclose(demand, 0.0, atol=1e-12)
@@ -88,7 +86,7 @@ def test_invariants_on_random_instances(rng):
         assert abs(out.post_beta.sum() - 1.0) < 1e-10
         assert abs(out.premium.sum()) < 1e-10 * scale
         # clearing of the submitted (true) demands at the equilibrium price
-        thetas = [Elasticity.finite(float(d)) for d in ex.delta]
+        thetas = ex.delta.tolist()
         assert np.allclose(aggregate_demand(ex, thetas, out.prices), 0.0, atol=1e-9 * scale)
         # gain decomposition: utility gain is |C^{1/2} q|^2 / (2 delta), nonnegative
         cov = model.securities_cov
@@ -119,16 +117,16 @@ def test_premium_increasing_in_beta(rng):
 
 def test_aggregate_demand_identities(two_trader_exposures):
     ex = two_trader_exposures
-    thetas = [Elasticity.finite(0.7), Elasticity.finite(2.3)]
+    thetas = [0.7, 2.3]
     # price that zeroes the submitted demands: -C a_I / sum(theta)
     price = -ex.cov_total / 3.0
     assert np.allclose(aggregate_demand(ex, thetas, price), 0.0, atol=1e-12)
     # at zero prices the intercepts sum to -a_I
     assert np.allclose(aggregate_demand(ex, thetas, np.zeros(1)), -ex.a_total)
     with pytest.raises(ValueError):
-        aggregate_demand(ex, [Elasticity.infinite(), Elasticity.finite(1.0)], price)
+        aggregate_demand(ex, [math.inf, 1.0], price)
     with pytest.raises(ValueError):
-        aggregate_demand(ex, [Elasticity.finite(1.0)], price)
+        aggregate_demand(ex, [1.0], price)
 
 
 # Long-double oracle for the post-trade certainty equivalents: it takes the

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from thinmarket import (
     ConsistencyError,
-    Elasticity,
     KIND_BILATERAL,
     KIND_EXTREME,
     KIND_GENERAL,
@@ -133,7 +132,7 @@ class TestSolveExtreme:
         ex = _exposures(rng, [2.5, -0.5, -1.0], [1.0, 1.0, 1.0])
         sol = solve(ex)
         assert sol.kind == KIND_EXTREME
-        values = [t.as_float for t in sol.elasticities]
+        values = sol.thetas.tolist()
         assert values[0] == math.inf
         assert values[1] == pytest.approx(0.5)
         assert values[2] == 0.0
@@ -159,8 +158,7 @@ class TestSolveExtreme:
         ex = _exposures(rng, [2.5, -1.5], [1.0, 2.0])
         sol = solve(ex)
         assert sol.kind == KIND_EXTREME
-        assert sol.elasticities[0].is_infinite
-        assert sol.elasticities[1].is_zero
+        assert sol.thetas.tolist() == [math.inf, 0.0]
         assert fixed_point_deviation(ex, sol.thetas) == 0.0
 
 
@@ -191,7 +189,7 @@ class TestSolveBilateral:
         ex = _exposures(rng, [1.2, -0.2], [1.0, 1.0])
         sol = solve(ex)
         assert sol.kind == KIND_BILATERAL
-        thetas = [t.as_float for t in sol.elasticities]
+        thetas = sol.thetas.tolist()
         assert thetas[0] == pytest.approx(2 * 0.5 / 0.3)
         assert thetas[1] == pytest.approx(2 * 0.5 / 1.7)
         assert np.allclose(sol.outcome.post_beta, [0.85, 0.15])
@@ -202,7 +200,7 @@ class TestSolveBilateral:
         ex = _exposures(rng, lam, deltas, n_securities=2, noise=0.0)
         sol = solve(ex)
         assert sol.kind == KIND_BILATERAL
-        assert np.allclose([t.as_float for t in sol.elasticities], deltas)
+        assert np.allclose(sol.thetas, deltas)
         assert np.allclose(sol.outcome.allocations, 0.0, atol=1e-12)
         comp = competitive_equilibrium(ex)
         assert np.allclose(sol.outcome.prices, comp.prices)
@@ -234,10 +232,9 @@ class TestSolveBilateral:
         ex = _exposures(rng, [1.5, 0.8, -1.3], [1.0, 1.0, 1.0])
         sol = solve(ex)
         assert sol.kind == KIND_BILATERAL
-        thetas = [t.as_float for t in sol.elasticities]
+        thetas = sol.thetas.tolist()
         assert thetas[2] == 0.0
         assert thetas[0] == pytest.approx(1.53333333333333 / 0.43333333333333, rel=1e-10)
-        assert sol.elasticities[2].is_zero
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_symmetric_form_is_bit_equal_to_the_per_trader_reference(self, rng, n):
@@ -294,7 +291,7 @@ class TestSolveGeneral:
         ex = _exposures(rng, [1.2, 0.2, -0.4], [1.0, 1.0, 1.0])
         sol = solve(ex)
         assert sol.kind == KIND_GENERAL
-        thetas = np.array([t.as_float for t in sol.elasticities])
+        thetas = sol.thetas
         assert thetas.sum() == pytest.approx(3.950762316545834, rel=1e-9)
         assert np.allclose(
             thetas, [2.573864109314033, 0.9475798225522591, 0.42931838467954303], rtol=1e-9
@@ -318,14 +315,14 @@ class TestSolveGeneral:
         ex = _exposures(rng, lam, deltas, n_securities=2, noise=0.0)
         sol = solve(ex)
         assert sol.kind == KIND_GENERAL
-        assert np.allclose([t.as_float for t in sol.elasticities], deltas, rtol=1e-10)
+        assert np.allclose(sol.thetas, deltas, rtol=1e-10)
         assert np.allclose(sol.outcome.allocations, 0.0, atol=1e-10)
 
     def test_unsupported_four_trader_configuration(self, rng):
         ex = _exposures(rng, [2.0, 2.0, 0.0, -3.0], [1.0, 1.0, 1.0, 1.0])
         sol = solve(ex)
         assert sol.kind == KIND_UNSUPPORTED
-        assert sol.outcome is None and sol.elasticities is None
+        assert sol.outcome is None and sol.thetas is None
         assert "beta > 1" in sol.detail
         # two betas above one but only two active traders: the bilateral
         # closed form applies, and the dispatch tries it first
@@ -385,9 +382,7 @@ class TestSolveGeneral:
             endowment_vars=model.endowment_vars[order],
         )
         sol_swapped = solve(derive_exposures(swapped))
-        thetas = np.array([t.as_float for t in sol.elasticities])
-        thetas_sw = np.array([t.as_float for t in sol_swapped.elasticities])
-        assert np.allclose(thetas, thetas_sw[[1, 0, 2]], rtol=1e-9)
+        assert np.allclose(sol.thetas, sol_swapped.thetas[[1, 0, 2]], rtol=1e-9)
 
 
 def _one_security_market(deltas, cov_es):
@@ -505,18 +500,17 @@ def _assert_one_point_stack_squeezes(model, g, exposures, alone):
 def _grid_kinds(points):
     """Classify and solve the stacked one-security markets `points`.  Each
     point must get check_extreme_condition's verdict alone (-1 for None, and
-    for a trivial point, where it raises alone), KIND_FAILED and no
-    elasticities where solve raises on it alone, and otherwise the kind, the
-    bits and the elasticities it gets alone; and the same as a one-point
-    stack.  Returns the kinds."""
+    for a trivial point, where it raises alone), KIND_FAILED and NaN
+    elasticities where solve raises on it alone, and otherwise the kind and
+    the bits it gets alone; and the same as a one-point stack.  Returns the
+    kinds."""
     kinds = []
     model = _one_security_market(*points[0]).stacked(
         np.array([d for d, _ in points]), np.array([c for _, c in points])[..., None]
     )
     stack = derive_exposures(model)
     leaders, grid = check_extreme_condition(stack), solve(stack)
-    elasticities = grid.elasticities
-    assert len(elasticities) == len(points)
+    assert len(grid.thetas) == len(points)
     for g in range(len(points)):
         exposures = derive_exposures(point_model(model, g))
         leader = None if exposures.is_trivial else check_extreme_condition(exposures)
@@ -525,14 +519,13 @@ def _grid_kinds(points):
             alone = solve(exposures)
         except SOLVE_ERRORS:
             assert grid.kind[g] == KIND_FAILED, g
-            assert elasticities[g] is None, g
+            assert np.isnan(grid.thetas[g]).all(), g
             _assert_one_point_stack_squeezes(model, g, exposures, None)
             kinds.append(KIND_FAILED)
             continue
         _assert_one_point_stack_squeezes(model, g, exposures, alone)
         kinds.append(alone.kind)
         assert grid.kind[g] == alone.kind, g
-        assert elasticities[g] == alone.elasticities, g  # None where unsupported
         outcome = alone.outcome
         pairs = {
             "thetas": (grid.thetas, alone.thetas),
@@ -575,6 +568,31 @@ class TestFailureParity:
                 for attr, value in limits.items():
                     patch.setattr(thinmarket.nash, attr, value)
                 assert _grid_kinds([(deltas, cov_es)] + SOLVED[len(deltas)])[0] == KIND_FAILED, name
+
+    def test_elasticities_read_as_thetas_with_none_where_a_point_has_none(self, monkeypatch):
+        # what the benchmark reads: records whose as_float is the theta, on
+        # one market and per point of a stack
+        for deltas, cov_es in [point for solved in SOLVED.values() for point in solved]:
+            sol = solve(derive_exposures(_one_security_market(deltas, cov_es)))
+            if sol.kind == KIND_UNSUPPORTED:
+                assert sol.elasticities is None
+            else:
+                assert [e.as_float for e in sol.elasticities] == sol.thetas.tolist()
+        deltas, cov_es, limits, _, _ = FAILURES["unverifiable_general"]
+        points = [(deltas, cov_es)] + SOLVED[4]
+        model = _one_security_market(*points[0]).stacked(
+            np.array([d for d, _ in points]), np.array([c for _, c in points])[..., None]
+        )
+        for attr, value in limits.items():
+            monkeypatch.setattr(thinmarket.nash, attr, value)
+        grid = solve(derive_exposures(model))
+        kinds = grid.kind.tolist()
+        assert {KIND_FAILED, KIND_UNSUPPORTED} < set(kinds)
+        for kind, row, thetas in zip(kinds, grid.elasticities, grid.thetas.tolist()):
+            if kind in (KIND_FAILED, KIND_UNSUPPORTED):
+                assert row is None
+            else:
+                assert [e.as_float for e in row] == thetas
 
 
 class TestDispatch:
@@ -691,7 +709,7 @@ class TestDispatch:
             vol_comp = np.einsum("ij,jk,ik->i", comp.allocations, cov, comp.allocations)
             assert np.all(vol_nash <= vol_comp + 1e-12)
             for i in range(2):
-                theta = sol.elasticities[i].as_float
+                theta = sol.thetas[i]
                 if abs(ex.beta[i] - ex.lam[i]) > 1e-9:
                     assert (theta > ex.delta[i]) == (ex.beta[i] > ex.lam[i])
 
@@ -744,22 +762,25 @@ class TestScalarEquation:
 
 
 # Reference verification: a trader-by-trader loop over the scalar best
-# response on Elasticity values, O(N^2), with the rounding rule of
-# fixed_point_deviation; fixed_point_deviation must give its verdicts on the
-# same elasticities as a float array.
+# response, O(N^2), with the rounding rule of fixed_point_deviation;
+# fixed_point_deviation must give its verdicts on the same elasticities as a
+# float array.
 def _reference_rest(elasticities, i):
     total = 0.0
     for j, theta in enumerate(elasticities):
-        if j == i:
-            continue
-        if theta.is_infinite:
-            return Elasticity.infinite()
-        total += theta.as_float
-    return Elasticity.from_float(total)
+        if j != i:
+            total += theta  # +inf once anyone else's theta is
+    return total
+
+
+def _branch(theta):
+    return "zero" if theta == 0.0 else "infinite" if theta == math.inf else "finite"
 
 
 def _reference_deviation(exposures, thetas):
-    elasticities = [Elasticity.from_float(t) for t in thetas]
+    elasticities = [float(t) for t in thetas]
+    if not all(theta >= 0.0 for theta in elasticities):
+        raise ValueError("NaN, negative or -inf: no elasticity")
     slack = thinmarket.nash._ROUNDING_ULPS * len(elasticities) * np.finfo(float).eps
     worst = 0.0
     for i in range(exposures.n_traders):
@@ -767,25 +788,23 @@ def _reference_deviation(exposures, thetas):
         beta, delta = float(exposures.beta[i]), float(exposures.delta[i])
         # within the slack of a branch threshold, -1 or 1 + rest / delta, either
         # branch is a best response
-        tie = min(abs(beta + 1.0), abs(rest.as_float / delta + (1.0 - beta))) <= slack * max(1.0, abs(beta))
+        tie = min(abs(beta + 1.0), abs(rest / delta + (1.0 - beta))) <= slack * max(1.0, abs(beta))
         try:
             br = best_response(exposures, i, rest)
         except ValueError:
-            if tie and not rest.is_zero:
+            if tie and rest != 0.0:
                 continue
             raise
         theta_i = elasticities[i]
-        if br.theta.kind != theta_i.kind:
+        if _branch(br.theta) != _branch(theta_i):
             if tie:
                 continue
             return math.inf
-        if theta_i.is_finite:
-            dev = abs(br.theta.value - theta_i.value) / max(
-                abs(br.theta.value), abs(theta_i.value)
-            )
+        if _branch(theta_i) == "finite":
+            dev = abs(br.theta - theta_i) / max(abs(br.theta), abs(theta_i))
             # less the rounding: (1 + |beta|) / |1 + rest / delta - beta| bounds
             # the response's conditioning in its inputs, the rest and beta
-            kappa = (1.0 + abs(beta)) / abs(rest.value / delta + (1.0 - beta))
+            kappa = (1.0 + abs(beta)) / abs(rest / delta + (1.0 - beta))
             worst = max(worst, dev - slack * kappa)
     return worst
 
@@ -802,13 +821,12 @@ def _rest_conditioning(exposures, thetas):
     of an interior best response against a finite rest.  Near the extreme
     boundary it is large: there an ulp of the rest sum moves the deviation by
     more than an ulp."""
-    elasticities = [Elasticity.from_float(t) for t in thetas]
     worst = 0.0
     for i in range(exposures.n_traders):
-        rest = _reference_rest(elasticities, i)
-        if rest.is_finite:
+        rest = _reference_rest([float(t) for t in thetas], i)
+        if _branch(rest) == "finite":
             gap = float(exposures.delta[i] * (1.0 - exposures.beta[i]))
-            worst = max(worst, abs(gap) / max(abs(rest.value + gap), 1e-300))
+            worst = max(worst, abs(gap) / max(abs(rest + gap), 1e-300))
     return worst
 
 
@@ -1086,7 +1104,7 @@ class TestVerificationStrength:
 
     @pytest.mark.parametrize("bad", [math.nan, -1.0, -math.inf])
     def test_rejects_entries_that_are_no_elasticity(self, rng, bad):
-        # a float array can hold values no Elasticity can; they are an input
+        # a float array can hold values no elasticity takes; they are an input
         # error, never a verdict (a NaN deviation would drop out of the max)
         for betas, kind in (([1.2, 0.2, -0.4], KIND_GENERAL), ([2.5, -0.5, -1.0], KIND_EXTREME)):
             ex = _exposures(rng, betas, [1.0, 1.0, 1.0])

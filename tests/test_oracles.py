@@ -72,7 +72,7 @@ class TestIterateBestResponses:
         ex = derive_exposures(model_from_betas(rng, [1.2, -0.2], [1.0, 1.0]))
         trace = iterate_best_responses(ex, [1.0, 1.0])
         assert trace.converged
-        final = [t.as_float for t in trace.iterates[-1]]
+        final = trace.iterates[-1]
         assert final[0] == pytest.approx(2 * 0.5 / 0.3, rel=1e-7)
         assert final[1] == pytest.approx(2 * 0.5 / 1.7, rel=1e-7)
 
@@ -91,8 +91,8 @@ class TestIterateBestResponses:
         assert trace.escalated
         assert trace.converged
         final = trace.iterates[-1]
-        assert final[0].is_infinite
-        assert final[1].as_float == pytest.approx(0.5, abs=1e-9)
+        assert final[0] == math.inf
+        assert final[1] == pytest.approx(0.5, abs=1e-9)
 
     def test_limits_match_solver_on_random_instances(self, rng, monkeypatch):
         # the oracle carries no convergence guarantee (branch limit-cycles can
@@ -116,12 +116,10 @@ class TestIterateBestResponses:
                 continue
             converged += 1
             final = trace.iterates[-1]
-            for got, want in zip(final, sol.elasticities):
-                assert abs(got.as_float - want.as_float) <= 1e-7 * max(
-                    1.0, abs(want.as_float)
-                )
+            for got, want in zip(final, sol.thetas.tolist()):
+                assert abs(got - want) <= 1e-7 * max(1.0, abs(want))
             # a converged trace always passes the coordinatewise check
-            cleaned = np.array([0.0 if t.as_float < 1e-9 else t.as_float for t in final])
+            cleaned = np.array([0.0 if t < 1e-9 else t for t in final])
             assert fixed_point_deviation(ex, cleaned) < 1e-6
         assert checked == 500
         assert converged >= 490
@@ -162,3 +160,13 @@ class TestIterateBestResponses:
         )
         with pytest.raises(ValueError):
             iterate_best_responses(trivial, [1.0, 1.0])
+        # one start per trader: a short start would solve a sub-market
+        three = derive_exposures(  # the README's three-trader market
+            MarketModel(
+                np.array([[1.0]]),
+                tuple(TraderProfile(d, np.array([c])) for d, c in ((1.0, 1.2), (1.0, -0.2), (0.5, 0.3))),
+            )
+        )
+        for start in ([1.0, 1.0], [1.0] * 4):
+            with pytest.raises(ValueError, match="start must hold 3 elasticities"):
+                iterate_best_responses(three, start)
