@@ -10,15 +10,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .competitive import EquilibriumOutcome, competitive_equilibrium
-from .errors import ConsistencyError
 from .model import ExposureProfile, _as_stack, _frozen, _trader_major, derive_exposures
-from .nash import (
-    KIND_BILATERAL,
-    KIND_EXTREME,
-    KIND_UNSUPPORTED,
-    NashSolution,
-    solve,
-)
+from .nash import KIND_BILATERAL, KIND_EXTREME, KIND_UNSUPPORTED, NashSolution, _failure, solve
+from .nash import _BILATERAL_GAIN, _EXTREME_GAIN, _EXTREME_INEFFICIENCY
 
 # Internal cross-checks compare the directly computed utility differences with
 # the closed forms; disagreement beyond this (scale-aware) tolerance is a bug.
@@ -50,18 +44,10 @@ def _bilateral_l_factor(exposures: ExposureProfile) -> np.ndarray:
     return np.where(exposures.is_trivial, np.nan, factor)
 
 
-# Verdicts of the closed-form cross-checks: 0 where they agree with du.
-_CROSSCHECK_FAILURES = (
-    None,
-    "extreme utility-gain closed form disagrees with direct du",
-    "extreme inefficiency closed form disagrees with direct sum",
-    "bilateral utility-gain closed form disagrees with direct du",
-)
-
-
 def _crosscheck(exposures: ExposureProfile, kind, k_shares, du, inefficiency, L):
-    """Index into _CROSSCHECK_FAILURES per point of a stack, for extreme
-    points and two-trader bilateral ones; 0 for the other kinds."""
+    """The stage of nash._FAILURES at which the closed forms disagree with du,
+    per point of a stack, for extreme points and two-trader bilateral ones; 0
+    where they agree and for the other kinds."""
     agg = exposures.aggregate_market_variance[..., None]
     delta_total = exposures.delta_total[..., None]
     delta, lam, beta = exposures.delta, exposures.lam, exposures.beta
@@ -80,8 +66,8 @@ def _crosscheck(exposures: ExposureProfile, kind, k_shares, du, inefficiency, L)
         closed_ineff = (-agg / (2.0 * delta_total) * (1.0 - lam_k) / lam_k)[..., 0]
         verdict = np.where(
             extreme & (_trader_major(np.abs(du - closed)).max(axis=-1) > tol),
-            1,
-            np.where(extreme & (np.abs(inefficiency - closed_ineff) > tol), 2, verdict),
+            _EXTREME_GAIN,
+            np.where(extreme & (np.abs(inefficiency - closed_ineff) > tol), _EXTREME_INEFFICIENCY, verdict),
         )
 
     bilateral = kind == KIND_BILATERAL
@@ -90,7 +76,8 @@ def _crosscheck(exposures: ExposureProfile, kind, k_shares, du, inefficiency, L)
         closed = agg / (2.0 * delta) * (lam**2 - mid**2) + (
             beta - lam
         ) / delta_total * agg * (1.0 - L[..., None])
-        verdict = np.where(bilateral & (_trader_major(np.abs(du - closed)).max(axis=-1) > tol), 3, verdict)
+        disagrees = bilateral & (_trader_major(np.abs(du - closed)).max(axis=-1) > tol)
+        verdict = np.where(disagrees, _BILATERAL_GAIN, verdict)
     return verdict
 
 
@@ -104,7 +91,7 @@ def compare(
     compare only subtracts: du is the Nash outcome's utilities minus the
     competitive ones, and each outcome carries its own decomposition.  For
     two-trader non-extreme and for extreme instances the known closed forms
-    are recomputed and any disagreement raises ConsistencyError.  Like
+    are recomputed and any disagreement raises its nash._FAILURES error.  Like
     solve, compare takes one market or a stacked profile and raises only on
     one market, which it compares as a one-point stack: given a stacked
     profile and solve's solution of it, it compares every point at once,
@@ -124,7 +111,7 @@ def compare(
     if stack is exposures:
         return ComparisonReport(_frozen(du), _frozen(inefficiency), L, _frozen(verdict != 0))
     if verdict[0]:
-        raise ConsistencyError(_CROSSCHECK_FAILURES[verdict[0]])
+        raise _failure(verdict[0])
     L = None if L is None or exposures.is_trivial else float(L[0])
     return ComparisonReport(_frozen(du[0]), float(inefficiency[0]), L)
 

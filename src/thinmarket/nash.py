@@ -19,7 +19,8 @@ call over every point that needs it (each general point is root-found on
 its own), with one point's arithmetic, so a grid point gets the bits it gets
 alone.  A market is solved as a one-point stack: `solve` keeps each point's
 first failure, marks the failed points of a stack KIND_FAILED, and raises
-the recorded failure on one market.
+the recorded failure on one market.  No step raises on a stack, and
+`_FAILURES`, which holds compare's stages too, is the one failure record.
 
 Markets with two or more betas above one that are not extreme (and have more
 than two active traders) are reported as an unsupported regime rather than
@@ -66,9 +67,10 @@ _KEY_FTOL = 1e-12
 _KEY_XTOL = 1e-14
 _MAX_ITERATIONS = 500
 
-# The stages where a market fails, in solve's order, with the exception one
+# The stages where solve, then compare, fails a market, with the exception one
 # market raises there (its message formatted with the failure's value).
 _ROOT_FINDER, _NO_ELASTICITY, _FLAT_RESPONSE, _UNDEFINED_REST, _RESIDUAL, _DEVIATION = range(1, 7)
+_EXTREME_GAIN, _EXTREME_INEFFICIENCY, _BILATERAL_GAIN = range(7, 10)
 _FAILURES = {
     _ROOT_FINDER: (ConsistencyError, "root-finder failed to reach tolerance"),
     _NO_ELASTICITY: (ValueError, "finite elasticity must be a strictly positive real"),
@@ -77,6 +79,9 @@ _FAILURES = {
                                   "the response problem is undefined otherwise"),
     _RESIDUAL: (ConsistencyError, "equilibrium residuals exceed tolerance: {:g}"),
     _DEVIATION: (ConsistencyError, "best-response verification failed: deviation {:g}"),
+    _EXTREME_GAIN: (ConsistencyError, "extreme utility-gain closed form disagrees with direct du"),
+    _EXTREME_INEFFICIENCY: (ConsistencyError, "extreme inefficiency closed form disagrees with direct sum"),
+    _BILATERAL_GAIN: (ConsistencyError, "bilateral utility-gain closed form disagrees with direct du"),
 }
 
 
@@ -288,7 +293,8 @@ def _root_inverse_total(system: GeneralSystem, f0: float, delta_total: float) ->
     secant steps are taken while they shrink the bracket fast enough, and
     bisection steps otherwise, which cover F's kink at followers with
     beta = 1.  F < 0 marks the left side of the bracket and F >= 0 the right.
-    Returns b once |F(b)| < _KEY_FTOL and [b, c] is narrower than _KEY_XTOL b.
+    Returns b once |F(b)| < _KEY_FTOL and [b, c] is narrower than _KEY_XTOL b,
+    and NaN when that takes more than _MAX_ITERATIONS steps: it never raises.
     """
     a, fa, b = 0.0, f0, 1.0 / delta_total or math.ulp(0.0)
     fb = system.F(b)
@@ -331,14 +337,15 @@ def _root_inverse_total(system: GeneralSystem, f0: float, delta_total: float) ->
         # move at least tol towards c, but never past the bracket's midpoint
         b += step if abs(step) >= tol else math.copysign(min(tol, abs(half)), half)
         fb = system.F(b)
-    raise _failure(_ROOT_FINDER)
+    return math.nan
 
 
 def solve_general(delta: np.ndarray, beta: np.ndarray, delta_total: float):
     """Elasticities, shares and inverse total elasticity s of the general
     constructive solution of one market, from its risk tolerances, betas and
     total risk tolerance (a grid point's row will do); s = 0 (and NaN) where
-    F(0) >= 0, the extreme side."""
+    F(0) >= 0, the extreme side, and s = NaN where the root-finder fails, which
+    solve records as that point's failure."""
     system = GeneralSystem(delta, beta)
     f0 = system.F(0.0)
     if f0 >= 0.0:
@@ -381,27 +388,19 @@ def fixed_point_deviation(exposures: ExposureProfile, thetas):
     response is undefined raises ValueError, unless an earlier trader's branch
     mismatches, which gives inf.
 
-    Over a stacked profile with thetas of shape (G, N), one deviation per
-    point, +inf where the one-market form raises.
+    Over a stacked profile with thetas of shape (G, N), a pair of arrays with
+    one entry per point: the deviation, +inf where the one-market form raises,
+    and the stage of _FAILURES at which it raises, 0 where it does not.
     """
     stack = _as_stack(exposures)
     theta = np.asarray(thetas, dtype=float)
-    deviation, stop = _verification(stack, theta if stack is exposures else theta[None])
-    if stack is exposures:
-        return np.where(stop > 0, math.inf, deviation)
-    if stop[0]:
-        raise _failure(stop[0])
-    return float(deviation[0])
-
-
-def _verification(exposures: ExposureProfile, theta: np.ndarray):
-    """fixed_point_deviation's body over a stack: per point the deviation, and
-    the stage at which the one-market check raises (0 where it does not)."""
+    if stack is not exposures:
+        theta = theta[None]
     # best_response's branches as arrays: zero for beta <= -1, infinite for
     # beta >= 1 + rest/delta (never against an infinite rest), the interior
     # closed form otherwise, which is delta (1 + beta) against an infinite
     # rest; against a zero rest the response is undefined unless beta > 1.
-    beta, delta = exposures.beta, exposures.delta
+    beta, delta = stack.beta, stack.delta
     slack = _ROUNDING_ULPS * theta.shape[-1] * np.finfo(float).eps
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # see bad_value
         rest = _exclusive_sums(theta)  # infinite exactly where anyone else's theta is
@@ -429,8 +428,13 @@ def _verification(exposures: ExposureProfile, theta: np.ndarray):
             first = np.take_along_axis(verdict, np.argmax(verdict != 0, axis=-1)[..., None], -1)[..., 0]
             deviation = np.where(first != 0, math.inf, deviation)
             stop = np.maximum(first, 0)
-    stop = np.where(exposures.is_trivial, _FLAT_RESPONSE, stop)
-    return deviation, np.where(_trader_major(theta >= 0.0).all(axis=-1), stop, _NO_ELASTICITY)
+    stop = np.where(stack.is_trivial, _FLAT_RESPONSE, stop)
+    stop = np.where(_trader_major(theta >= 0.0).all(axis=-1), stop, _NO_ELASTICITY)
+    if stack is exposures:
+        return np.where(stop > 0, math.inf, deviation), stop
+    if stop[0]:
+        raise _failure(stop[0])
+    return float(deviation[0])
 
 
 # The kinds solve assigns, by index.
@@ -455,8 +459,9 @@ def solve(exposures: ExposureProfile) -> NashSolution:
     F(0) >= 0 to the extreme solution (the tie rule).  A step runs only when
     some point needs it, and every solution is verified coordinatewise.  Each
     point keeps the stage and value of its first failure (_FAILURES): the
-    root-finder's, fixed_point_deviation's ValueError, or a residual and then
-    a deviation beyond its tolerance.  A failed or invalid point of a stack is
+    root-finder's (a NaN s from solve_general), the stage at which
+    fixed_point_deviation raises alone, or a residual and then a deviation
+    beyond its tolerance.  A failed or invalid point of a stack is
     KIND_FAILED with NaN values; on one market solve raises its failure.
     """
     stack = _as_stack(exposures)
@@ -464,9 +469,7 @@ def solve(exposures: ExposureProfile) -> NashSolution:
     trivial = valid & stack.is_trivial
     live = valid & ~trivial
     kind = np.full(valid.shape, _TRIVIAL)
-    # each point's first failure: its stage (0 for none) and the value its
-    # message reads
-    stop, value = np.zeros(valid.shape, dtype=int), np.full(valid.shape, np.nan)
+    value = np.full(valid.shape, np.nan)  # what each point's failure message reads
     thetas, shares, residuals = np.full((3, *stack.delta.shape), np.nan)
     prices = np.full(stack.cov_total.shape, np.nan)
     # one errstate for every step: failed or unsolved points of a grid carry
@@ -493,12 +496,12 @@ def solve(exposures: ExposureProfile) -> NashSolution:
             kind = np.where(overflow, _GENERAL, kind)
         inverse_total = np.full(valid.shape, np.nan)
         for g in np.flatnonzero(general).tolist():
-            try:
-                thetas[g], shares[g], inverse_total[g] = solve_general(
-                    stack.delta[g], stack.beta[g], float(stack.delta_total[g])
-                )
-            except SOLVE_ERRORS:
-                stop[g] = _ROOT_FINDER
+            thetas[g], shares[g], inverse_total[g] = solve_general(
+                stack.delta[g], stack.beta[g], float(stack.delta_total[g])
+            )
+        # each point's first failure, its stage (0 for none): the root-finder
+        # gives NaN where it fails
+        stop = np.where(general & np.isnan(inverse_total), _ROOT_FINDER, 0)
         (prices,) = _fill(general, (prices, -stack.cov_total * inverse_total[..., None]))
         tie = general & (inverse_total == 0.0)  # F(0) >= 0: see check_extreme_condition
         finite = (bilateral | general) & ~tie & (stop == 0)
@@ -515,12 +518,11 @@ def solve(exposures: ExposureProfile) -> NashSolution:
         solved = extreme | finite
         if solved.any():
             worst = _trader_major(np.abs(residuals)).max(axis=-1)
-            deviation = fixed_point_deviation(stack, thetas)
+            deviation, raises = fixed_point_deviation(stack, thetas)
             rejected = solved & ((worst > RESIDUAL_TOL) | (deviation > FIXED_POINT_RTOL))
             if rejected.any():
                 # in the order one market raises: a check that raises alone
                 # (whose deviation reads inf), a residual, a deviation
-                raises = _verification(stack, thetas)[1]
                 stage = np.where(raises > 0, raises, np.where(worst > RESIDUAL_TOL, _RESIDUAL, _DEVIATION))
                 stop = np.where(rejected, stage, stop)
                 value = np.where(stage == _RESIDUAL, worst, deviation)

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import thinmarket.analysis
 from thinmarket import (
     KIND_BILATERAL,
     KIND_EXTREME,
@@ -31,6 +32,12 @@ def _incompleteness(model):
     """The market's du and its incompleteness report."""
     ex, _, _, report = _pipeline(model)
     return report.du, incompleteness_effect(ex, report.du)
+
+
+def _tolerance(exposures):
+    """compare's cross-check tolerance, per point of a stack."""
+    scale = exposures.aggregate_market_variance / (2.0 * exposures.delta.min(axis=-1))
+    return thinmarket.analysis._CROSSCHECK_RTOL * np.maximum(1.0, scale)
 
 
 class TestCompare:
@@ -150,6 +157,44 @@ class TestCompare:
         with pytest.raises(ConsistencyError) as info:
             compare(ex, comp, shifted)
         assert str(info.value) == "bilateral utility-gain closed form disagrees with direct du"
+
+    def test_extreme_cross_checks_name_their_failure(self, rng):
+        # four traders, extreme and led by trader 0; a shift of one trader's
+        # Nash utility beyond the tolerance fails its du, and a shift of every
+        # trader's by 0.4 of it passes each du and fails their sum
+        model = model_from_betas(rng, [3.0, -0.5, -0.5, -1.0], [1.0, 1.5, 0.5, 2.0], n_securities=2)
+        ex, comp, nash, report = _pipeline(model)
+        assert nash.kind == KIND_EXTREME and report.failed is None
+        tol = _tolerance(ex)
+        messages = {
+            "extreme utility-gain closed form disagrees with direct du": np.array([0.0, 0.0, 2.0, 0.0]),
+            "extreme inefficiency closed form disagrees with direct sum": np.full(4, 0.4),
+        }
+        for message, shift in messages.items():
+            shifted = replace(nash, outcome=replace(
+                nash.outcome, utilities=nash.outcome.utilities + shift * tol
+            ))
+            with pytest.raises(ConsistencyError) as info:
+                compare(ex, comp, shifted)
+            assert str(info.value) == message
+
+        # the same market at five scales as one stack: failed marks exactly
+        # the two perturbed points
+        scales = np.array([1.0, 2.0, 0.5, 4.0, 0.25])
+        stacked = model.stacked(
+            scales[:, None] * model.deltas, np.repeat(model.cov_matrix_rows[None], scales.size, axis=0)
+        )
+        ex = derive_exposures(stacked)
+        comp, nash = competitive_equilibrium(ex), solve(ex)
+        assert nash.kind.tolist() == [KIND_EXTREME] * scales.size
+        assert not compare(ex, comp, nash).failed.any()
+        shift = np.zeros((scales.size, 4))
+        shift[1] = messages["extreme utility-gain closed form disagrees with direct du"]
+        shift[3] = messages["extreme inefficiency closed form disagrees with direct sum"]
+        shifted = replace(nash, outcome=replace(
+            nash.outcome, utilities=nash.outcome.utilities + shift * _tolerance(ex)[:, None]
+        ))
+        assert compare(ex, comp, shifted).failed.tolist() == [False, True, False, True, False]
 
 
 class TestRiskNeutralLimit:

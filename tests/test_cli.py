@@ -1009,3 +1009,25 @@ def test_follower_with_a_risk_tolerance_beyond_the_square_root_of_float_max_solv
     out = tmp_path / "report.json"
     assert main(["analyze", "--scenario", scen, "--out", str(out)]) == 0
     assert json.loads(out.read_text())["nash"]["kind"] == "general_non_extreme"
+
+
+_OVERFLOWING_SPANNED_VARIANCE = (
+    "FOUND in CHANGES.md: validate_model compares an overflowing spanned variance as inf > inf, "
+    "so the market passes validation, and analyze exits 5"
+)
+
+
+@pytest.mark.parametrize("cov_es", [
+    1e154, pytest.param(1e308, marks=pytest.mark.xfail(strict=True, reason=_OVERFLOWING_SPANNED_VARIANCE)),
+])
+def test_a_spanned_variance_beyond_the_total_is_invalid_where_it_overflows(tmp_path, cov_es):
+    # trader 1's cov_es spans the variance cov_es^2 against a total of 3:
+    # 1e308 for 1e154, and beyond the float range for 1e308
+    doc = bilateral_scenario(total=3.0)
+    doc["traders"][1]["cov_es"] = [cov_es]
+    scen = write_json(tmp_path / "s.json", doc)
+    violation = "total_endowment_var is below the variance spanned by the securities"
+    assert thinmarket.model.validate_model(load_scenario(scen)).violations == (violation,)
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--scenario", scen, "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["validation"]["violations"] == [violation]

@@ -34,6 +34,7 @@ from thinmarket.nash import (
     KIND_FAILED,
     SOLVE_ERRORS,
     GeneralSystem,
+    _failure,
     check_extreme_condition,
     fixed_point_deviation,
     solve_bilateral,
@@ -488,8 +489,9 @@ def _assert_one_point_stack_squeezes(model, g, exposures, alone):
     for name in ("prices", "allocations", "post_beta", "utilities", "premium", "payoff_gain"):
         assert _same_bits(getattr(sol.outcome, name), getattr(alone.outcome, name)), (g, name)
     if alone.kind != KIND_TRIVIAL:
-        deviation = fixed_point_deviation(stack, sol.thetas)
+        deviation, stage = fixed_point_deviation(stack, sol.thetas)
         assert deviation.tolist() == [fixed_point_deviation(exposures, alone.thetas)], g
+        assert stage.tolist() == [0], g
     one = compare(exposures, competitive_equilibrium(exposures), alone)
     report = compare(stack, competitive_equilibrium(stack), sol)
     assert report.failed.tolist() == [False], g
@@ -552,13 +554,32 @@ class TestFailureParity:
         solve(exposures)  # solved with the limits in place
         for attr, value in limits.items():
             monkeypatch.setattr(thinmarket.nash, attr, value)
+        # the verifier runs once, and gives a rejected market its stage too;
+        # a market the root-finder fails has nothing to verify
+        calls, verify = [], thinmarket.nash.fixed_point_deviation
+        monkeypatch.setattr(thinmarket.nash, "fixed_point_deviation", lambda *a: calls.append(a) or verify(*a))
         with pytest.raises(SOLVE_ERRORS) as info:
             solve(exposures)
         assert type(info.value) is error
         assert str(info.value) == message
+        assert len(calls) == (name != "root_finder_exhausted")
         # the same market as a one-point stack marks its point instead
         point = derive_exposures(_one_point_stack(_one_security_market(deltas, cov_es)))
         assert solve(point).kind.tolist() == [KIND_FAILED]
+
+    def test_an_error_inside_the_general_step_propagates(self, monkeypatch):
+        # only the root-finder's exhaustion is a failure of the market
+        # (root_finder_exhausted in FAILURES); any other error is a bug
+        deltas, cov_es = FAILURES["root_finder_exhausted"][:2]
+        exposures = derive_exposures(_one_security_market(deltas, cov_es))
+        assert solve(exposures).kind == KIND_GENERAL
+
+        def broken(system, s):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(thinmarket.nash.GeneralSystem, "follower_thetas", broken)
+        with pytest.raises(ValueError, match="^boom$"):
+            solve(exposures)
 
     def test_grid_fails_where_solve_raises_and_is_bit_equal_elsewhere(self, monkeypatch):
         kinds = [kind for solved in SOLVED.values() for kind in _grid_kinds(solved)]
@@ -937,25 +958,32 @@ class TestVerificationParity:
         ex = derive_exposures(stacked)
         thetas = np.array([theta for _, theta, _ in points], dtype=float)
         messages = {"undefined": "theta_rest = 0", "bad_value": "finite elasticity"}
-        want = []
+        want, raised = [], []
         for g, (_, _, verdict) in enumerate(points):
             one = derive_exposures(point_model(stacked, g))
             assert_same_verdict(one, thetas[g])
             if verdict in messages:
-                with pytest.raises(ValueError, match=messages[verdict]):
+                with pytest.raises(ValueError, match=messages[verdict]) as info:
                     fixed_point_deviation(one, thetas[g])
                 want.append(math.inf)
+                raised.append(str(info.value))
                 continue
+            raised.append(None)
             deviation = fixed_point_deviation(one, thetas[g])
             assert {"verified": deviation < 1e-8, "deviates": 1e-8 < deviation < math.inf,
                     "mismatch": deviation == math.inf}[verdict]
             want.append(deviation)
-        assert fixed_point_deviation(ex, thetas).tolist() == want
+        # each stage raises, on one market, the exception the point raised
+        deviation, stage = fixed_point_deviation(ex, thetas)
+        assert deviation.tolist() == want
+        assert [str(_failure(s)) if s else None for s in stage.tolist()] == raised
         go_on = [g for g, (_, _, verdict) in enumerate(points) if verdict in ("verified", "deviates")]
         sub = derive_exposures(
             models[0].stacked(stacked.deltas[go_on], stacked.cov_matrix_rows[go_on])
         )
-        assert fixed_point_deviation(sub, thetas[go_on]).tolist() == [want[g] for g in go_on]
+        deviation, stage = fixed_point_deviation(sub, thetas[go_on])
+        assert deviation.tolist() == [want[g] for g in go_on]
+        assert not stage.any()
 
     @given(
         follower_deltas=st.lists(st.integers(1, 16), min_size=1, max_size=4),
@@ -1071,7 +1099,8 @@ def test_markets_within_8_ulps_of_the_boundary_solve_and_are_continuous(n, n_sec
     stacked = derive_exposures(model.stacked(deltas, np.repeat(model.cov_matrix_rows[None], len(grid), axis=0)))
     sol = solve(stacked)
     assert KIND_FAILED not in sol.kind.tolist()
-    assert (fixed_point_deviation(stacked, sol.thetas) <= thinmarket.nash.FIXED_POINT_RTOL).all()
+    deviation, stage = fixed_point_deviation(stacked, sol.thetas)
+    assert (deviation <= thinmarket.nash.FIXED_POINT_RTOL).all() and not stage.any()
     du = compare(stacked, competitive_equilibrium(stacked), sol).du
     for values in (sol.k_shares, sol.outcome.prices, du):
         scale = max(1.0, float(np.abs(values).max()))
