@@ -96,18 +96,20 @@ def compare(
     one market, which it compares as a one-point stack: given a stacked
     profile and solve's solution of it, it compares every point at once,
     marks a disagreement in `failed` and gives NaN where a point has no
-    solution.
+    solution, without a RuntimeWarning from those points.
     """
     stack = _as_stack(exposures)
     if stack is not exposures and nash.kind == KIND_UNSUPPORTED:
         raise ValueError("cannot compare against an unsupported-regime result")
-    du = nash.outcome.utilities - competitive.utilities
-    kind, k_shares = np.asarray(nash.kind), nash.k_shares
-    if stack is not exposures:
-        du, kind, k_shares = du[None], kind[None], k_shares[None]
-    inefficiency = _trader_major(du).sum(axis=-1)
-    L = _bilateral_l_factor(stack) if exposures.n_traders == 2 else None
-    verdict = _crosscheck(stack, kind, k_shares, du, inefficiency, L)
+    # unsolved and invalid points of a stack carry NaN and inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        du = nash.outcome.utilities - competitive.utilities
+        kind, k_shares = np.asarray(nash.kind), nash.k_shares
+        if stack is not exposures:
+            du, kind, k_shares = du[None], kind[None], k_shares[None]
+        inefficiency = _trader_major(du).sum(axis=-1)
+        L = _bilateral_l_factor(stack) if exposures.n_traders == 2 else None
+        verdict = _crosscheck(stack, kind, k_shares, du, inefficiency, L)
     if stack is exposures:
         return ComparisonReport(_frozen(du), _frozen(inefficiency), L, _frozen(verdict != 0))
     if verdict[0]:

@@ -32,14 +32,11 @@ def _elasticity(theta, finite: bool = False) -> float:
 
 @dataclass(frozen=True)
 class BestResponseResult:
-    """Optimal submitted elasticity, the resulting post-trade share k and the
-    value at the optimum.  theta names the branch that produced it: 0.0 on the
-    inelastic branch, finite on the interior one, +inf on the risk-neutral
-    one."""
+    """Optimal submitted elasticity theta and its post-trade share k.  theta
+    names its branch: 0.0 inelastic, finite interior, +inf risk-neutral."""
 
     theta: float
     k: float
-    value: float
 
 
 def share_from_elasticity(theta: float, theta_rest: float) -> float:
@@ -88,18 +85,9 @@ def response_value(exposures: ExposureProfile, i: int, theta_i, theta_rest: floa
     )
 
 
-def _limit_value(exposures: ExposureProfile, i: int, k: float) -> float:
-    # value when the 1/theta_rest terms vanish (theta_rest at an endpoint)
-    delta_i = exposures.delta[i]
-    return float(
-        exposures.u[i]
-        + exposures.own_var[i] / (2.0 * delta_i)
-        - exposures.aggregate_market_variance * k * k / (2.0 * delta_i)
-    )
-
-
 def best_response(exposures: ExposureProfile, i: int, theta_rest) -> BestResponseResult:
-    """Unique maximizer of the response value over [0, inf].
+    """Unique maximizer theta of the response value over [0, inf], with its
+    share k; response_value evaluates the objective there.
 
     For finite theta_rest > 0 the three branches are: zero elasticity when
     beta_i <= -1; the interior closed form
@@ -116,10 +104,10 @@ def best_response(exposures: ExposureProfile, i: int, theta_rest) -> BestRespons
 
     if rest == math.inf:
         theta = 0.0 if beta_i <= -1.0 else _elasticity(delta_i * (1.0 + beta_i), finite=True)
-        return BestResponseResult(theta, 0.0, _limit_value(exposures, i, 0.0))
+        return BestResponseResult(theta, 0.0)
     if rest == 0.0:
         if beta_i > 1.0:
-            return BestResponseResult(math.inf, 1.0, _limit_value(exposures, i, 1.0))
+            return BestResponseResult(math.inf, 1.0)
         raise _failure(_UNDEFINED_REST)
 
     ratio = rest / delta_i  # no product of delta_i and the rest under- or overflows
@@ -130,7 +118,7 @@ def best_response(exposures: ExposureProfile, i: int, theta_rest) -> BestRespons
     else:
         k = (1.0 + beta_i) / (2.0 + ratio)
         theta = _elasticity(rest * (1.0 + beta_i) / (ratio + (1.0 - beta_i)), finite=True)
-    return BestResponseResult(theta, k, response_value_at_share(exposures, i, k, rest))
+    return BestResponseResult(theta, k)
 
 
 @dataclass(frozen=True)

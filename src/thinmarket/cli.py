@@ -62,7 +62,7 @@ from .analysis import _incompleteness_inapplicable, compare, incompleteness_effe
 from .best_response import best_response
 from .competitive import competitive_equilibrium
 from .errors import InvalidModelError, ScenarioError
-from .model import ValidationResult, certainty_equivalent, derive_exposures
+from .model import certainty_equivalent, derive_exposures
 from .nash import (
     KIND_BILATERAL,
     KIND_EXTREME,
@@ -104,7 +104,7 @@ def cmd_analyze(args) -> int:
     try:
         exposures = derive_exposures(model)  # validates the model once
     except InvalidModelError as exc:
-        code, doc = EXIT_INVALID, build_report(model, ValidationResult(exc.violations))
+        code, doc = EXIT_INVALID, build_report(model, exc.violations)
     else:
         comp = competitive_equilibrium(exposures)
         nash = solve(exposures)
@@ -115,7 +115,7 @@ def cmd_analyze(args) -> int:
                 inc = incompleteness_effect(exposures, comparison.du)
         doc = build_report(
             model,
-            ValidationResult(),
+            (),
             exposures=exposures,
             competitive=comp,
             nash=nash,
@@ -169,9 +169,7 @@ def _sweep_body(model, grid: list[float], width: int) -> str:
         kinds, numbers = ["validation_failed"] * len(grid), np.repeat(np.array(grid)[:, None], width + 1, 1)
     else:
         nash = solve(exposures)
-        # unsolved points carry inf and NaN through the row-wise arithmetic
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            comparison = compare(exposures, competitive_equilibrium(exposures), nash)
+        comparison = compare(exposures, competitive_equilibrium(exposures), nash)
         kinds = np.where(comparison.failed, KIND_FAILED, nash.kind)
         kinds = np.where(exposures.valid, kinds, "validation_failed").tolist()
         numbers = np.concatenate(
@@ -240,6 +238,11 @@ def cmd_validate(args) -> int:
     except ValueError as exc:
         raise ScenarioError("--samples/--seed", str(exc)) from None
     exposures = derive_exposures(model)
+    # classify before sampling: an unsupported market reports no rows
+    nash = None if exposures.is_trivial else solve(exposures)
+    if nash is not None and nash.kind == KIND_UNSUPPORTED:
+        print(f"unsupported regime: {nash.detail}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
 
     # Monte-Carlo certainty equivalents of each trader's autarky position.
     rows = []
@@ -257,14 +260,9 @@ def cmd_validate(args) -> int:
             detail = f"z={z:.2f} (limit {limit:g})"
         rows.append((f"mc-ce[{i}]", ok and not est.unreliable, detail))
 
-    if exposures.is_trivial:
+    if nash is None:
         print("note: flat response (a_I = 0); response-function oracles skipped")
     else:
-        nash = solve(exposures)
-        if nash.kind == KIND_UNSUPPORTED:
-            print(f"unsupported regime: {nash.detail}", file=sys.stderr)
-            return EXIT_UNSUPPORTED
-
         limit = _LIMITS["grid-k"]
         for i in range(exposures.n_traders):
             rest = exposures.delta_total - float(exposures.delta[i])

@@ -49,17 +49,19 @@ def clearing_outcome(
     Var(E_i) - <a_i, C a_i> + k_i^2 <a_I, C a_I>, and the payoff gain is
     (<a_i, C a_i> - k_i^2 <a_I, C a_I>) / (2 delta_i).  A risk tolerance
     above half the float maximum doubles to inf, and the payoff gain is then
-    0, which is right.  The arrays are frozen in place, so the callers pass
-    arrays they have just computed.
+    0, which is right.  The arithmetic runs without warnings on any profile
+    derive_exposures returns: a stack's invalid or unsolved points carry NaN
+    and inf, and exposures near the float maximum overflow.  The arrays are
+    frozen in place, so the callers pass arrays they have just computed.
     """
     k = np.asarray(k_shares, dtype=float)
-    q = k[..., :, None] * exposures.a_total[..., None, :] - exposures.a
     p = np.asarray(prices, dtype=float)
-    premium = _matvec(q, p)  # <q_i, p>
     agg = np.asarray(exposures.aggregate_market_variance)[..., None]
-    with np.errstate(over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q = k[..., :, None] * exposures.a_total[..., None, :] - exposures.a
+        premium = _matvec(q, p)  # <q_i, p>
         payoff_gain = (exposures.own_var - k * k * agg) / (2.0 * exposures.delta)
-    utilities = exposures.u + payoff_gain - premium
+        utilities = exposures.u + payoff_gain - premium
     return EquilibriumOutcome(
         prices=_frozen(p),
         allocations=_frozen(q),

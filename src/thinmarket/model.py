@@ -384,10 +384,6 @@ class ExposureProfile:
     def n_traders(self) -> int:
         return self.model.n_traders
 
-    @property
-    def n_securities(self) -> int:
-        return self.model.n_securities
-
 
 def _as_stack(market):
     """A stacked MarketModel or ExposureProfile itself, and one market as a

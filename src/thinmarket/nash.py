@@ -192,7 +192,9 @@ def solve_extreme(exposures: ExposureProfile, leader) -> tuple[np.ndarray, np.nd
     the leader absorbs the whole market exposure and all others end
     market-neutral."""
     is_leader = np.arange(exposures.n_traders) == np.asarray(leader)[..., None]
-    return np.where(is_leader, math.inf, _positive_terms(exposures)), is_leader.astype(float)
+    with np.errstate(invalid="ignore", over="ignore"):  # as in check_extreme_condition
+        terms = _positive_terms(exposures)
+    return np.where(is_leader, math.inf, terms), is_leader.astype(float)
 
 
 def nash_residuals(exposures: ExposureProfile, thetas: np.ndarray) -> np.ndarray:
@@ -217,8 +219,9 @@ def solve_bilateral(exposures: ExposureProfile) -> np.ndarray:
     beta, lam, delta = exposures.beta, exposures.lam, exposures.delta
     active = beta > -1.0
     lam_j, beta_j = (_exclusive_sums(np.where(active, x, 0.0)) for x in (lam, beta))
-    # a denominator can round to zero on the boundary: see solve
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a denominator can round to zero on the boundary (see solve), and a risk
+    # tolerance near the float maximum overflows
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         gap = lam * beta - lam_j * beta_j
         theta = delta * 2.0 * lam_j * (beta + beta_j) / ((lam + lam_j) - gap)
     return np.where(active, theta, 0.0)

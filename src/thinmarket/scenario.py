@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any
+from typing import Any, Sequence
 
 from .errors import ScenarioError
-from .model import MarketModel, ValidationResult
+from .model import MarketModel
 
 SCHEMA_VERSION = "1"
 INF_TOKEN = "inf"
@@ -130,19 +130,20 @@ def elasticity_token(theta: float):
 
 def build_report(
     model: MarketModel,
-    validation: ValidationResult,
+    violations: Sequence[str],
     exposures=None,
     competitive=None,
     nash=None,
     comparison=None,
     incompleteness=None,
 ) -> dict:
-    """Assemble the full analysis document; blocks for stages that did not run
-    are simply absent."""
+    """Assemble the full analysis document from the model's violations (none
+    for a valid model) and the stages that ran; blocks for stages that did not
+    run are simply absent."""
     doc: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "scenario": scenario_to_dict(model),
-        "validation": {"ok": validation.ok, "violations": list(validation.violations)},
+        "validation": {"ok": not violations, "violations": list(violations)},
     }
     if exposures is not None:
         doc["exposures"] = {

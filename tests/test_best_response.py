@@ -159,9 +159,10 @@ class TestBestResponse:
             rest = float(rng.uniform(0.05, 30.0))
             res = best_response(ex, 0, rest)
             probes = [0.0, math.inf] + np.geomspace(1e-4, 1e4, 99).tolist()
-            tol = 1e-10 * max(1.0, abs(res.value))
+            value = response_value(ex, 0, res.theta, rest)
+            tol = 1e-10 * max(1.0, abs(value))
             for probe in probes:
-                assert response_value(ex, 0, probe, rest) <= res.value + tol
+                assert response_value(ex, 0, probe, rest) <= value + tol
 
     def test_matches_grid_oracle(self, rng):
         for _ in range(25):

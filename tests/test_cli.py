@@ -1,6 +1,7 @@
 import csv
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -1031,3 +1032,88 @@ def test_a_spanned_variance_beyond_the_total_is_invalid_where_it_overflows(tmp_p
     out = tmp_path / "report.json"
     assert main(["analyze", "--scenario", scen, "--out", str(out)]) == 2
     assert json.loads(out.read_text())["validation"]["violations"] == [violation]
+
+
+@pytest.mark.parametrize("cov_es", [1e300, 1e308])
+def test_strict_analyze_of_an_overflowing_exposure_prints_one_line(tmp_path, cov_es):
+    # trader 1's exposure overflows the competitive premium's product; where a
+    # RuntimeWarning is an error, analyze still fails with one line and no
+    # traceback (its code moves from 5 to 2 once the overflowing spanned
+    # variance is invalid)
+    doc = bilateral_scenario(total=3.0)
+    doc["traders"][1]["cov_es"] = [cov_es]
+    scen = write_json(tmp_path / "s.json", doc)
+    strict = ("-X", "dev", "-W", "error::RuntimeWarning")
+    proc = run_module("analyze", "--scenario", scen, "--out", str(tmp_path / "report.json"), flags=strict)
+    assert proc.returncode in (2, 5)
+    assert proc.stderr.startswith((b"error: ", b"invalid: ")) and proc.stderr.count(b"\n") == 1
+    assert b"Traceback" not in proc.stderr and proc.stdout == b""
+
+
+def unsupported_validate_scenario():
+    # beta = 1.3, 1.2, -0.7, -0.7 over a_I = 1.1: two betas above one, and
+    # the extreme condition fails
+    return {
+        "schema_version": "1",
+        "securities_cov": [[1.0]],
+        "traders": [{"delta": 1.0, "cov_es": [c], "endowment_var": 1.0} for c in (1.3, 1.2, -0.7, -0.7)],
+    }
+
+
+def test_validate_classifies_an_unsupported_market_before_sampling(tmp_path, capsys, monkeypatch):
+    import thinmarket.oracles
+
+    calls = []
+    sample = thinmarket.oracles.mc_certainty_equivalent
+    monkeypatch.setattr(thinmarket.oracles, "mc_certainty_equivalent",
+                        lambda *args: calls.append(args) or sample(*args))
+    scen = write_json(tmp_path / "s.json", unsupported_validate_scenario())
+    assert main(["validate", "--scenario", scen, "--samples", "1000"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("unsupported regime: ") and err.count("\n") == 1
+    assert calls == []
+    # a supported market samples each trader once
+    scen = write_json(tmp_path / "b.json", bilateral_scenario(total=3.0))
+    assert main(["validate", "--scenario", scen, "--samples", "1000"]) == 0
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("edit, field, message", [
+    (lambda doc: doc["traders"][0].update(delta="1"), "traders[0].delta", "must be a number"),
+    (lambda doc: doc.__delitem__("traders"), "traders", "missing"),
+    (lambda doc: doc.update(schema_version=1), "schema_version", "must be of type str"),
+    (lambda doc: doc.update(securities_cov=[1.0]), "securities_cov[0]", "must be a non-empty array of numbers"),
+    (lambda doc: [doc], "(root)", "scenario must be a JSON object"),
+    (lambda doc: doc.update(schema_version="2"), "schema_version", "unrecognized version '2'"),
+    (lambda doc: doc.update(securities_cov=[[1.0, 0.0]]), "securities_cov", "matrix must be square"),
+    (lambda doc: doc.update(traders=[]), "traders", "must be a non-empty array"),
+    (lambda doc: doc["traders"].__setitem__(0, 1.0), "traders[0]", "must be an object"),
+    (lambda doc: doc["traders"][0].update(cov_es=[1.0, 2.0]), "traders[0].cov_es",
+     "length 2 does not match matrix size 1"),
+], ids=["not-a-number", "missing", "wrong-type", "row-not-an-array", "not-an-object", "unknown-version", "not-square",
+        "no-traders", "trader-not-an-object", "cov-es-length"])
+def test_a_malformed_field_exits_one_naming_it(tmp_path, capsys, edit, field, message):
+    # each edit changes the document in place, or returns the one to write
+    doc = bilateral_scenario(total=3.0)
+    scen = write_json(tmp_path / "s.json", edit(doc) or doc)
+    assert main(["analyze", "--scenario", scen]) == 1
+    assert capsys.readouterr().err == f"error: scenario field '{field}': {message}\n"
+
+
+@pytest.mark.parametrize("edit, violation", [
+    (lambda doc: doc.update(securities_cov=[[math.nan]]), "securities_cov has non-finite entries"),
+    (lambda doc: doc.update(total_endowment_var=-1.0), "total_endowment_var must be nonnegative"),
+], ids=["nan-covariance", "negative-total"])
+def test_an_invalid_model_exits_two_naming_the_violation(tmp_path, capsys, edit, violation):
+    doc = bilateral_scenario(total=3.0)
+    edit(doc)
+    scen = write_json(tmp_path / "s.json", doc)  # JSON NaN for math.nan
+    assert main(["validate", "--scenario", scen, "--samples", "1000"]) == 2
+    assert capsys.readouterr().err == f"invalid: {violation}\n"
+
+
+def test_iteration_deviation_is_infinite_where_one_of_a_pair_is():
+    thetas = np.array([1.0, np.inf])
+    assert thinmarket.cli._iteration_deviation([1.0, np.inf], thetas) == 0.0
+    assert thinmarket.cli._iteration_deviation([np.inf, np.inf], thetas) == np.inf
+    assert thinmarket.cli._iteration_deviation([1.0, 2.0], thetas) == np.inf

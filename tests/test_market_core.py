@@ -248,6 +248,21 @@ class TestColumns:
         with pytest.raises(ValueError, match="not both"):
             MarketModel(np.eye(1), profiles, deltas=[1.0, 1.0])
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: TraderProfile(1.0, [[1.0]]), "cov_endowment_securities must be a vector"),
+        (lambda: MarketModel([1.0], deltas=[1.0, 1.0], cov_matrix_rows=[[1.0], [0.0]]),
+         "securities_cov must be a square matrix"),
+        (lambda: MarketModel(np.eye(1), deltas=[], cov_matrix_rows=np.zeros((0, 1))),
+         "traders must be non-empty"),
+        (lambda: MarketModel(np.eye(1), deltas=[1.0, 1.0], cov_matrix_rows=[[1.0], [0.0]],
+                             endowment_vars=[1.0, 1.0, 1.0]),
+         "endowment_vars has shape (3,), expected (2,)"),
+    ], ids=["profile-row-not-a-vector", "cov-not-square", "no-traders", "column-shape"])
+    def test_a_misshapen_field_is_named(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
     def test_columns_are_read_only(self):
         model = _simple_model()
         for name in ("securities_cov",) + COLUMNS:

@@ -12,6 +12,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -31,7 +32,13 @@ from thinmarket import (
     validate_model,
 )
 from thinmarket.cli import _grid_model, main
-from thinmarket.nash import KIND_UNSUPPORTED, SOLVE_ERRORS
+from thinmarket.nash import (
+    KIND_UNSUPPORTED,
+    SOLVE_ERRORS,
+    check_extreme_condition,
+    solve_bilateral,
+    solve_extreme,
+)
 from conftest import (
     constrained_betas,
     model_from_betas,
@@ -362,3 +369,30 @@ def test_sweep_profile_matches_the_per_point_derivation(doc, param, grid, valid)
     for name in ("delta_total", "aggregate_market_variance", "is_trivial"):
         assert getattr(exposures, name).shape == (len(grid),), name
     assert_profile_matches_per_point(stacked, exposures)
+
+
+def _readme_with_a_third_trader():
+    doc = bilateral_doc(1.2, total=3.0)
+    doc["traders"].append({"delta": 0.5, "cov_es": [0.3]})
+    return doc
+
+
+@pytest.mark.parametrize("doc", [bilateral_doc(1.2, total=3.0), _readme_with_a_third_trader()],
+                         ids=["readme", "readme3"])
+@pytest.mark.parametrize("param, grid", [
+    ("0:delta", [-1.0, 0.0, 1e154, 1e300, 1e308]),
+    ("1:cov_es[0]", [1e300, 1e308]),
+])
+def test_stacked_steps_run_without_runtime_warnings(doc, param, grid):
+    # invalid points, risk tolerances near the float maximum and spanned
+    # variances beyond it: each step guards its own arithmetic, so a library
+    # caller gets no warning without wrapping the calls
+    stacked = _grid_model(scenario_from_dict(doc), param, grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        exposures = derive_exposures(stacked)
+        nash = solve(exposures)
+        comparison = compare(exposures, competitive_equilibrium(exposures), nash)
+        solve_extreme(exposures, check_extreme_condition(exposures))
+        solve_bilateral(exposures)
+    assert comparison.du.shape == (len(grid), len(doc["traders"]))
